@@ -52,7 +52,6 @@ pub mod problem;
 pub mod problems;
 pub mod runner;
 pub mod schedule;
-pub mod speculate;
 pub mod stats;
 
 pub use controller::MoveClassController;
@@ -61,5 +60,4 @@ pub use pareto::{crowding_distance, hypervolume, non_dominated_rank, Dominance, 
 pub use problem::Problem;
 pub use runner::{anneal, Annealer, RunOptions, RunResult, StopReason, TracePoint};
 pub use schedule::{GeometricSchedule, InfiniteTemperature, LamSchedule, Schedule};
-pub use speculate::SpeculativeProblem;
 pub use stats::{Ewma, EwmaMoments, OnlineStats};

@@ -170,62 +170,6 @@ impl Problem for Bipartition {
     }
 }
 
-/// Speculative scoring for bipartition: a candidate is the drawn move
-/// itself, scored by apply–cost–undo against the unchanged state. Used
-/// by the engine's speculation equivalence tests; scoring is serial
-/// here (the mapping problem is where parallel scoring pays).
-impl crate::speculate::SpeculativeProblem for Bipartition {
-    type Candidate = BipartitionMove;
-
-    fn propose_candidate(
-        &mut self,
-        rng: &mut dyn RngCore,
-        class: usize,
-    ) -> Option<BipartitionMove> {
-        match class {
-            0 => Some(BipartitionMove::Flip(rng.random_range(0..self.n))),
-            _ => {
-                let a = rng.random_range(0..self.n);
-                let b = rng.random_range(0..self.n);
-                if self.side[a] == self.side[b] {
-                    return None;
-                }
-                Some(BipartitionMove::Swap(a, b))
-            }
-        }
-    }
-
-    fn score_candidates(&mut self, candidates: &[BipartitionMove], out: &mut Vec<Option<f64>>) {
-        out.clear();
-        for &mv in candidates {
-            match mv {
-                BipartitionMove::Flip(v) => {
-                    self.do_flip(v);
-                    out.push(Some(self.cost()));
-                    self.do_flip(v);
-                }
-                BipartitionMove::Swap(a, b) => {
-                    self.do_flip(a);
-                    self.do_flip(b);
-                    out.push(Some(self.cost()));
-                    self.do_flip(a);
-                    self.do_flip(b);
-                }
-            }
-        }
-    }
-
-    fn commit_candidate(&mut self, candidate: &BipartitionMove, _index: usize) {
-        match *candidate {
-            BipartitionMove::Flip(v) => self.do_flip(v),
-            BipartitionMove::Swap(a, b) => {
-                self.do_flip(a);
-                self.do_flip(b);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -243,36 +243,36 @@ pub fn anneal<P: Problem, S: Schedule>(
 /// [`adopt`]: Annealer::adopt
 #[derive(Debug)]
 pub struct Annealer<P: Problem, S: Schedule, Z: Scalarizer<P::Cost> = DefaultScalar> {
-    pub(crate) problem: P,
-    pub(crate) schedule: S,
-    pub(crate) opts: RunOptions,
-    pub(crate) rng: StdRng,
-    pub(crate) controller: MoveClassController,
-    pub(crate) scalarizer: Z,
-    pub(crate) initial_cost: f64,
+    problem: P,
+    schedule: S,
+    opts: RunOptions,
+    rng: StdRng,
+    controller: MoveClassController,
+    scalarizer: Z,
+    initial_cost: f64,
     /// Scalarized cost of the current solution.
-    pub(crate) cost: f64,
+    cost: f64,
     /// Full cost vector of the current solution.
-    pub(crate) cost_objectives: P::Cost,
+    cost_objectives: P::Cost,
     /// Scalarized cost of the best solution.
-    pub(crate) best_cost: f64,
+    best_cost: f64,
     /// Full cost vector of the best solution.
-    pub(crate) best_objectives: P::Cost,
-    pub(crate) best_snapshot: P::Snapshot,
+    best_objectives: P::Cost,
+    best_snapshot: P::Snapshot,
     /// Pareto archive over accepted solutions (off by default).
-    pub(crate) front: Option<ParetoFront<P::Cost>>,
-    pub(crate) last_improvement: u64,
-    pub(crate) accepted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) infeasible: u64,
-    pub(crate) warmup: OnlineStats,
-    pub(crate) trace: Vec<TracePoint>,
-    pub(crate) stop: Option<StopReason>,
+    front: Option<ParetoFront<P::Cost>>,
+    last_improvement: u64,
+    accepted: u64,
+    rejected: u64,
+    infeasible: u64,
+    warmup: OnlineStats,
+    trace: Vec<TracePoint>,
+    stop: Option<StopReason>,
     /// Inverse temperature; 0 during warm-up.
-    pub(crate) s: f64,
-    pub(crate) iter: u64,
+    s: f64,
+    iter: u64,
     /// Wall-clock time accumulated over completed segments.
-    pub(crate) elapsed: Duration,
+    elapsed: Duration,
 }
 
 impl<P: Problem, S: Schedule> Annealer<P, S> {
@@ -392,17 +392,6 @@ impl<P: Problem, S: Schedule, Z: Scalarizer<P::Cost>> Annealer<P, S, Z> {
         &self.problem
     }
 
-    /// Mutable access to the problem between steps — for configuring
-    /// execution machinery (e.g. installing a scoring pool for
-    /// [`run_segment_speculative`]). Mutating the *solution* through
-    /// this reference desynchronizes the walk; restrict changes to
-    /// knobs that cannot affect results.
-    ///
-    /// [`run_segment_speculative`]: Annealer::run_segment_speculative
-    pub fn problem_mut(&mut self) -> &mut P {
-        &mut self.problem
-    }
-
     /// Why the run stopped, if it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
         if let Some(stop) = self.stop {
@@ -496,7 +485,7 @@ impl<P: Problem, S: Schedule, Z: Scalarizer<P::Cost>> Annealer<P, S, Z> {
     }
 
     /// One iteration of the loop; mirrors the paper's Fig. 2 structure.
-    pub(crate) fn step_inner(&mut self, segment_start: Instant) {
+    fn step_inner(&mut self, segment_start: Instant) {
         let iter = self.iter;
         if iter == self.opts.warmup_iterations && iter > 0 {
             self.schedule

@@ -32,6 +32,18 @@ fn as_f64(v: &Value) -> Option<f64> {
     }
 }
 
+/// Renders a rate with four significant digits below 100 (so a
+/// dimensionless row such as 1.1564 reads `1.156`, not `1`) and as a
+/// whole number above.
+fn fmt_rate(v: f64) -> String {
+    if v == 0.0 || !v.is_finite() || v.abs() >= 100.0 {
+        format!("{v:.0}")
+    } else {
+        let decimals = (3 - v.abs().log10().floor() as i32).clamp(0, 8) as usize;
+        format!("{v:.decimals$}")
+    }
+}
+
 fn steps_per_sec(path: &str) -> Vec<(String, f64)> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read bench file '{path}': {e}"));
@@ -114,7 +126,9 @@ fn main() {
             "ok"
         };
         println!(
-            "  {name:<34} {base_rate:>12.0} -> {cur_rate:>12.0} steps/s ({change:>+6.1}%)  {verdict}"
+            "  {name:<34} {:>12} -> {:>12} steps/s ({change:>+6.1}%)  {verdict}",
+            fmt_rate(*base_rate),
+            fmt_rate(*cur_rate)
         );
     }
     // One-sided rows, both directions, as a summary block: names in
@@ -162,7 +176,9 @@ fn main() {
         );
         for (name, base_rate, cur_rate, change) in &failures {
             eprintln!(
-                "  {name:<34} {base_rate:>12.0} -> {cur_rate:>12.0} steps/s ({change:>+6.1}%)"
+                "  {name:<34} {:>12} -> {:>12} steps/s ({change:>+6.1}%)",
+                fmt_rate(*base_rate),
+                fmt_rate(*cur_rate)
             );
         }
         eprintln!("refresh BENCH_main.json deliberately if the step-cost change is intentional");
@@ -180,4 +196,19 @@ fn main() {
         "bench_compare: {compared} row(s) compared, {improved} improved, 0 regressed \
          beyond -{max_regression:.0}%"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fmt_rate;
+
+    #[test]
+    fn small_rates_keep_four_significant_digits() {
+        assert_eq!(fmt_rate(1.1564), "1.156");
+        assert_eq!(fmt_rate(2.421), "2.421");
+        assert_eq!(fmt_rate(45.0), "45.00");
+        assert_eq!(fmt_rate(0.0123), "0.01230");
+        assert_eq!(fmt_rate(0.0), "0");
+        assert_eq!(fmt_rate(1_144_547.0), "1144547");
+    }
 }

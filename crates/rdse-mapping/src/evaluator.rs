@@ -127,17 +127,6 @@ pub struct EvaluatorStats {
     /// Total nodes relabeled across all completed repairs (for the
     /// mean cone size).
     pub cone_nodes: u64,
-    /// Moves drawn and scored down the speculative pipeline (zero
-    /// unless the walk ran with `--speculate` width > 1).
-    pub speculated: u64,
-    /// Speculated scores the walk actually consumed: the confirmed
-    /// rejected prefix of each round plus its terminating accept.
-    pub spec_committed: u64,
-    /// Speculated scores discarded because an earlier entry in the
-    /// round accepted (the price paid for the parallelism).
-    pub spec_wasted: u64,
-    /// Speculative rounds executed.
-    pub spec_rounds: u64,
 }
 
 impl EvaluatorStats {
@@ -153,18 +142,6 @@ impl EvaluatorStats {
             0.0
         } else {
             self.cone_nodes as f64 / self.repairs as f64
-        }
-    }
-
-    /// Mean number of speculated scores consumed per speculative round
-    /// (0.0 if no speculation ran). At width `W` this lives in
-    /// `[1, W]`; the closer to `W`, the better the rejection hypothesis
-    /// paid off.
-    pub fn mean_useful_prefix(&self) -> f64 {
-        if self.spec_rounds == 0 {
-            0.0
-        } else {
-            self.spec_committed as f64 / self.spec_rounds as f64
         }
     }
 }
@@ -749,17 +726,6 @@ impl<'a> Evaluator<'a> {
     /// [`evaluate_delta`](Evaluator::evaluate_delta)'s fast path.
     pub fn is_synced(&self) -> bool {
         self.synced
-    }
-
-    /// Declares the mirrors stale: the caller mutated the mapping
-    /// behind the evaluator's back (e.g. replayed a speculatively
-    /// scored move on the resident mapping). The next
-    /// [`evaluate_delta`](Evaluator::evaluate_delta) then takes its
-    /// full-evaluate fall-back instead of repairing from a state that
-    /// no longer matches.
-    pub fn invalidate_sync(&mut self) {
-        self.synced = false;
-        self.delta_active = false;
     }
 
     /// Sets the repair budget — relaxations the ordered sweep may spend

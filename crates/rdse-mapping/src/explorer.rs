@@ -24,20 +24,17 @@ use crate::error::MappingError;
 use crate::eval::{EvalSummary, Evaluation};
 use crate::evaluator::{Evaluator, EvaluatorArenas, EvaluatorStats};
 use crate::init::random_initial;
-use crate::moves::{
-    propose_impl_move, propose_pair_move, MoveDelta, MoveScratch, PrevSlot, SpecCandidate,
-};
+use crate::moves::{propose_impl_move, propose_pair_move, MoveDelta, MoveScratch};
 use crate::solution::Mapping;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rdse_anneal::{
     crowding_distance, Annealer, Dominance, LamSchedule, ParetoFront, Problem, RunOptions,
-    RunResult, Scalarizer, SpeculativeProblem,
+    RunResult, Scalarizer,
 };
 use rdse_model::units::Micros;
 use rdse_model::{Architecture, TaskGraph};
 use rdse_pool::Pool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What the annealer minimizes — a [`Scalarizer`] over the mapping
@@ -315,138 +312,6 @@ pub struct MappingProblem<'a> {
     evaluator: Evaluator<'a>,
     scratch: MoveScratch,
     current: EvalSummary,
-    spec: SpecState<'a>,
-}
-
-/// One worker's scoring assignment for a round: its candidate chunk
-/// and the matching output slots — or `None` for a sync-only round.
-type SpecChunk<'c> = Option<(&'c [SpecCandidate], &'c mut [Option<EvalSummary>])>;
-
-/// One speculative-scoring worker: a replica of the resident mapping
-/// with its own arena-backed evaluator, kept warm across rounds so the
-/// steady state scores each candidate by one repair-cone delta instead
-/// of a full pass.
-#[derive(Debug)]
-struct SpecWorker<'a> {
-    evaluator: Evaluator<'a>,
-    base: Mapping,
-    /// Number of committed patches already replayed into `base`.
-    version: usize,
-    /// Whether `evaluator`'s mirrors track `base`.
-    synced: bool,
-}
-
-impl SpecWorker<'_> {
-    /// Replays the committed patches `base` has not seen yet, then (if
-    /// `work` is given) scores each candidate into its slot: detach +
-    /// reinstate into the candidate's destination, one delta
-    /// evaluation, revert. Summaries are bit-identical to what the
-    /// resident evaluator would report — evaluation results are
-    /// history-independent — so the worker-to-candidate assignment is
-    /// invisible in the output.
-    fn sync_and_score(&mut self, patches: &[SpecCandidate], work: SpecChunk<'_>) {
-        for patch in &patches[self.version..] {
-            self.base.detach(patch.task);
-            patch.slot.reinstate(&mut self.base, patch.task);
-            // Committed moves are feasible by invariant; on the
-            // (defensive) error path the evaluator has already reverted
-            // itself and the full resync below takes over.
-            if self.synced
-                && self
-                    .evaluator
-                    .evaluate_delta(&self.base, patch.task)
-                    .is_err()
-            {
-                self.synced = false;
-            }
-        }
-        self.version = patches.len();
-        if !self.synced {
-            self.evaluator
-                .evaluate(&self.base)
-                .expect("worker replica of a feasible mapping is feasible");
-            self.synced = true;
-        }
-        let Some((cands, outs)) = work else { return };
-        for (cand, out) in cands.iter().zip(outs.iter_mut()) {
-            let own = PrevSlot::capture(&self.base, cand.task);
-            self.base.detach(cand.task);
-            cand.slot.reinstate(&mut self.base, cand.task);
-            match self.evaluator.evaluate_delta(&self.base, cand.task) {
-                Ok(summary) => {
-                    self.evaluator.revert_delta();
-                    *out = Some(summary);
-                }
-                // Infeasible candidate: the evaluator reverted itself.
-                Err(_) => *out = None,
-            }
-            self.base.detach(cand.task);
-            own.reinstate(&mut self.base, cand.task);
-        }
-    }
-}
-
-/// Speculative-scoring machinery of a [`MappingProblem`]: worker
-/// replicas, the log of committed moves they still have to replay, and
-/// the slate summaries of the last scored round. Dormant (and
-/// allocation-free) unless the annealer drives the problem through
-/// [`SpeculativeProblem`].
-#[derive(Debug)]
-struct SpecState<'a> {
-    /// Scoring pool; `None` uses the process-wide [`Pool::global`].
-    pool: Option<Arc<Pool>>,
-    /// Worker replicas, created lazily on the first speculative round.
-    workers: Vec<SpecWorker<'a>>,
-    /// Moves committed to the resident mapping since the last round;
-    /// every worker replays them (its `version` indexes this log)
-    /// before scoring, after which the log is cleared.
-    patches: Vec<SpecCandidate>,
-    /// Set by a wholesale mapping replacement (snapshot restore):
-    /// workers must re-clone the resident mapping instead of patching.
-    stale: bool,
-    /// Slate-aligned summaries of the last scored round; the commit
-    /// reads its accepted entry from here.
-    summaries: Vec<Option<EvalSummary>>,
-    rounds: u64,
-    speculated: u64,
-    committed: u64,
-    wasted: u64,
-}
-
-impl SpecState<'_> {
-    fn new() -> Self {
-        SpecState {
-            pool: None,
-            workers: Vec::new(),
-            patches: Vec::new(),
-            stale: false,
-            summaries: Vec::new(),
-            rounds: 0,
-            speculated: 0,
-            committed: 0,
-            wasted: 0,
-        }
-    }
-}
-
-impl Clone for SpecState<'_> {
-    fn clone(&self) -> Self {
-        // Workers and pending patches are caches bound to the
-        // original's resident mapping; a clone starts clean and
-        // rebuilds them lazily. The counters travel so profiling
-        // survives a clone.
-        SpecState {
-            pool: self.pool.clone(),
-            workers: Vec::new(),
-            patches: Vec::new(),
-            stale: false,
-            summaries: self.summaries.clone(),
-            rounds: self.rounds,
-            speculated: self.speculated,
-            committed: self.committed,
-            wasted: self.wasted,
-        }
-    }
 }
 
 impl<'a> MappingProblem<'a> {
@@ -496,7 +361,6 @@ impl<'a> MappingProblem<'a> {
             evaluator,
             scratch: MoveScratch::default(),
             current,
-            spec: SpecState::new(),
         })
     }
 
@@ -510,25 +374,9 @@ impl<'a> MappingProblem<'a> {
         self.current
     }
 
-    /// Arena counters of the internal [`Evaluator`], with the
-    /// problem's speculation counters merged in. Worker-replica
-    /// evaluator counters are *not* merged: they vary with the pool's
-    /// worker count, while everything reported here is a pure function
-    /// of the walk.
+    /// Arena counters of the internal [`Evaluator`].
     pub fn evaluator_stats(&self) -> EvaluatorStats {
-        let mut stats = self.evaluator.stats();
-        stats.speculated = self.spec.speculated;
-        stats.spec_committed = self.spec.committed;
-        stats.spec_wasted = self.spec.wasted;
-        stats.spec_rounds = self.spec.rounds;
-        stats
-    }
-
-    /// Routes speculative scoring through `pool` instead of the
-    /// process-wide [`Pool::global`]. The pool's worker count changes
-    /// wall-clock time only, never the walk.
-    pub fn set_speculation_pool(&mut self, pool: Arc<Pool>) {
-        self.spec.pool = Some(pool);
+        self.evaluator.stats()
     }
 
     /// Re-synchronizes the incremental evaluator after the resident
@@ -541,8 +389,6 @@ impl<'a> MappingProblem<'a> {
             .evaluate(&self.mapping)
             .expect("restored snapshot is feasible by invariant");
         self.current = summary;
-        // Worker replicas can no longer catch up by patch replay.
-        self.spec.stale = true;
     }
 
     /// Consumes the problem, returning the mapping and its full
@@ -670,135 +516,6 @@ impl Problem for MappingProblem<'_> {
     }
 }
 
-/// Speculative scoring for the mapping problem (`--speculate W`):
-/// candidates are destination slots replayed on per-worker replicas of
-/// the resident mapping, scored concurrently on a persistent
-/// work-stealing pool. Because evaluation results are
-/// history-independent, the worker count and chunking are invisible in
-/// the summaries — the walk is bit-identical to the sequential one.
-impl SpeculativeProblem for MappingProblem<'_> {
-    type Candidate = SpecCandidate;
-
-    fn propose_candidate(&mut self, rng: &mut dyn RngCore, class: usize) -> Option<SpecCandidate> {
-        let outcome = match class {
-            0 => propose_pair_move(
-                self.app,
-                self.arch,
-                &mut self.mapping,
-                rng,
-                &mut self.scratch,
-            ),
-            _ => propose_impl_move(
-                self.app,
-                self.arch,
-                &mut self.mapping,
-                rng,
-                &mut self.scratch,
-            ),
-        }?;
-        // Encode the proposal as its destination slot, then put the
-        // resident mapping back: the draw consumed exactly the
-        // randomness the sequential path would have, and the state is
-        // net unchanged (the evaluator's mirrors stay valid).
-        let task = outcome.delta.task();
-        let slot = PrevSlot::capture(&self.mapping, task);
-        outcome.delta.undo(&mut self.mapping);
-        Some(SpecCandidate { task, slot })
-    }
-
-    fn score_candidates(
-        &mut self,
-        candidates: &[SpecCandidate],
-        out: &mut Vec<Option<CostVector>>,
-    ) {
-        out.clear();
-        let spec = &mut self.spec;
-        spec.summaries.clear();
-        spec.summaries.resize(candidates.len(), None);
-        if candidates.is_empty() {
-            return;
-        }
-        if spec.stale {
-            // The resident mapping was replaced wholesale; patch
-            // replay is meaningless, so the replicas restart from a
-            // clone (their arenas stay warm — only the next scoring
-            // pays one full evaluation each).
-            spec.patches.clear();
-            for worker in &mut spec.workers {
-                worker.base.clone_from(&self.mapping);
-                worker.version = 0;
-                worker.synced = false;
-            }
-            spec.stale = false;
-        }
-        let pool: &Pool = match &spec.pool {
-            Some(p) => p,
-            None => Pool::global(),
-        };
-        let slots = pool.threads().min(candidates.len()).max(1);
-        while spec.workers.len() < slots {
-            spec.workers.push(SpecWorker {
-                evaluator: Evaluator::new(self.app, self.arch),
-                base: self.mapping.clone(),
-                version: spec.patches.len(),
-                synced: false,
-            });
-        }
-        // Contiguous chunks per worker; every worker syncs each round
-        // (even without a chunk) so the patch log can be cleared.
-        let chunk = candidates.len().div_ceil(slots);
-        let patches = &spec.patches;
-        let mut work: Vec<SpecChunk<'_>> = candidates
-            .chunks(chunk)
-            .zip(spec.summaries.chunks_mut(chunk))
-            .map(Some)
-            .collect();
-        work.resize_with(spec.workers.len(), || None);
-        if pool.threads() == 1 {
-            for (worker, w) in spec.workers.iter_mut().zip(work) {
-                worker.sync_and_score(patches, w);
-            }
-        } else {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = spec
-                .workers
-                .iter_mut()
-                .zip(work)
-                .map(|(worker, w)| {
-                    Box::new(move || worker.sync_and_score(patches, w))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(tasks);
-        }
-        spec.patches.clear();
-        for worker in &mut spec.workers {
-            worker.version = 0;
-        }
-        out.extend(
-            spec.summaries
-                .iter()
-                .map(|s| s.map(|summary| CostVector::from_summary(&summary))),
-        );
-    }
-
-    fn commit_candidate(&mut self, candidate: &SpecCandidate, index: usize) {
-        self.mapping.detach(candidate.task);
-        candidate.slot.reinstate(&mut self.mapping, candidate.task);
-        self.current = self.spec.summaries[index].expect("committed candidate was scored feasible");
-        // The resident evaluator did not see this mutation; the next
-        // sequential delta takes its full-evaluate fall-back.
-        self.evaluator.invalidate_sync();
-        self.spec.patches.push(*candidate);
-    }
-
-    fn note_round(&mut self, speculated: u64, committed: u64, wasted: u64) {
-        self.spec.rounds += 1;
-        self.spec.speculated += speculated;
-        self.spec.committed += committed;
-        self.spec.wasted += wasted;
-    }
-}
-
 /// Options of a full exploration run.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
@@ -825,14 +542,6 @@ pub struct ExploreOptions {
     pub bandit_moves: bool,
     /// Stop early at this makespan-cost (µs), if given.
     pub target_cost: Option<f64>,
-    /// Speculative lookahead width `W`. With `W > 1` each post-warm-up
-    /// round draws the next `W` moves from the unchanged RNG stream,
-    /// scores them concurrently on the speculation pool, and replays
-    /// accept/reject sequentially — bit-identical to the sequential
-    /// walk at any width and any pool worker count (see
-    /// [`rdse_anneal::SpeculativeProblem`]). `1` (the default) is the
-    /// fully sequential engine, byte-identical to previous releases.
-    pub speculate: usize,
 }
 
 impl Default for ExploreOptions {
@@ -847,7 +556,6 @@ impl Default for ExploreOptions {
             adaptive_moves: true,
             bandit_moves: false,
             target_cost: None,
-            speculate: 1,
         }
     }
 }
@@ -940,7 +648,6 @@ pub struct Explorer<'a> {
     annealer: Annealer<MappingProblem<'a>, LamSchedule, Objective>,
     objective: Objective,
     seed: u64,
-    speculate: usize,
 }
 
 impl<'a> Explorer<'a> {
@@ -1035,7 +742,6 @@ impl<'a> Explorer<'a> {
             annealer,
             objective: opts.objective,
             seed: opts.seed,
-            speculate: opts.speculate.max(1),
         })
     }
 
@@ -1046,22 +752,9 @@ impl<'a> Explorer<'a> {
     }
 
     /// Runs up to `steps` iterations (fewer if the chain ends first);
-    /// returns `true` while the chain can continue. With
-    /// [`ExploreOptions::speculate`] > 1 the segment runs on the
-    /// speculative engine — same walk, scored in parallel.
+    /// returns `true` while the chain can continue.
     pub fn run_segment(&mut self, steps: u64) -> bool {
-        if self.speculate > 1 {
-            self.annealer.run_segment_speculative(steps, self.speculate)
-        } else {
-            self.annealer.run_segment(steps)
-        }
-    }
-
-    /// Routes this chain's speculative scoring through `pool` instead
-    /// of the process-wide [`Pool::global`]. Worker count affects
-    /// wall-clock time only, never the walk.
-    pub fn set_speculation_pool(&mut self, pool: Arc<Pool>) {
-        self.annealer.problem_mut().set_speculation_pool(pool);
+        self.annealer.run_segment(steps)
     }
 
     /// Whether the chain has exhausted its budget or hit a stop

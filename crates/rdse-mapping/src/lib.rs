@@ -102,15 +102,16 @@ pub use explorer::{
     ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
 pub use init::random_initial;
-pub use moves::{MoveDelta, MoveKind, MoveOutcome, MoveScratch, SpecCandidate};
+pub use moves::{MoveDelta, MoveKind, MoveOutcome, MoveScratch};
 pub use placement::{Placement, ResourceRef};
 // The shared multi-objective vocabulary, re-exported so downstream
 // layers (corpus, CLI, examples) speak one Pareto language.
 pub use rdse_anneal::{
     crowding_distance, hypervolume, non_dominated_rank, Cost, Dominance, ParetoFront, Scalarizer,
 };
-// The persistent work-stealing pool every fan-out in the workspace
-// runs on, re-exported so callers can share one pool across layers.
+// The persistent pool (a shared injector plus pinned lanes) behind the
+// portfolio and corpus fan-outs and the serve shards, re-exported so
+// those layers share one pool type.
 pub use rdse_pool::Pool;
 pub use schedule::{BusTransfer, GanttChart, ReconfigSlot, TaskSlot};
 pub use searchgraph::SearchGraph;

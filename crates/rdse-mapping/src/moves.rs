@@ -400,7 +400,7 @@ fn propose_hw_seed(
 /// back verbatim — the payload of a [`MoveDelta`] relocation and the
 /// restore record of a proposal that must bail out after detaching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PrevSlot {
+enum PrevSlot {
     Software {
         processor: usize,
         position: usize,
@@ -428,7 +428,7 @@ pub(crate) enum PrevSlot {
 }
 
 impl PrevSlot {
-    pub(crate) fn capture(mapping: &Mapping, task: TaskId) -> Self {
+    fn capture(mapping: &Mapping, task: TaskId) -> Self {
         match mapping.placement(task) {
             Placement::Software { processor } => PrevSlot::Software {
                 processor,
@@ -469,7 +469,7 @@ impl PrevSlot {
 
     /// Puts `task` back where [`capture`](Self::capture) found it; only
     /// valid immediately after the corresponding `detach`.
-    pub(crate) fn reinstate(self, mapping: &mut Mapping, task: TaskId) {
+    fn reinstate(self, mapping: &mut Mapping, task: TaskId) {
         match self {
             PrevSlot::Software {
                 processor,
@@ -488,31 +488,6 @@ impl PrevSlot {
             } => mapping.insert_new_context(task, drlc, context, hw_impl),
             PrevSlot::Asic { asic } => mapping.insert_asic(task, asic),
         }
-    }
-}
-
-/// A speculatively proposed move, encoded as its *destination*: the
-/// exact slot `task` would occupy after the move, captured (with the
-/// same crate-private slot snapshot that powers [`MoveDelta`]) on the
-/// post-move state, then undone.
-///
-/// Replaying `detach(task)` + `slot.reinstate(task)` on any state that
-/// agrees with the proposal's origin state everywhere except possibly
-/// `task`'s own placement reproduces the proposed mapping bit-for-bit:
-/// detach∘insert is the identity on the rest of the structure, so "the
-/// state minus `task`" is the same object either way. This is what lets
-/// per-worker replicas score candidates concurrently and lets a commit
-/// be replayed on the resident mapping without re-running the proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecCandidate {
-    pub(crate) task: TaskId,
-    pub(crate) slot: PrevSlot,
-}
-
-impl SpecCandidate {
-    /// The task the candidate moves.
-    pub fn task(&self) -> TaskId {
-        self.task
     }
 }
 

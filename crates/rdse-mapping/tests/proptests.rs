@@ -7,13 +7,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdse_anneal::Problem;
 use rdse_mapping::moves::{propose_impl_move, propose_pair_move};
-use rdse_mapping::{
-    evaluate, random_initial, Cost, Evaluator, ExploreOptions, Explorer, MappingProblem,
-    MoveScratch, Pool,
-};
+use rdse_mapping::{evaluate, random_initial, Cost, Evaluator, MappingProblem, MoveScratch};
 use rdse_model::units::{Bytes, Clbs, Micros};
 use rdse_model::{Architecture, HwImpl, TaskGraph};
-use std::sync::Arc;
 
 /// Builds a random layered application from a compact recipe.
 fn build_app(n_tasks: usize, edge_density: u8, hw_seed: u64) -> TaskGraph {
@@ -270,52 +266,6 @@ proptest! {
         }
         // Repeated batches over the same shapes run in warm arenas.
         prop_assert!(batch_eval.stats().arenas_warm());
-    }
-
-    #[test]
-    fn speculative_walk_equals_sequential_walk(
-        n_tasks in 4usize..14,
-        density in 5u8..40,
-        seed in 0u64..1_000_000,
-        clbs in 150u32..600,
-        width in 2usize..9,
-        workers in 1usize..5,
-    ) {
-        // For arbitrary application/platform pairs and an arbitrary
-        // speculation width, the speculative walk must replay the
-        // sequential walk bit for bit: same best mapping, same cost
-        // bits, same accept/reject/infeasible ledger. Both walks run in
-        // ragged segments so rounds straddle segment boundaries; final
-        // equality also certifies the RNG stream position matched at
-        // every boundary (a drifted stream cannot reconverge).
-        let app = build_app(n_tasks, density, seed);
-        let arch = arch(clbs);
-        let opts = ExploreOptions {
-            max_iterations: 600,
-            warmup_iterations: 120,
-            seed,
-            ..ExploreOptions::default()
-        };
-        let mut seq = Explorer::new(&app, &arch, &opts).expect("feasible initial");
-        while seq.run_segment(137) {}
-        let seq = seq.into_outcome();
-
-        let spec_opts = ExploreOptions { speculate: width, ..opts };
-        let mut spec = Explorer::new(&app, &arch, &spec_opts).expect("feasible initial");
-        spec.set_speculation_pool(Arc::new(Pool::new(workers)));
-        while spec.run_segment(137) {}
-        let spec = spec.into_outcome();
-
-        prop_assert_eq!(&seq.mapping, &spec.mapping);
-        prop_assert_eq!(seq.run.best_cost.to_bits(), spec.run.best_cost.to_bits());
-        prop_assert_eq!(
-            seq.evaluation.makespan.value().to_bits(),
-            spec.evaluation.makespan.value().to_bits()
-        );
-        prop_assert_eq!(seq.run.iterations, spec.run.iterations);
-        prop_assert_eq!(seq.run.accepted, spec.run.accepted);
-        prop_assert_eq!(seq.run.rejected, spec.run.rejected);
-        prop_assert_eq!(seq.run.infeasible, spec.run.infeasible);
     }
 
     #[test]

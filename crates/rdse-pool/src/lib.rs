@@ -1,47 +1,41 @@
-//! Persistent work-stealing thread pool for the rdse workspace.
+//! Persistent thread pool for the rdse workspace.
 //!
-//! Every parallel subsystem in the workspace — portfolio segments in
-//! `explore_parallel`, the corpus runner's scenario fan-out, the serve
-//! worker shards, and speculative move scoring inside a single
-//! annealing chain — used to spin up its own `std::thread::scope`, so
-//! thread creation was paid once per barrier. [`Pool`] pays it once per
-//! process: a fixed set of workers parks on a condition variable and
-//! drains three kinds of queues:
+//! The portfolio segments of `explore_parallel`, the corpus runner's
+//! scenario fan-out and the serve worker shards used to spin up their
+//! own threads, so thread creation was paid once per barrier. [`Pool`]
+//! pays it once per process: a fixed set of workers parks on a
+//! condition variable and drains two kinds of queues:
 //!
-//! * a global **injector** fed by [`Pool::run`] calls from non-pool
-//!   threads,
-//! * a per-worker **local** queue fed by nested [`Pool::run`] calls
-//!   issued *from* a worker (other workers steal from it), and
-//! * a per-worker **pinned** lane fed by [`Pool::submit_pinned`] that
-//!   is never stolen — jobs pinned to the same lane execute serially in
-//!   submission order, which is what the serve front-end's shard
+//! * a shared **injector** fed by [`Pool::run`], and
+//! * a per-worker **pinned** lane fed by [`Pool::submit_pinned`].
+//!   Jobs pinned to the same lane execute serially in submission order
+//!   on that lane's worker, which is what the serve front-end's shard
 //!   routing relies on.
+//!
+//! A worker pops its pinned lane first, then the injector.
 //!
 //! # Design notes
 //!
 //! All queues live under a **single mutex**. Jobs in this workspace are
-//! coarse (an annealing segment, a corpus scenario, a batch of
-//! speculative evaluations — microseconds to seconds each), so queue
-//! traffic is far too cold for per-queue locks or lock-free deques to
-//! matter; one lock keeps the invariants trivially auditable.
+//! coarse (an annealing segment, a corpus scenario, a served job —
+//! milliseconds to seconds each), so queue traffic is far too cold for
+//! per-queue locks or lock-free deques to matter; one lock keeps the
+//! invariants trivially auditable.
 //!
 //! [`Pool::run`] is a *scoped* barrier: it accepts non-`'static`
 //! closures, blocks until all of them ran, and while blocked the
-//! calling thread **helps drain** the pool instead of idling. Helping
-//! makes nested fan-out (a chain segment running on the pool that
-//! itself fans speculative evaluations out to the pool) deadlock-free:
-//! a waiting owner always either executes a queued job or sleeps with
-//! every queue empty.
+//! calling thread **helps drain the injector** instead of idling.
+//! Helping makes nested fan-out (a corpus scenario running on the pool
+//! that itself runs a portfolio on the pool) deadlock-free: a waiting
+//! caller always either executes a queued job or sleeps with the
+//! injector empty. It never takes a job from a pinned lane, whose jobs
+//! must run on their own worker, in order.
 //!
-//! Determinism: the pool never reorders *results*. [`Pool::run_ordered`]
-//! writes each task's output into its submission slot, so callers see
-//! results in submission order regardless of which worker ran what, and
-//! a panicking task fails its own scope ([`Pool::run`] re-raises the
+//! A panicking task fails its own scope ([`Pool::run`] re-raises the
 //! first payload after the barrier) without taking down any worker
 //! thread.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,25 +44,15 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// `(pool identity, worker index)` of the pool worker running this
-    /// thread, if any. Identity is the address of the pool's shared
-    /// state, so a worker of pool A submitting to pool B is treated as
-    /// an outside caller by B.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
 struct State {
     injector: VecDeque<Job>,
     pinned: Vec<VecDeque<Job>>,
-    local: Vec<VecDeque<Job>>,
     shutdown: bool,
 }
 
 struct Inner {
     state: Mutex<State>,
     available: Condvar,
-    threads: usize,
 }
 
 /// Ignore mutex poisoning: queue operations never unwind while holding
@@ -79,56 +63,16 @@ fn lock(m: &Mutex<State>) -> MutexGuard<'_, State> {
 }
 
 impl Inner {
-    fn id(&self) -> usize {
-        self as *const Inner as usize
-    }
-
-    /// Pop order for worker `w`: its pinned lane, its local queue, the
-    /// injector, then steal from the other workers' local queues.
-    fn pop_worker(&self, st: &mut State, w: usize) -> Option<Job> {
-        if let Some(job) = st.pinned[w].pop_front() {
-            return Some(job);
-        }
-        if let Some(job) = st.local[w].pop_front() {
-            return Some(job);
-        }
-        if let Some(job) = st.injector.pop_front() {
-            return Some(job);
-        }
-        let n = st.local.len();
-        for i in 1..n {
-            if let Some(job) = st.local[(w + i) % n].pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Pop order for a thread *waiting* on a [`Pool::run`] barrier:
-    /// anything stealable — never a pinned lane, whose jobs must run on
-    /// their own worker.
-    fn pop_help(&self, st: &mut State, me: Option<usize>) -> Option<Job> {
-        if let Some(w) = me {
-            if let Some(job) = st.local[w].pop_front() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = st.injector.pop_front() {
-            return Some(job);
-        }
-        for q in &mut st.local {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-        }
-        None
+    /// Parks until the next queue change, ignoring poisoning as [`lock`] does.
+    fn wait<'a>(&self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.available.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
     fn worker_main(self: Arc<Self>, w: usize) {
-        WORKER.with(|c| c.set(Some((self.id(), w))));
         let mut st = lock(&self.state);
         loop {
-            if let Some(job) = self.pop_worker(&mut st, w) {
+            let job = st.pinned[w].pop_front().or_else(|| st.injector.pop_front());
+            if let Some(job) = job {
                 drop(st);
                 // Containment: a panicking fire-and-forget job (pinned
                 // lane) must not take the worker down. Scoped jobs
@@ -139,7 +83,7 @@ impl Inner {
                 // Drain-then-exit: only leave once nothing is poppable.
                 break;
             } else {
-                st = self.available.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = self.wait(st);
             }
         }
     }
@@ -160,7 +104,7 @@ pub struct Pool {
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
-            .field("threads", &self.inner.threads)
+            .field("threads", &self.handles.len())
             .finish()
     }
 }
@@ -173,11 +117,9 @@ impl Pool {
             state: Mutex::new(State {
                 injector: VecDeque::new(),
                 pinned: (0..threads).map(|_| VecDeque::new()).collect(),
-                local: (0..threads).map(|_| VecDeque::new()).collect(),
                 shutdown: false,
             }),
             available: Condvar::new(),
-            threads,
         });
         let handles = (0..threads)
             .map(|w| {
@@ -204,23 +146,12 @@ impl Pool {
         })
     }
 
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
-    /// Index of the worker lane `key` hashes to — the lane
-    /// [`submit_pinned`](Pool::submit_pinned) would serialize it on.
-    pub fn lane(&self, key: usize) -> usize {
-        key % self.inner.threads
-    }
-
     /// Runs `tasks` to completion on the pool (a scoped barrier).
     ///
-    /// The calling thread helps drain the pool while it waits, so this
-    /// may be called from inside a pool job without deadlocking. If any
-    /// task panics, the remaining tasks still run and the first panic
-    /// payload is re-raised here after the barrier; the workers
+    /// The calling thread helps drain the injector while it waits, so
+    /// this may be called from inside a pool job without deadlocking.
+    /// If any task panics, the remaining tasks still run and the first
+    /// panic payload is re-raised here after the barrier; the workers
     /// survive.
     pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
@@ -228,10 +159,6 @@ impl Pool {
         }
         let remaining = AtomicUsize::new(tasks.len());
         let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let me = WORKER
-            .with(|c| c.get())
-            .filter(|(id, _)| *id == self.inner.id())
-            .map(|(_, w)| w);
 
         {
             let mut st = lock(&self.inner.state);
@@ -261,28 +188,21 @@ impl Pool {
                 // and the barrier panics (queue pushes aside, which
                 // would abort on OOM rather than unwind).
                 let job: Job = unsafe { std::mem::transmute(job) };
-                match me {
-                    Some(w) => st.local[w].push_back(job),
-                    None => st.injector.push_back(job),
-                }
+                st.injector.push_back(job);
             }
             self.inner.available.notify_all();
         }
 
         let mut st = lock(&self.inner.state);
         while remaining.load(Ordering::Acquire) != 0 {
-            if let Some(job) = self.inner.pop_help(&mut st, me) {
+            if let Some(job) = st.injector.pop_front() {
                 drop(st);
                 // Queued jobs are wrappers that catch their own panics;
                 // this call cannot unwind past the barrier.
                 job();
                 st = lock(&self.inner.state);
             } else {
-                st = self
-                    .inner
-                    .available
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = self.inner.wait(st);
             }
         }
         drop(st);
@@ -293,39 +213,16 @@ impl Pool {
         }
     }
 
-    /// Runs `tasks` on the pool and returns their results **in
-    /// submission order**, independent of which worker ran what.
-    pub fn run_ordered<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let mut slots: Vec<Option<T>> = (0..tasks.len()).map(|_| None).collect();
-        let boxed: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .zip(tasks)
-            .map(|(slot, task)| {
-                Box::new(move || {
-                    *slot = Some(task());
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.run(boxed);
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("pool task completed"))
-            .collect()
-    }
-
     /// Enqueues a fire-and-forget job on worker lane `lane % threads`.
     ///
     /// Jobs pinned to the same lane run serially in submission order on
-    /// that lane's worker and are never stolen — per-lane state needs
-    /// no locking against other jobs of the same lane. A panicking job
-    /// is contained by the worker (the lane keeps draining).
+    /// that lane's worker, and nothing else ever runs them — per-lane
+    /// state needs no locking against other jobs of the same lane. A
+    /// panicking job is contained by the worker (the lane keeps
+    /// draining).
     pub fn submit_pinned<F: FnOnce() + Send + 'static>(&self, lane: usize, job: F) {
         let mut st = lock(&self.inner.state);
-        let lane = lane % self.inner.threads;
+        let lane = lane % st.pinned.len();
         st.pinned[lane].push_back(Box::new(job));
         self.inner.available.notify_all();
     }
@@ -349,22 +246,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn run_ordered_preserves_submission_order() {
-        let pool = Pool::new(4);
-        let tasks: Vec<_> = (0..64u64)
-            .map(|i| {
-                move || {
-                    // Stagger so completion order differs from
-                    // submission order.
-                    std::thread::sleep(std::time::Duration::from_micros(200 - 3 * (i % 64)));
-                    i * i
-                }
-            })
-            .collect();
-        let results = pool.run_ordered(tasks);
-        let expected: Vec<_> = (0..64u64).map(|i| i * i).collect();
-        assert_eq!(results, expected);
+    /// Boxes `f` as a scoped pool task.
+    fn task<'a>(f: impl FnOnce() + Send + 'a) -> Box<dyn FnOnce() + Send + 'a> {
+        Box::new(f)
     }
 
     #[test]
@@ -403,8 +287,10 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the scope owner");
         // The sibling tasks still ran and the pool is still alive.
         assert_eq!(ran.load(Ordering::SeqCst), 2);
-        let sums = pool.run_ordered(vec![|| 1 + 1, || 2 + 2]);
-        assert_eq!(sums, vec![2, 4]);
+        let mut sums = [0; 2];
+        let [a, b] = &mut sums;
+        pool.run(vec![task(|| *a = 1 + 1), task(|| *b = 2 + 2)]);
+        assert_eq!(sums, [2, 4]);
     }
 
     #[test]
@@ -439,31 +325,84 @@ mod tests {
     }
 
     #[test]
-    fn nested_run_from_a_worker_does_not_deadlock() {
+    fn scoped_run_inside_a_pinned_job_never_runs_pinned_work() {
         let pool = Arc::new(Pool::new(2));
+        // Each lane-0 job reports `(job id, whether the scoped run was
+        // still waiting when it ran)` in the order the jobs ran.
+        let (log_tx, log_rx) = std::sync::mpsc::channel();
+        let waiting = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (queued_tx, queued_rx) = std::sync::mpsc::channel::<()>();
+        {
+            let (p, log_tx, waiting) = (Arc::clone(&pool), log_tx.clone(), Arc::clone(&waiting));
+            pool.submit_pinned(0, move || {
+                // Hold the lane until the later lane-0 jobs are queued,
+                // so the scoped run below waits with them pending.
+                queued_rx.recv().unwrap();
+                waiting.store(true, Ordering::SeqCst);
+                let tasks = (0..8)
+                    .map(|_| task(|| std::thread::sleep(std::time::Duration::from_millis(2))))
+                    .collect();
+                p.run(tasks);
+                drop(p);
+                waiting.store(false, Ordering::SeqCst);
+                log_tx.send((0, false)).unwrap();
+            });
+        }
+        for i in 1..=6 {
+            let (log_tx, waiting) = (log_tx.clone(), Arc::clone(&waiting));
+            pool.submit_pinned(0, move || {
+                log_tx.send((i, waiting.load(Ordering::SeqCst))).unwrap();
+            });
+        }
+        queued_tx.send(()).unwrap();
+        let log: Vec<_> = (0..=6).map(|_| log_rx.recv().unwrap()).collect();
+        let expected: Vec<_> = (0..=6).map(|i| (i, false)).collect();
+        assert_eq!(log, expected);
+        // Job 0 released its handle before reporting, so this thread
+        // owns the last one and the drop joins the workers here.
+        drop(Arc::try_unwrap(pool).expect("no job holds the pool any more"));
+    }
+
+    #[test]
+    fn nested_run_from_a_worker_does_not_deadlock() {
+        let pool = Pool::new(2);
+        let pool = &pool;
         // Saturate the pool with jobs that themselves fan out: the
         // inner barrier must help-drain rather than park forever.
-        let p = Arc::clone(&pool);
-        let totals = pool.run_ordered(
-            (0..4)
-                .map(|i| {
-                    let p = Arc::clone(&p);
-                    move || {
-                        p.run_ordered((0..8).map(|j| move || i * 8 + j).collect())
-                            .iter()
-                            .sum::<i32>()
-                    }
+        let mut totals = [0i32; 4];
+        let tasks = totals
+            .iter_mut()
+            .enumerate()
+            .map(|(i, total)| {
+                task(move || {
+                    let i = i as i32;
+                    let mut parts = [0i32; 8];
+                    pool.run(
+                        parts
+                            .iter_mut()
+                            .enumerate()
+                            .map(|(j, part)| task(move || *part = i * 8 + j as i32))
+                            .collect(),
+                    );
+                    *total = parts.iter().sum();
                 })
-                .collect(),
-        );
+            })
+            .collect();
+        pool.run(tasks);
         let expected: Vec<i32> = (0..4).map(|i| (0..8).map(|j| i * 8 + j).sum()).collect();
-        assert_eq!(totals, expected);
+        assert_eq!(totals.to_vec(), expected);
     }
 
     #[test]
     fn single_thread_pool_still_completes_scoped_work() {
         let pool = Pool::new(1);
-        let out = pool.run_ordered((0..16).map(|i| move || i * 3).collect::<Vec<_>>());
-        assert_eq!(out, (0..16).map(|i| i * 3).collect::<Vec<_>>());
+        let mut out = [0; 16];
+        pool.run(
+            out.iter_mut()
+                .enumerate()
+                .map(|(i, slot)| task(move || *slot = i * 3))
+                .collect(),
+        );
+        assert_eq!(out.to_vec(), (0..16).map(|i| i * 3).collect::<Vec<_>>());
     }
 }

@@ -82,6 +82,10 @@ pub struct ReplayReport {
     pub bytes: u64,
     /// The torn/corrupt tail that ended the replay early, if any.
     pub tail: Option<TailIssue>,
+    /// Set when the replay stopped on a record written by a newer log
+    /// format: the bytes from `tail.offset` on are not damage, and
+    /// must not be truncated away.
+    pub newer_version: Option<u16>,
 }
 
 /// Replays every intact record in `bytes`, invoking `on_record` per
@@ -112,6 +116,9 @@ pub fn scan(bytes: &[u8], mut on_record: impl FnMut(StoreRecord)) -> ReplayRepor
         }
         let version = u16::from_be_bytes([rest[4], rest[5]]);
         if version != LOG_VERSION {
+            if version > LOG_VERSION {
+                report.newer_version = Some(version);
+            }
             report.tail = Some(stop(
                 pos,
                 format!("unsupported log version {version} (expected {LOG_VERSION})"),

@@ -9,7 +9,7 @@
 //! (temp file + rename).
 
 use crate::archive::Archive;
-use crate::log::{encode_record, scan, ReplayReport};
+use crate::log::{encode_record, scan, ReplayReport, LOG_VERSION};
 use crate::record::StoreRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -96,6 +96,8 @@ impl ResultStore {
     /// # Errors
     ///
     /// Propagates I/O errors of opening, reading or seeking the log.
+    /// A log holding a record from a newer format version fails with
+    /// [`io::ErrorKind::InvalidData`] and is left untouched.
     pub fn open(path: impl Into<PathBuf>, sync: SyncPolicy) -> io::Result<Self> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -111,6 +113,18 @@ impl ResultStore {
         };
         let mut archive = Archive::new();
         let replay = scan(&bytes, |record| archive.insert(record));
+        if let Some(version) = replay.newer_version {
+            // A downgrade, not damage: truncating would delete every
+            // record from the newer writer onwards.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "record at byte {} has log version {version}, newer than the \
+                     supported {LOG_VERSION}; refusing to open",
+                    replay.bytes
+                ),
+            ));
+        }
         file.seek(SeekFrom::Start(replay.bytes))?;
         file.set_len(replay.bytes)?;
         Ok(ResultStore {

@@ -1,7 +1,9 @@
 //! Torn-write recovery: a log truncated at **every** byte offset of
 //! its last record — header, checksum, body — replays the intact
 //! prefix, reports the tail, and never panics. Same for a checksum
-//! flip at every byte of the last record.
+//! flip at every byte of the last record. A record from a newer log
+//! version is not a tear: opening such a log fails and truncates
+//! nothing.
 
 use rdse_store::log::{encode_record, scan, RECORD_HEADER_LEN};
 use rdse_store::{CostBits, KeySpec, ResultStore, StoreRecord, SyncPolicy};
@@ -128,6 +130,32 @@ fn open_recovers_a_torn_file_and_reclaims_the_tail() {
     assert_eq!(reopened.archive().len(), 2);
     assert!(reopened.replay_report().tail.is_none());
     assert!(reopened.archive().exact(&record(3).key).is_some());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn open_refuses_a_newer_version_record_and_leaves_the_file_alone() {
+    let dir = std::env::temp_dir().join(format!("rdse_store_newer_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("results.aof");
+
+    // Three records; the second claims a newer format (version 2).
+    let mut log = encode_record(&record(1));
+    let second = log.len();
+    log.extend_from_slice(&encode_record(&record(2)));
+    log.extend_from_slice(&encode_record(&record(3)));
+    log[second + 4..second + 6].copy_from_slice(&2u16.to_be_bytes());
+    std::fs::write(&path, &log).expect("write log");
+
+    let err = ResultStore::open(&path, SyncPolicy::Always).expect_err("newer version must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("version 2"),
+        "error must name the version: {err}"
+    );
+    let after = std::fs::read(&path).expect("read log");
+    assert!(after == log, "open must not modify a newer-version log");
 
     std::fs::remove_dir_all(&dir).ok();
 }

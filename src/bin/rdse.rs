@@ -7,8 +7,8 @@
 //!               [--sections N] [--branches N] [--workload FAM] [--arch-family FAM] [--dir D]
 //! rdse explore  --app F.json --arch F.json [--iters N] [--warmup N]
 //!               [--seed N] [--lambda X] [--chains K] [--threads T]
-//!               [--speculate W] [--exchange-every E] [--bandit]
-//!               [--front-exchange] [--gantt] [--profile] [--save-mapping F]
+//!               [--exchange-every E] [--bandit] [--front-exchange]
+//!               [--gantt] [--profile] [--save-mapping F]
 //!               [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]
 //! rdse ga       --app F.json --arch F.json [--population N] [--generations N]
 //!               [--seed N] [--nsga2]
@@ -77,7 +77,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          rdse generate <motion|figure1|layered|series-parallel> [--clbs N] [--seed N]\n                [--sections N] [--branches N] [--dir D]\n  \
-         rdse explore  --app F.json --arch F.json [--iters N] [--warmup N] [--seed N] [--lambda X]\n                [--chains K] [--threads T] [--speculate W] [--exchange-every E] [--bandit]\n                [--front-exchange] [--gantt] [--profile] [--save-mapping F]\n                [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]\n  \
+         rdse explore  --app F.json --arch F.json [--iters N] [--warmup N] [--seed N] [--lambda X]\n                [--chains K] [--threads T] [--exchange-every E] [--bandit] [--front-exchange]\n                [--gantt] [--profile] [--save-mapping F]\n                [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]\n  \
          rdse ga       --app F.json --arch F.json [--population N] [--generations N] [--seed N] [--nsga2]\n  \
          rdse sweep    [--app F.json] [--clbs A,B,...] [--bus A,B,...] [--iters N] [--seed N]\n                [--chains K] [--threads T] [--exchange-every E] [--out F.json] [--csv F.csv]\n  \
          rdse simulate --app F.json --arch F.json --mapping F.json [--contention]\n  \
@@ -237,7 +237,6 @@ fn run_explore(args: &[String]) -> ExitCode {
         lambda: arg_num(args, "--lambda", 0.5),
         objective,
         bandit_moves: args.iter().any(|a| a == "--bandit"),
-        speculate: arg_num(args, "--speculate", 1),
         ..ExploreOptions::default()
     };
     let chains: usize = arg_num(args, "--chains", 1);
@@ -455,16 +454,6 @@ fn print_profile<C>(
         "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | fall-backs {}",
         stats.repairs, mean_cone, stats.max_cone, stats.full_passes, stats.fallbacks
     );
-    if stats.spec_rounds > 0 {
-        println!(
-            "profile {label}: speculated {} (committed {}, wasted {}) | mean useful prefix {:.2} over {} rounds",
-            stats.speculated,
-            stats.spec_committed,
-            stats.spec_wasted,
-            stats.mean_useful_prefix(),
-            stats.spec_rounds
-        );
-    }
 }
 
 /// Serializes `value` to `path`, with an actionable message when the
