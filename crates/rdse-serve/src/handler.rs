@@ -12,7 +12,7 @@ use rdse_mapping::{
     ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
 use rdse_model::{Architecture, TaskGraph};
-use rdse_store::{CostBits, KeySpec, PairKey, StoreKey, StoreRecord};
+use rdse_store::{ArchivedRecord, CostBits, KeySpec, PairKey, StoreKey, StoreRecord};
 use rdse_workloads::{epicure_architecture, figure1_app, motion_detection_app};
 use serde::{Deserialize, Serialize, Value};
 
@@ -305,7 +305,12 @@ pub fn result_value(
 /// The body of a `Result` frame answered straight from the archive —
 /// every float re-emitted from its stored bit pattern, so the frame is
 /// bit-identical to the one the original run produced.
-pub fn stored_result_value(job: u64, record: &StoreRecord, cache_hit: bool, store: &str) -> Value {
+pub fn stored_result_value(
+    job: u64,
+    record: &ArchivedRecord,
+    cache_hit: bool,
+    store: &str,
+) -> Value {
     let members: Vec<Value> = record
         .front
         .iter()

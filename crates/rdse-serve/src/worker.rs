@@ -168,9 +168,11 @@ fn run_one(
             })
         });
         if let Some(record) = candidate {
-            // An archived mapping that no longer fits the models (it
-            // shouldn't — the pair key covers them) falls back to cold.
-            if let Ok(mapping) = Mapping::from_value(&record.mapping) {
+            // The archive holds mappings as JSON text; this is the one
+            // read path that parses it. An archived mapping that no
+            // longer fits the models (it shouldn't — the pair key covers
+            // them) falls back to cold.
+            if let Ok(mapping) = Mapping::from_value(&record.mapping()) {
                 core.stats.store_warm_starts.fetch_add(1, Relaxed);
                 store_label = "warm";
                 warm = Some(WarmStart { mapping });

@@ -163,6 +163,30 @@ fn malformed_json_body_gets_a_typed_error() {
 }
 
 #[test]
+fn raw_control_character_in_a_string_gets_bad_json_and_serving_continues() {
+    let handle = spawn_with(Limits::default());
+    let mut stream = raw_connect(&handle);
+    // A well-formed job except for one unescaped U+0001 inside a string.
+    let json = serde_json::to_string(&motion_spec().to_value()).unwrap();
+    let body = json.replacen("\"makespan\"", "\"make\u{1}span\"", 1);
+    assert_ne!(body, json, "the objective string must be in the body");
+    stream
+        .write_all(&header(FrameType::Job, body.len() as u32))
+        .unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let message = expect_error_code(&mut stream, "bad-json");
+    assert!(message.contains("control character"), "message: {message}");
+    drop(stream);
+
+    // The server keeps serving: the same job, properly escaped, runs.
+    let addr = handle.addr().to_string();
+    let result = client::submit(&addr, &motion_spec(), &ClientOptions::default(), |_| {})
+        .expect("a valid job after the rejected one");
+    assert!(result.get("makespan_bits").is_some(), "result: {result:?}");
+    shut_down(handle);
+}
+
+#[test]
 fn over_limit_jobs_are_rejected_with_specific_codes() {
     let handle = spawn_with(Limits {
         max_iters: 1_000,

@@ -14,16 +14,20 @@
 //! Every query is deterministic: candidates are examined in ascending
 //! [`StoreKey`] byte order and ties keep the smaller key, so the same
 //! archive state always answers the same way.
+//!
+//! Records are held as [`ArchivedRecord`]s, mappings as JSON text: the
+//! exact and dominated paths never read the mapping, and a warm start
+//! parses just the one it seeds from.
 
 use crate::key::{PairKey, StoreKey};
-use crate::record::{CostBits, StoreRecord};
+use crate::record::{ArchivedRecord, CostBits};
 use std::collections::HashMap;
 
 /// Keys → latest record, plus a per-pair index for the budget and
 /// warm-start queries.
 #[derive(Debug, Default)]
 pub struct Archive {
-    by_key: HashMap<StoreKey, StoreRecord>,
+    by_key: HashMap<StoreKey, ArchivedRecord>,
     by_pair: HashMap<PairKey, Vec<StoreKey>>,
 }
 
@@ -36,7 +40,8 @@ impl Archive {
     /// Inserts (or, for a repeated key, replaces) one record. Replay
     /// calls this in append order, so the latest append wins — the
     /// same rule compaction applies on disk.
-    pub fn insert(&mut self, record: StoreRecord) {
+    pub fn insert(&mut self, record: impl Into<ArchivedRecord>) {
+        let record = record.into();
         let keys = self.by_pair.entry(record.pair).or_default();
         if let Err(slot) = keys.binary_search(&record.key) {
             keys.insert(slot, record.key);
@@ -60,7 +65,7 @@ impl Archive {
     }
 
     /// Read path 1: the archived record with this exact content key.
-    pub fn exact(&self, key: &StoreKey) -> Option<&StoreRecord> {
+    pub fn exact(&self, key: &StoreKey) -> Option<&ArchivedRecord> {
         self.by_key.get(key)
     }
 
@@ -68,12 +73,17 @@ impl Archive {
     /// and objective whose budget is at least `iters` — its front
     /// answers the request without searching. Among eligible records
     /// the largest budget wins; budget ties keep the smaller key.
-    pub fn dominating(&self, pair: &PairKey, objective: &str, iters: u64) -> Option<&StoreRecord> {
+    pub fn dominating(
+        &self,
+        pair: &PairKey,
+        objective: &str,
+        iters: u64,
+    ) -> Option<&ArchivedRecord> {
         self.pair_records(pair)
             .filter(|r| r.objective == objective && r.iters >= iters)
             // Ascending key order + strict > keeps the smaller key on
             // budget ties.
-            .fold(None, |best: Option<&StoreRecord>, r| match best {
+            .fold(None, |best: Option<&ArchivedRecord>, r| match best {
                 Some(b) if r.iters > b.iters => Some(r),
                 Some(b) => Some(b),
                 None => Some(r),
@@ -88,8 +98,8 @@ impl Archive {
         &self,
         pair: &PairKey,
         mut scalar: impl FnMut(&CostBits) -> f64,
-    ) -> Option<&StoreRecord> {
-        let mut best: Option<(f64, &StoreRecord)> = None;
+    ) -> Option<&ArchivedRecord> {
+        let mut best: Option<(f64, &ArchivedRecord)> = None;
         for record in self.pair_records(pair) {
             let score = scalar(&record.best);
             let better = best
@@ -103,7 +113,7 @@ impl Archive {
     }
 
     /// All records of one pair, in ascending key order.
-    pub fn pair_records(&self, pair: &PairKey) -> impl Iterator<Item = &StoreRecord> {
+    pub fn pair_records(&self, pair: &PairKey) -> impl Iterator<Item = &ArchivedRecord> {
         self.by_pair
             .get(pair)
             .map(Vec::as_slice)
@@ -114,7 +124,7 @@ impl Archive {
 
     /// Every archived record, in ascending key order (the canonical
     /// compaction order).
-    pub fn records(&self) -> impl Iterator<Item = &StoreRecord> {
+    pub fn records(&self) -> impl Iterator<Item = &ArchivedRecord> {
         let mut keys: Vec<&StoreKey> = self.by_key.keys().collect();
         keys.sort_unstable();
         keys.into_iter().map(|k| &self.by_key[k])
@@ -125,6 +135,7 @@ impl Archive {
 mod tests {
     use super::*;
     use crate::key::KeySpec;
+    use crate::record::StoreRecord;
     use serde::Value;
 
     fn record(seed: u64, iters: u64, makespan: f64) -> StoreRecord {
@@ -164,14 +175,17 @@ mod tests {
         let mut archive = Archive::new();
         let a = record(1, 1000, 90.0);
         archive.insert(a.clone());
-        assert_eq!(archive.exact(&a.key), Some(&a));
+        assert_eq!(
+            archive.exact(&a.key),
+            Some(&ArchivedRecord::from(a.clone()))
+        );
         assert_eq!(archive.len(), 1);
         // Same key appended again (e.g. after a re-run): latest wins,
         // no duplicate pair index entry.
         let mut a2 = a.clone();
         a2.makespan_bits = 80.0f64.to_bits();
         archive.insert(a2.clone());
-        assert_eq!(archive.exact(&a.key), Some(&a2));
+        assert_eq!(archive.exact(&a.key), Some(&ArchivedRecord::from(a2)));
         assert_eq!(archive.len(), 1);
         assert_eq!(archive.pairs(), 1);
     }

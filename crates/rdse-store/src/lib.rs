@@ -19,8 +19,11 @@
 //!
 //! - [`key`] — 128-bit FNV-1a content hashes ([`StoreKey`], [`PairKey`])
 //!   over the *resolved* job, tagged and length-prefixed per field.
-//! - [`record`] — the archived form of one run ([`StoreRecord`]): every
-//!   `f64` as raw bits, the winning mapping as index-only JSON.
+//! - [`record`] — the persisted form of one run ([`StoreRecord`]): every
+//!   `f64` as raw bits, the winning mapping as index-only JSON. The
+//!   archive keeps each one as an [`ArchivedRecord`], the mapping held as
+//!   its compact JSON text (about an eighth of its `Value` tree's heap)
+//!   and parsed only when a warm start seeds from it.
 //! - [`log`] — the append-only file format: length-prefixed,
 //!   checksummed frames in the serve protocol's framing discipline,
 //!   replayed by [`log::scan`] with torn-tail tolerance.
@@ -62,6 +65,9 @@
 //! })?;
 //! let hit = store.archive().exact(&spec.key()).expect("archived");
 //! assert_eq!(hit.makespan().to_bits(), 123.5f64.to_bits());
+//! // The mapping is held as text; a warm start parses it on demand.
+//! assert_eq!(hit.mapping_json(), "{}");
+//! assert_eq!(hit.mapping(), Value::Map(vec![]));
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
@@ -76,5 +82,5 @@ pub mod store;
 pub use archive::Archive;
 pub use key::{KeySpec, PairKey, StoreKey};
 pub use log::{ReplayReport, TailIssue};
-pub use record::{CostBits, StoreRecord};
+pub use record::{ArchivedRecord, CostBits, StoreRecord};
 pub use store::{verify, CompactReport, ResultStore, SyncPolicy};

@@ -21,7 +21,7 @@
 //! mismatch, malformed JSON — ends the replay at the last good record
 //! and is reported as a [`TailIssue`] naming the offset and cause.
 
-use crate::record::StoreRecord;
+use crate::record::{ArchivedRecord, StoreRecord};
 use serde::{Deserialize, Serialize};
 
 /// The log's magic bytes ("RDSE Archive").
@@ -45,17 +45,28 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Encodes one record as a complete frame (header + JSON body).
 pub fn encode_record(record: &StoreRecord) -> Vec<u8> {
-    let body = serde_json::to_string(&record.to_value())
-        .expect("Value serialization is infallible")
-        .into_bytes();
-    let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + body.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&LOG_VERSION.to_be_bytes());
-    frame.extend_from_slice(&KIND_RESULT.to_be_bytes());
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&fnv1a64(&body).to_be_bytes());
-    frame.extend_from_slice(&body);
-    frame
+    let body =
+        serde_json::to_string(&record.to_value()).expect("Value serialization is infallible");
+    frame(&body)
+}
+
+/// Encodes one archived record as a complete frame, byte-identical to
+/// [`encode_record`] of its [`to_record`](ArchivedRecord::to_record)
+/// but without parsing the mapping text.
+pub fn encode_archived(record: &ArchivedRecord) -> Vec<u8> {
+    frame(&record.body())
+}
+
+fn frame(body: &str) -> Vec<u8> {
+    let body = body.as_bytes();
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + body.len());
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&LOG_VERSION.to_be_bytes());
+    out.extend_from_slice(&KIND_RESULT.to_be_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    out.extend_from_slice(&fnv1a64(body).to_be_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 /// Why a replay stopped before the end of the file.

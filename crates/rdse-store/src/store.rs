@@ -9,8 +9,8 @@
 //! (temp file + rename).
 
 use crate::archive::Archive;
-use crate::log::{encode_record, scan, ReplayReport, LOG_VERSION};
-use crate::record::StoreRecord;
+use crate::log::{encode_archived, scan, ReplayReport, LOG_VERSION};
+use crate::record::ArchivedRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -84,6 +84,9 @@ pub struct ResultStore {
     unsynced: u32,
     archive: Archive,
     replay: ReplayReport,
+    /// Records in the log file, duplicates included: those replayed
+    /// (or rewritten by the last compaction) plus those appended since.
+    logged: usize,
 }
 
 impl ResultStore {
@@ -133,6 +136,7 @@ impl ResultStore {
             sync,
             unsynced: 0,
             archive,
+            logged: replay.records,
             replay,
         })
     }
@@ -147,6 +151,7 @@ impl ResultStore {
             unsynced: 0,
             archive: Archive::new(),
             replay: ReplayReport::default(),
+            logged: 0,
         }
     }
 
@@ -167,15 +172,19 @@ impl ResultStore {
     }
 
     /// Appends one record to the log (honoring the sync policy) and
-    /// inserts it into the archive.
+    /// inserts it into the archive. The frame is byte-identical to
+    /// [`encode_record`](crate::log::encode_record) of the
+    /// [`StoreRecord`](crate::StoreRecord) it came from.
     ///
     /// # Errors
     ///
     /// Propagates write/sync errors; the archive is only updated after
     /// the frame is written.
-    pub fn append(&mut self, record: StoreRecord) -> io::Result<()> {
+    pub fn append(&mut self, record: impl Into<ArchivedRecord>) -> io::Result<()> {
+        let record = record.into();
         if let Some(file) = &mut self.file {
-            file.write_all(&encode_record(&record))?;
+            file.write_all(&encode_archived(&record))?;
+            self.logged += 1;
             match self.sync {
                 SyncPolicy::Always => file.sync_data()?,
                 SyncPolicy::Interval(n) => {
@@ -224,17 +233,11 @@ impl ResultStore {
             });
         };
         let bytes_before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let records_before = {
-            // Count raw log records (duplicates included) for the
-            // report; the archive itself is already deduplicated.
-            let bytes = std::fs::read(&path)?;
-            scan(&bytes, |_| {}).records
-        };
 
         let tmp = path.with_extension("compact.tmp");
         let mut out = File::create(&tmp)?;
         for record in self.archive.records() {
-            out.write_all(&encode_record(record))?;
+            out.write_all(&encode_archived(record))?;
         }
         out.sync_data()?;
         let bytes_after = out.metadata()?.len();
@@ -246,6 +249,7 @@ impl ResultStore {
         file.seek(SeekFrom::End(0))?;
         self.file = Some(file);
         self.unsynced = 0;
+        let records_before = std::mem::replace(&mut self.logged, self.archive.len());
         Ok(CompactReport {
             records_before,
             records_after: self.archive.len(),

@@ -6,11 +6,15 @@
 //! 2. **AOF round-trip** — appending N records and replaying the bytes
 //!    rebuilds an archive identical to the in-memory one, fronts
 //!    bit-identical.
+//! 3. **Frame bytes** — holding a record's mapping as text changes no
+//!    byte of its log frame, and a log written from plain
+//!    [`StoreRecord`]s replays to the very same records.
 
 use proptest::prelude::*;
-use rdse_store::log::{encode_record, scan};
-use rdse_store::{Archive, CostBits, KeySpec, StoreRecord};
+use rdse_store::log::{encode_archived, encode_record, scan};
+use rdse_store::{Archive, ArchivedRecord, CostBits, KeySpec, StoreRecord};
 use serde::Value;
+use std::collections::HashMap;
 
 /// The owned form of a [`KeySpec`], easy to generate and perturb.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +102,38 @@ fn record_for(spec: &OwnedSpec, makespan_bits: u64, front_len: usize) -> StoreRe
     }
 }
 
+/// Mapping-shaped values: per-task placements as externally tagged
+/// enums over indices, per-processor orders, and now and then a string
+/// that needs escaping.
+fn mapping_strategy() -> impl Strategy<Value = Value> {
+    collection::vec((0u32..4, 0i64..64, 0i64..8), 0..40).prop_map(|tasks| {
+        let placement = tasks
+            .iter()
+            .map(|&(kind, a, b)| match kind {
+                0 => Value::Map(vec![(
+                    "Software".into(),
+                    Value::Map(vec![("processor".into(), Value::I64(b))]),
+                )]),
+                1 => Value::Map(vec![(
+                    "Hardware".into(),
+                    Value::Map(vec![
+                        ("drlc".into(), Value::I64(b)),
+                        ("context".into(), Value::I64(a)),
+                        ("impl_idx".into(), Value::I64(b % 3)),
+                    ]),
+                )]),
+                2 => Value::Map(vec![("Asic".into(), Value::I64(a))]),
+                _ => Value::Str(format!("t{a}\"\n\u{1}é😀")),
+            })
+            .collect();
+        let orders = tasks.iter().map(|&(_, a, _)| Value::I64(a)).collect();
+        Value::Map(vec![
+            ("placement".into(), Value::Seq(placement)),
+            ("proc_orders".into(), Value::Seq(vec![Value::Seq(orders)])),
+        ])
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -159,6 +195,41 @@ proptest! {
         for original in reference.records() {
             let got = replayed.exact(&original.key);
             prop_assert_eq!(got, Some(original));
+        }
+    }
+
+    #[test]
+    fn text_held_mappings_keep_frames_byte_identical(
+        specs in collection::vec(
+            (spec_strategy(), 1u64..u64::MAX / 2, 0usize..4, mapping_strategy()),
+            1..12,
+        ),
+    ) {
+        // `encode_record` over plain records is the writer every log
+        // version so far has used.
+        let mut log = Vec::new();
+        let mut originals: HashMap<_, StoreRecord> = HashMap::new();
+        for (spec, raw_bits, front_len, mapping) in &specs {
+            let record = StoreRecord {
+                mapping: mapping.clone(),
+                ..record_for(spec, *raw_bits, *front_len)
+            };
+            let frame = encode_record(&record);
+            let archived = ArchivedRecord::from(record.clone());
+            prop_assert_eq!(archived.to_record(), record.clone());
+            prop_assert_eq!(encode_record(&archived.to_record()), frame.clone());
+            prop_assert_eq!(encode_archived(&archived), frame.clone());
+            log.extend_from_slice(&frame);
+            originals.insert(record.key, record);
+        }
+
+        let mut replayed = Archive::new();
+        let report = scan(&log, |r| replayed.insert(r));
+        prop_assert_eq!(report.records, specs.len());
+        prop_assert_eq!(replayed.len(), originals.len());
+        for (key, original) in &originals {
+            let got = replayed.exact(key).map(ArchivedRecord::to_record);
+            prop_assert_eq!(got.as_ref(), Some(original));
         }
     }
 }
