@@ -293,7 +293,11 @@ fn check_state(
             step,
         });
     }
-    let contended = simulate(app, arch, mapping, &SimConfig::with_contention())
+    let exclusive_bus = SimConfig {
+        exclusive_bus: true,
+        record_events: false,
+    };
+    let contended = simulate(app, arch, mapping, &exclusive_bus)
         .map_err(|e| OracleFailure::Engine(format!("exclusive-bus simulation: {e}")))?;
     if contended.makespan.value() < des.makespan.value() - CONTENTION_EPS {
         return Err(OracleFailure::ContentionBeatsContentionFree {

@@ -25,7 +25,10 @@ use crate::error::MappingError;
 use crate::placement::ResourceRef;
 use crate::solution::Mapping;
 use rdse_graph::{DenseDag, LongestPath, NodeId};
-use rdse_model::{Architecture, TaskGraph, TaskId};
+use rdse_model::{Architecture, TaskGraph};
+
+/// `ctx_of` marker for tasks outside every context.
+const NO_CONTEXT: u32 = u32::MAX;
 
 /// The materialized search graph of one candidate mapping, in CSR form
 /// ([`DenseDag`]): flat `u32` edge slabs and structure-of-arrays
@@ -59,7 +62,8 @@ impl SearchGraph {
     ///
     /// The construction itself cannot fail (any index inconsistency is
     /// a programming error and panics); feasibility is determined later
-    /// by [`SearchGraph::longest_path`].
+    /// by [`SearchGraph::longest_path`]. It runs in time linear in the
+    /// size of *G′*.
     pub fn build(app: &TaskGraph, arch: &Architecture, mapping: &Mapping) -> Self {
         let n = app.n_tasks();
         let source = n as u32;
@@ -72,7 +76,25 @@ impl SearchGraph {
         // Esw, Ehw), then freeze it into CSR in one pass.
         let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(app.edges().len() + n);
 
-        // Base precedence edges with communication weights.
+        // Context of every hardware task, numbered across devices, as
+        // listed by the mapping's contexts.
+        let mut ctx_of = vec![NO_CONTEXT; n];
+        let mut next_ctx = 0;
+        for d in 0..arch.drlcs().len() {
+            for ctx in mapping.contexts(d) {
+                for &t in ctx.tasks() {
+                    ctx_of[t.index()] = next_ctx;
+                }
+                next_ctx += 1;
+            }
+        }
+
+        // Base precedence edges with communication weights. The same
+        // pass marks the tasks with an immediate predecessor (successor)
+        // inside their own context: exactly the non-initial
+        // (non-terminal) context members of §3.3.
+        let mut pred_inside = vec![false; n];
+        let mut succ_inside = vec![false; n];
         let bus = arch.bus();
         for e in app.edges() {
             let (ra, rb) = (mapping.resource(e.from), mapping.resource(e.to));
@@ -82,6 +104,11 @@ impl SearchGraph {
                 bus.transfer_time(e.bytes).value()
             };
             edges.push((e.from.0, e.to.0, w));
+            let ctx = ctx_of[e.from.index()];
+            if ctx != NO_CONTEXT && ctx == ctx_of[e.to.index()] {
+                succ_inside[e.from.index()] = true;
+                pred_inside[e.to.index()] = true;
+            }
         }
 
         // Esw: processor total orders.
@@ -92,26 +119,41 @@ impl SearchGraph {
             }
         }
 
-        // Ehw: context sequentialization with reconfiguration weights.
+        // Ehw: context sequentialization with reconfiguration weights,
+        // from the previous context's terminals (or the source) to each
+        // context's initials, both in context-list order.
+        let mut initials: Vec<u32> = Vec::new();
+        let mut terminals: Vec<u32> = Vec::new();
         for (d, spec) in arch.drlcs().iter().enumerate() {
-            let ctxs = mapping.contexts(d);
-            for (k, ctx) in ctxs.iter().enumerate() {
+            for (k, ctx) in mapping.contexts(d).iter().enumerate() {
                 let reconfig = spec
                     .reconfiguration_time(mapping.context_clbs(app, d, k))
                     .value();
-                let initials = context_initials(app, ctx.tasks());
+                initials.clear();
+                initials.extend(
+                    ctx.tasks()
+                        .iter()
+                        .filter(|t| !pred_inside[t.index()])
+                        .map(|t| t.0),
+                );
                 if k == 0 {
                     for &t in &initials {
-                        edges.push((source, t.0, reconfig));
+                        edges.push((source, t, reconfig));
                     }
                 } else {
-                    let terminals = context_terminals(app, ctxs[k - 1].tasks());
                     for &from in &terminals {
                         for &to in &initials {
-                            edges.push((from.0, to.0, reconfig));
+                            edges.push((from, to, reconfig));
                         }
                     }
                 }
+                terminals.clear();
+                terminals.extend(
+                    ctx.tasks()
+                        .iter()
+                        .filter(|t| !succ_inside[t.index()])
+                        .map(|t| t.0),
+                );
             }
         }
 
@@ -153,33 +195,90 @@ impl SearchGraph {
     }
 }
 
-/// Initial nodes of a context: tasks whose immediate predecessors are
-/// all outside the context (§3.3).
-pub fn context_initials(app: &TaskGraph, tasks: &[TaskId]) -> Vec<TaskId> {
-    let inside = |t: TaskId| tasks.contains(&t);
-    tasks
-        .iter()
-        .copied()
-        .filter(|&t| !app.edges().iter().any(|e| e.to == t && inside(e.from)))
-        .collect()
-}
-
-/// Terminal nodes of a context: tasks whose immediate successors are
-/// all outside the context (§3.3).
-pub fn context_terminals(app: &TaskGraph, tasks: &[TaskId]) -> Vec<TaskId> {
-    let inside = |t: TaskId| tasks.contains(&t);
-    tasks
-        .iter()
-        .copied()
-        .filter(|&t| !app.edges().iter().any(|e| e.from == t && inside(e.to)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::random_initial;
+    use crate::moves::{propose_impl_move, propose_pair_move, MoveScratch};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use rdse_model::units::{Bytes, Clbs, Micros};
-    use rdse_model::HwImpl;
+    use rdse_model::{HwImpl, TaskId};
+    use rdse_workloads::{layered_dag, LayeredDagConfig};
+
+    /// Initial nodes of a context: tasks whose immediate predecessors
+    /// are all outside the context (§3.3), straight from the definition.
+    fn context_initials(app: &TaskGraph, tasks: &[TaskId]) -> Vec<TaskId> {
+        let inside = |t: TaskId| tasks.contains(&t);
+        tasks
+            .iter()
+            .copied()
+            .filter(|&t| !app.edges().iter().any(|e| e.to == t && inside(e.from)))
+            .collect()
+    }
+
+    /// Terminal nodes of a context: tasks whose immediate successors
+    /// are all outside the context (§3.3), straight from the definition.
+    fn context_terminals(app: &TaskGraph, tasks: &[TaskId]) -> Vec<TaskId> {
+        let inside = |t: TaskId| tasks.contains(&t);
+        tasks
+            .iter()
+            .copied()
+            .filter(|&t| !app.edges().iter().any(|e| e.from == t && inside(e.to)))
+            .collect()
+    }
+
+    /// [`SearchGraph::build`] straight from the §3.3 definitions: the
+    /// initials and terminals of every context recomputed against the
+    /// whole edge list.
+    fn reference_build(app: &TaskGraph, arch: &Architecture, mapping: &Mapping) -> SearchGraph {
+        let n = app.n_tasks();
+        let source = n as u32;
+        let mut node_weights = vec![0.0; n + 1];
+        for t in app.task_ids() {
+            node_weights[t.index()] = mapping.exec_time(app, t).value();
+        }
+        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+        for e in app.edges() {
+            let w = if same_device(mapping.resource(e.from), mapping.resource(e.to)) {
+                0.0
+            } else {
+                arch.bus().transfer_time(e.bytes).value()
+            };
+            edges.push((e.from.0, e.to.0, w));
+        }
+        for p in 0..arch.processors().len() {
+            for pair in mapping.proc_order(p).windows(2) {
+                edges.push((pair[0].0, pair[1].0, 0.0));
+            }
+        }
+        for (d, spec) in arch.drlcs().iter().enumerate() {
+            let ctxs = mapping.contexts(d);
+            for (k, ctx) in ctxs.iter().enumerate() {
+                let reconfig = spec
+                    .reconfiguration_time(mapping.context_clbs(app, d, k))
+                    .value();
+                let initials = context_initials(app, ctx.tasks());
+                if k == 0 {
+                    for &t in &initials {
+                        edges.push((source, t.0, reconfig));
+                    }
+                } else {
+                    for &from in &context_terminals(app, ctxs[k - 1].tasks()) {
+                        for &to in &initials {
+                            edges.push((from.0, to.0, reconfig));
+                        }
+                    }
+                }
+            }
+        }
+        SearchGraph {
+            graph: DenseDag::from_edges(n + 1, &edges, &node_weights).unwrap(),
+            node_weights,
+            n_tasks: n,
+        }
+    }
 
     fn us(v: f64) -> Micros {
         Micros::new(v)
@@ -313,6 +412,56 @@ mod tests {
         let only_c = vec![TaskId(2)];
         assert_eq!(context_initials(&app, &only_c), vec![TaskId(2)]);
         assert_eq!(context_terminals(&app, &only_c), vec![TaskId(2)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn build_matches_the_definition_edge_for_edge(
+            layers in 2usize..6,
+            width in 1usize..6,
+            edge_percent in 20u8..90,
+            clbs in 150u32..2000,
+            two_fpgas in proptest::bool::weighted(0.5),
+            seed in 0u64..1_000_000,
+        ) {
+            // Unchecked random walks reach multi-task contexts with
+            // internal edges, overflowing contexts and cyclic orders:
+            // the edge list, and so the CSR, must match on every state.
+            let app = layered_dag(
+                &LayeredDagConfig { layers, width, edge_percent, hw_percent: 80 },
+                seed,
+            );
+            let mut builder = Architecture::builder("prop")
+                .processor("cpu", 1.0)
+                .drlc("fpga0", Clbs::new(clbs), us(0.5), 1.0);
+            if two_fpgas {
+                builder = builder.drlc("fpga1", Clbs::new(clbs / 2 + 100), us(0.25), 1.0);
+            }
+            let arch = builder.bus_rate(20.0).build().unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC5);
+            let mut scratch = MoveScratch::default();
+            let mut mapping = random_initial(&app, &arch, &mut rng);
+            for step in 0..120u32 {
+                let built = SearchGraph::build(&app, &arch, &mapping);
+                let reference = reference_build(&app, &arch, &mapping);
+                let (g, r) = (built.graph(), reference.graph());
+                prop_assert_eq!(g.n_edges(), r.n_edges(), "edge count at step {}", step);
+                for eid in 0..g.n_edges() as u32 {
+                    prop_assert_eq!(g.edge_endpoints(eid), r.edge_endpoints(eid));
+                    prop_assert_eq!(g.edge_weight(eid).to_bits(), r.edge_weight(eid).to_bits());
+                }
+                for v in 0..g.n_nodes() as u32 {
+                    prop_assert_eq!(g.node_weight(v).to_bits(), r.node_weight(v).to_bits());
+                }
+                if step % 2 == 0 {
+                    propose_pair_move(&app, &arch, &mut mapping, &mut rng, &mut scratch);
+                } else {
+                    propose_impl_move(&app, &arch, &mut mapping, &mut rng, &mut scratch);
+                }
+            }
+        }
     }
 
     #[test]

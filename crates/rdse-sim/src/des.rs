@@ -5,7 +5,7 @@ use rdse_mapping::{Mapping, MappingError, Placement};
 use rdse_model::units::Micros;
 use rdse_model::{Architecture, TaskGraph, TaskId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +99,8 @@ impl Ord for HeapEntry {
     }
 }
 
-struct ProcState {
-    order: Vec<TaskId>,
+struct ProcState<'a> {
+    order: &'a [TaskId],
     next: usize,
     executing: bool,
 }
@@ -127,13 +127,17 @@ struct Engine<'a> {
     seq: u64,
     now: f64,
     missing_inputs: Vec<usize>,
+    /// `out_edges[out_start[t]..out_start[t + 1]]` are the indices of
+    /// task `t`'s outgoing application edges, in edge-index order (the
+    /// exclusive bus queues requests in that order).
+    out_start: Vec<usize>,
+    out_edges: Vec<usize>,
     started: Vec<bool>,
-    done: Vec<bool>,
     starts: Vec<f64>,
     ends: Vec<f64>,
-    procs: Vec<ProcState>,
+    procs: Vec<ProcState<'a>>,
     drlcs: Vec<DrlcState>,
-    bus_pending: Vec<usize>,
+    bus_pending: VecDeque<usize>,
     bus_active: Option<usize>,
     bus_busy: f64,
     n_transfers: usize,
@@ -159,10 +163,12 @@ impl Engine<'_> {
     }
 
     fn cross_device(&self, from: TaskId, to: TaskId) -> bool {
-        !rdse_mapping::searchgraph::same_device(
-            self.mapping.resource(from),
-            self.mapping.resource(to),
-        )
+        match (self.mapping.placement(from), self.mapping.placement(to)) {
+            (Placement::Software { processor: a }, Placement::Software { processor: b }) => a != b,
+            (Placement::Hardware { drlc: a, .. }, Placement::Hardware { drlc: b, .. }) => a != b,
+            (Placement::Asic { asic: a }, Placement::Asic { asic: b }) => a != b,
+            _ => true,
+        }
     }
 
     fn try_start(&mut self, task: TaskId) {
@@ -194,10 +200,12 @@ impl Engine<'_> {
     }
 
     fn start_bus_transfer_if_idle(&mut self) {
-        if self.bus_active.is_some() || self.bus_pending.is_empty() {
+        if self.bus_active.is_some() {
             return;
         }
-        let edge = self.bus_pending.remove(0);
+        let Some(edge) = self.bus_pending.pop_front() else {
+            return;
+        };
         self.bus_active = Some(edge);
         let e = &self.app.edges()[edge];
         let dur = self.arch.bus().transfer_time(e.bytes).value();
@@ -215,7 +223,7 @@ impl Engine<'_> {
 
     fn request_transfer(&mut self, edge: usize) {
         if self.cfg.exclusive_bus {
-            self.bus_pending.push(edge);
+            self.bus_pending.push_back(edge);
             self.start_bus_transfer_if_idle();
         } else {
             let e = &self.app.edges()[edge];
@@ -249,7 +257,6 @@ impl Engine<'_> {
     }
 
     fn on_task_done(&mut self, task: TaskId) {
-        self.done[task.index()] = true;
         self.ends[task.index()] = self.now;
         self.n_done += 1;
         self.log(self.now, SimEventKind::TaskEnd(task));
@@ -283,14 +290,13 @@ impl Engine<'_> {
 
         // Deliver outputs: intra-device immediately, cross-device via
         // the bus.
-        for (i, e) in self.app.edges().iter().enumerate() {
-            if e.from != task {
-                continue;
-            }
-            if self.cross_device(e.from, e.to) {
-                self.request_transfer(i);
+        for j in self.out_start[task.index()]..self.out_start[task.index() + 1] {
+            let edge = self.out_edges[j];
+            let to = self.app.edges()[edge].to;
+            if self.cross_device(task, to) {
+                self.request_transfer(edge);
             } else {
-                self.deliver(e.to);
+                self.deliver(to);
             }
         }
     }
@@ -298,8 +304,8 @@ impl Engine<'_> {
     fn on_reconfig_done(&mut self, drlc: usize, context: usize) {
         self.drlcs[drlc].phase = DrlcPhase::Executing;
         self.log(self.now, SimEventKind::ReconfigEnd { drlc, context });
-        let tasks: Vec<TaskId> = self.mapping.contexts(drlc)[context].tasks().to_vec();
-        for t in tasks {
+        let mapping = self.mapping;
+        for &t in mapping.contexts(drlc)[context].tasks() {
             self.try_start(t);
         }
     }
@@ -323,13 +329,19 @@ impl Engine<'_> {
 
 /// Executes `mapping` on `arch` and reports the observed schedule.
 ///
+/// The simulation is independent of the analytic model: structure and
+/// capacity are checked up front with [`Mapping::validate`], and
+/// [`rdse_mapping::evaluate`] runs only to classify a deadlock.
+///
 /// # Errors
 ///
-/// Returns the underlying [`MappingError`] if the mapping is invalid or
-/// infeasible (validated up front with
-/// [`rdse_mapping::evaluate`]), or
-/// [`MappingError::Inconsistent`] if the simulation deadlocks — which
-/// would indicate a bug, since feasible mappings cannot deadlock.
+/// Returns the structural error [`Mapping::validate`] finds, which
+/// names the first overflowing context in the same order as
+/// [`rdse_mapping::evaluate`], and [`MappingError::CyclicSchedule`]
+/// when the imposed orders deadlock the execution: on every infeasible
+/// mapping, the error `evaluate` returns. A deadlock on a mapping that
+/// `evaluate` accepts is a simulator bug and returns
+/// [`MappingError::Inconsistent`].
 pub fn simulate(
     app: &TaskGraph,
     arch: &Architecture,
@@ -337,16 +349,26 @@ pub fn simulate(
     cfg: &SimConfig,
 ) -> Result<SimReport, MappingError> {
     mapping.validate(app, arch)?;
-    rdse_mapping::evaluate(app, arch, mapping)?;
 
     let n = app.n_tasks();
     let mut missing = vec![0usize; n];
+    let mut out_start = vec![0usize; n + 1];
     for e in app.edges() {
         missing[e.to.index()] += 1;
+        out_start[e.from.index() + 1] += 1;
+    }
+    for t in 0..n {
+        out_start[t + 1] += out_start[t];
+    }
+    let mut fill = out_start[..n].to_vec();
+    let mut out_edges = vec![0usize; app.edges().len()];
+    for (i, e) in app.edges().iter().enumerate() {
+        out_edges[fill[e.from.index()]] = i;
+        fill[e.from.index()] += 1;
     }
     let procs: Vec<ProcState> = (0..arch.processors().len())
         .map(|p| ProcState {
-            order: mapping.proc_order(p).to_vec(),
+            order: mapping.proc_order(p),
             next: 0,
             executing: false,
         })
@@ -368,13 +390,14 @@ pub fn simulate(
         seq: 0,
         now: 0.0,
         missing_inputs: missing,
+        out_start,
+        out_edges,
         started: vec![false; n],
-        done: vec![false; n],
         starts: vec![0.0; n],
         ends: vec![0.0; n],
         procs,
         drlcs,
-        bus_pending: Vec::new(),
+        bus_pending: VecDeque::new(),
         bus_active: None,
         bus_busy: 0.0,
         n_transfers: 0,
@@ -412,6 +435,9 @@ pub fn simulate(
     }
 
     if engine.n_done != n {
+        // Only a cyclic order deadlocks a valid mapping; the analytic
+        // model classifies it.
+        rdse_mapping::evaluate(app, arch, mapping)?;
         return Err(MappingError::Inconsistent(format!(
             "simulation deadlock: {} of {} tasks completed",
             engine.n_done, n
@@ -436,7 +462,81 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdse_mapping::{evaluate, explore, random_initial, ExploreOptions};
+    use rdse_model::units::{Bytes, Clbs};
+    use rdse_model::HwImpl;
     use rdse_workloads::{epicure_architecture, motion_detection_app};
+
+    /// Chain a -> b -> c, every task hardware-capable; one processor
+    /// and two 200-CLB devices.
+    fn chain_fixture() -> (TaskGraph, Architecture) {
+        let mut app = TaskGraph::new("chain");
+        let mut ids = Vec::new();
+        for (name, clbs) in [("a", 100), ("b", 150), ("c", 120)] {
+            let hw = vec![HwImpl::new(Clbs::new(clbs), Micros::new(2.0))];
+            ids.push(app.add_task(name, "F", Micros::new(10.0), hw).unwrap());
+        }
+        app.add_data_edge(ids[0], ids[1], Bytes::new(1000)).unwrap();
+        app.add_data_edge(ids[1], ids[2], Bytes::new(1000)).unwrap();
+        let arch = Architecture::builder("soc")
+            .processor("cpu", 1.0)
+            .drlc("fpga0", Clbs::new(200), Micros::new(0.1), 1.0)
+            .drlc("fpga1", Clbs::new(200), Micros::new(0.1), 1.0)
+            .bus_rate(100.0)
+            .build()
+            .unwrap();
+        (app, arch)
+    }
+
+    #[test]
+    fn cyclic_processor_order_is_a_cyclic_schedule() {
+        let (app, arch) = chain_fixture();
+        // c runs first on the processor although a ⇝ c: the DES
+        // deadlocks, and the deadlock is classified, not a bug.
+        let m = Mapping::all_software(&app, &arch, vec![TaskId(2), TaskId(0), TaskId(1)]);
+        for cfg in [SimConfig::contention_free(), SimConfig::with_contention()] {
+            assert_eq!(
+                simulate(&app, &arch, &m, &cfg).unwrap_err(),
+                MappingError::CyclicSchedule
+            );
+        }
+    }
+
+    #[test]
+    fn backwards_context_order_is_a_cyclic_schedule() {
+        let (app, arch) = chain_fixture();
+        let order = vec![TaskId(0), TaskId(1), TaskId(2)];
+        let mut m = Mapping::all_software(&app, &arch, order);
+        m.detach(TaskId(1));
+        m.insert_new_context(TaskId(1), 0, 0, 0);
+        m.detach(TaskId(0));
+        m.insert_new_context(TaskId(0), 0, 1, 0); // a after b, but a ⇝ b
+        assert_eq!(
+            simulate(&app, &arch, &m, &SimConfig::contention_free()).unwrap_err(),
+            MappingError::CyclicSchedule
+        );
+    }
+
+    #[test]
+    fn context_overflow_names_the_same_context_as_evaluate() {
+        let (app, arch) = chain_fixture();
+        let order = vec![TaskId(0), TaskId(1), TaskId(2)];
+        let mut m = Mapping::all_software(&app, &arch, order);
+        m.detach(TaskId(0));
+        m.insert_new_context(TaskId(0), 0, 0, 0);
+        m.detach(TaskId(1));
+        m.insert_new_context(TaskId(1), 1, 0, 0);
+        m.detach(TaskId(2));
+        m.insert_hardware(TaskId(2), 1, 0, 0); // 150 + 120 > 200 CLBs
+        let expected = MappingError::CapacityExceeded {
+            drlc: 1,
+            context: 0,
+        };
+        assert_eq!(evaluate(&app, &arch, &m).unwrap_err(), expected);
+        assert_eq!(
+            simulate(&app, &arch, &m, &SimConfig::contention_free()).unwrap_err(),
+            expected
+        );
+    }
 
     #[test]
     fn contention_free_matches_analytic_on_random_mappings() {

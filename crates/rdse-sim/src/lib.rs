@@ -19,7 +19,14 @@
 //! In contention-free mode the simulated makespan provably equals the
 //! analytic longest path; with an exclusive bus it can only be larger.
 //! Both properties are exercised by this crate's tests, which is the
-//! point: the simulator validates the evaluator.
+//! point: the simulator validates the evaluator. It therefore shares no
+//! code with the analytic model on a successful run: structure and
+//! capacity are checked with [`Mapping::validate`](rdse_mapping::Mapping::validate),
+//! and [`rdse_mapping::evaluate`] is consulted only after a deadlock, to
+//! report it as the same [`MappingError`](rdse_mapping::MappingError)
+//! the analytic model gives. Per-task adjacency replaces edge-list
+//! scans, so a run costs O((n + E) log(n + E)) for n tasks and E edges,
+//! the log factor being the event heap's.
 //!
 //! # Examples
 //!

@@ -4,12 +4,15 @@
 //! one — an exclusive FIFO bus can only delay transfers, so
 //! `simulate(with_contention).makespan >= simulate(contention_free).makespan`,
 //! while the contention-free run must coincide with the analytic
-//! longest path bit for bit.
+//! longest path bit for bit. Along unchecked random walks, which also
+//! reach infeasible mappings, `simulate` must fail exactly when
+//! `evaluate` does, with the same error.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdse_mapping::{evaluate, random_initial, Mapping};
+use rdse_mapping::moves::{propose_impl_move, propose_pair_move};
+use rdse_mapping::{evaluate, random_initial, Mapping, MoveScratch};
 use rdse_model::units::{Bytes, Clbs, Micros};
 use rdse_model::{Architecture, HwImpl, TaskGraph, TaskId};
 use rdse_sim::{simulate, SimConfig};
@@ -46,6 +49,29 @@ fn arch_strategy() -> impl Strategy<Value = Architecture> {
             }
             b.bus_rate(bus).build().expect("recipe is always valid")
         })
+}
+
+/// `arch` with every reconfigurable device at half its CLB capacity,
+/// so mappings built for `arch` overflow some of their contexts.
+fn halved(arch: &Architecture) -> Architecture {
+    let mut b = Architecture::builder("halved");
+    for p in arch.processors() {
+        b = b.processor(p.name(), p.cost());
+    }
+    for d in arch.drlcs() {
+        b = b.drlc(
+            d.name(),
+            Clbs::new(d.n_clbs().value() / 2),
+            d.reconfig_time_per_clb(),
+            d.cost(),
+        );
+    }
+    for a in arch.asics() {
+        b = b.asic(a.name(), a.cost());
+    }
+    b.bus_rate(arch.bus().bytes_per_micro())
+        .build()
+        .expect("same recipe, smaller devices")
 }
 
 /// Builds a random DAG application from a compact recipe.
@@ -157,6 +183,41 @@ proptest! {
             let contended = simulate(&app, &arch, &m, &SimConfig::with_contention())
                 .expect("feasible");
             prop_assert!(contended.makespan.value() >= free.makespan.value() - 1e-6);
+        }
+    }
+
+    #[test]
+    fn simulate_fails_exactly_when_evaluate_does(
+        scenario in scenario_strategy(),
+        walk_seed in 0u64..1_000_000,
+    ) {
+        // Moves are applied without a feasibility check, so the walk
+        // crosses cyclic orders; on the halved platform its contexts
+        // also overflow. The DES must classify each state the way the
+        // analytic model does.
+        let (app, arch, mut mapping) = scenario;
+        let small = halved(&arch);
+        let mut rng = StdRng::seed_from_u64(walk_seed);
+        let mut scratch = MoveScratch::default();
+        for step in 0..60u32 {
+            for platform in [&arch, &small] {
+                let analytic = evaluate(&app, platform, &mapping);
+                for cfg in [SimConfig::contention_free(), SimConfig::with_contention()] {
+                    let des = simulate(&app, platform, &mapping, &cfg);
+                    prop_assert_eq!(
+                        des.as_ref().err(),
+                        analytic.as_ref().err(),
+                        "step {} ({:?})",
+                        step,
+                        cfg
+                    );
+                }
+            }
+            if step % 2 == 0 {
+                propose_pair_move(&app, &arch, &mut mapping, &mut rng, &mut scratch);
+            } else {
+                propose_impl_move(&app, &arch, &mut mapping, &mut rng, &mut scratch);
+            }
         }
     }
 }
