@@ -1,4 +1,4 @@
-//! Microbench of the bounded-repair delta path against the full
+//! Microbench of the incremental delta path against the full
 //! re-evaluation it replaces.
 //!
 //! Walks two workloads — fig3 (motion detection × EPICURE at 2 000
@@ -10,8 +10,8 @@
 //!
 //! * **delta** — [`Evaluator::evaluate_delta`] + coin-flip
 //!   [`Evaluator::revert_delta`], the annealer's actual hot shape:
-//!   certified ordered sweep over the repair cone, full-pass fall-back
-//!   when the maintained topological order cannot absorb the move;
+//!   a window re-sort of the maintained topological order when the
+//!   move broke it, then a certified sweep over the order suffix;
 //! * **full** — [`Evaluator::evaluate`] of every post-move mapping,
 //!   the arena-backed full pass (rejection is a plain mapping undo).
 //!
@@ -19,7 +19,8 @@
 //! timed, so the ratio is a pure repair-machinery measurement. Results
 //! append to `RDSE_BENCH_JSON` (NDJSON) with explicit `steps_per_sec`
 //! fields (gated by `bench_compare`) plus a stats record carrying the
-//! repair/fall-back/cone counters.
+//! sweep, window re-sort and cone counters (`fallbacks` counts window
+//! re-sorts).
 //!
 //! Knobs: `RDSE_BENCH_STEPS` overrides the measured step count.
 
@@ -209,7 +210,7 @@ fn run_workload(label: &str, app: &TaskGraph, arch: &Architecture, seed: u64, st
 
     let stats = evaluator.stats();
     let repairs = stats.repairs - stats_before.repairs;
-    let fallbacks = stats.fallbacks - stats_before.fallbacks;
+    let resorts = stats.fallbacks - stats_before.fallbacks;
     let cone_nodes = stats.cone_nodes - stats_before.cone_nodes;
     let mean_cone = cone_nodes as f64 / (repairs.max(1)) as f64;
 
@@ -217,7 +218,7 @@ fn run_workload(label: &str, app: &TaskGraph, arch: &Architecture, seed: u64, st
     println!("bench eval_repair/full_{label}   {full_rate:>12.0} steps/s ({full_applied} scored moves in {full_time:?})");
     println!("bench eval_repair/speedup_{label} {speedup:>11.2}x");
     println!(
-        "bench eval_repair/stats_{label}  repairs {repairs}, fallbacks {fallbacks}, \
+        "bench eval_repair/stats_{label}  repairs {repairs}, window re-sorts {resorts}, \
          mean cone {mean_cone:.1}, max cone {}",
         stats.max_cone
     );
@@ -234,7 +235,7 @@ fn run_workload(label: &str, app: &TaskGraph, arch: &Architecture, seed: u64, st
     ));
     append_record(&format!(
         "{{\"name\":\"eval_repair/stats_{label}\",\"repairs\":{repairs},\
-         \"fallbacks\":{fallbacks},\"mean_cone\":{mean_cone:.2},\
+         \"fallbacks\":{resorts},\"mean_cone\":{mean_cone:.2},\
          \"max_cone\":{}}}",
         stats.max_cone
     ));

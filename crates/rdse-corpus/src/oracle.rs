@@ -328,7 +328,7 @@ pub fn differential_check(
     let (makespan, contention_makespan) = check_state(app, arch, &mut evaluator, mapping, 0)?;
 
     // The fourth leg's evaluator advances move by move through
-    // evaluate_delta (the certified ordered sweep / full fall-back
+    // evaluate_delta (the window re-sort / certified sweep
     // machinery), never through a fresh full synchronization, so a
     // repair bug cannot hide behind the full passes the other legs do.
     let mut repair_eval = Evaluator::new(app, arch);

@@ -2,127 +2,11 @@
 //!
 //! The transitive-closure matrix of the paper (§4.3) is stored as one
 //! [`BitRow`] per node; bulk operations (row OR) run 64 bits at a time.
-//! [`FixedBitSet`] is the hot-path variant used by the bounded-repair
-//! longest path: it trades generality for an `insert`-only API whose
-//! `clear` is O(touched words), so a tiny repair cone never pays for the
-//! size of the whole graph.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const BITS: usize = u64::BITS as usize;
-
-/// An insert-only bitset with O(touched-words) clearing.
-///
-/// Unlike [`BitRow`], bits can only be set (never individually cleared),
-/// which lets the set keep a list of dirty words: [`FixedBitSet::clear`]
-/// zeroes only the words that were written since the last clear. Repair
-/// cones in the incremental longest path are typically a handful of
-/// nodes out of hundreds, so this keeps per-move cost proportional to
-/// the cone, not the graph.
-///
-/// # Examples
-///
-/// ```
-/// use rdse_graph::FixedBitSet;
-///
-/// let mut set = FixedBitSet::new(100);
-/// assert!(set.insert(7));
-/// assert!(!set.insert(7)); // already present
-/// assert!(set.contains(7));
-/// set.clear();
-/// assert!(!set.contains(7));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FixedBitSet {
-    len: usize,
-    words: Vec<u64>,
-    dirty: Vec<u32>,
-}
-
-impl FixedBitSet {
-    /// Creates a set over the universe `0..len`, initially empty.
-    pub fn new(len: usize) -> Self {
-        FixedBitSet {
-            len,
-            words: vec![0; len.div_ceil(BITS)],
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Size of the universe (`0..len`).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the universe has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `i`, returning `true` if it was not already present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of bounds ({})", self.len);
-        let wi = i / BITS;
-        let mask = 1u64 << (i % BITS);
-        let word = &mut self.words[wi];
-        if *word & mask != 0 {
-            return false;
-        }
-        if *word == 0 {
-            self.dirty.push(wi as u32);
-        }
-        *word |= mask;
-        true
-    }
-
-    /// Removes `i`, returning `true` if it was present.
-    ///
-    /// The word stays on the dirty list (a later [`clear`](Self::clear)
-    /// re-zeroes it harmlessly), so interleaved insert/remove cycles
-    /// should still end with a `clear` to reset the dirty tracking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn remove(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of bounds ({})", self.len);
-        let wi = i / BITS;
-        let mask = 1u64 << (i % BITS);
-        let word = &mut self.words[wi];
-        if *word & mask == 0 {
-            return false;
-        }
-        *word &= !mask;
-        true
-    }
-
-    /// Returns `true` if `i` is in the set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of bounds ({})", self.len);
-        self.words[i / BITS] >> (i % BITS) & 1 == 1
-    }
-
-    /// Empties the set in time proportional to the words touched since
-    /// the previous clear.
-    pub fn clear(&mut self) {
-        for &wi in &self.dirty {
-            self.words[wi as usize] = 0;
-        }
-        self.dirty.clear();
-    }
-}
 
 /// A fixed-length row of bits.
 ///
@@ -431,38 +315,5 @@ mod tests {
         let row = BitRow::new(0);
         assert!(row.is_empty());
         assert_eq!(row.iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn fixed_bitset_insert_contains_clear() {
-        let mut set = FixedBitSet::new(130);
-        assert_eq!(set.len(), 130);
-        assert!(set.insert(0));
-        assert!(set.insert(63));
-        assert!(set.insert(64));
-        assert!(set.insert(129));
-        assert!(!set.insert(64));
-        assert!(set.contains(0) && set.contains(63) && set.contains(64) && set.contains(129));
-        assert!(!set.contains(1) && !set.contains(128));
-        set.clear();
-        assert!((0..130).all(|i| !set.contains(i)));
-        // Re-insert after clear works (dirty list reset correctly).
-        assert!(set.insert(64));
-        assert!(set.contains(64));
-        assert!(!set.contains(0));
-    }
-
-    #[test]
-    fn fixed_bitset_empty_universe() {
-        let mut set = FixedBitSet::new(0);
-        assert!(set.is_empty());
-        set.clear();
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn fixed_bitset_out_of_bounds_panics() {
-        let mut set = FixedBitSet::new(8);
-        set.insert(8);
     }
 }

@@ -1,4 +1,4 @@
-//! Data-oriented DAG storage and bounded-repair longest path.
+//! Data-oriented DAG storage and an incrementally repaired longest path.
 //!
 //! [`Digraph`] optimizes for cheap edge edits; the annealing hot path
 //! wants the opposite trade: a fixed edge structure scanned millions of
@@ -8,25 +8,18 @@
 //! contiguous memory and no per-node `Vec` headers.
 //!
 //! On top of it, [`IncrementalLongestPath`] maintains completion labels
-//! under *bounded repair*: after a delta that changes the weights or
-//! local edge structure around a touched node set `T`, only a suffix
-//! of a maintained topological order (or the descendant cone of `T`)
-//! is relabeled, with a fall-back to a full Kahn pass when the order
-//! cannot absorb the change. Three repair flavors coexist:
+//! across deltas that change the weights or local edge structure
+//! around a few nodes. It keeps a topological order alive next to the
+//! labels and repairs both in two steps:
 //!
-//! * [`IncrementalLongestPath::repair`] — cone-local Kahn over the
-//!   descendant cone of the seeds (seeded through a [`FixedBitSet`]
-//!   frontier), bounded by a relaxation threshold;
-//! * [`IncrementalLongestPath::repair_ordered`] — a lazily *checked*
-//!   forward sweep over the maintained order that detects on the fly
-//!   when the order no longer serializes the edges and falls back;
-//! * [`IncrementalLongestPath::sweep_certified`] — a check-free sweep
-//!   over the order suffix from the first seed, for callers that have
-//!   already certified order validity (via
-//!   [`IncrementalLongestPath::reposition`] +
-//!   [`IncrementalLongestPath::order_pos`] edge verification). This is
-//!   the annealing hot path: one branch-light pass, no per-node
-//!   bookkeeping.
+//! * [`IncrementalLongestPath::resort_window`] — when a delta added
+//!   edges that point backwards in the order, a Kahn pass over just
+//!   the span of positions those edges break re-sorts it (Pearce and
+//!   Kelly's dynamic topological order); a cycle closed by the delta
+//!   lies inside that span, so the pass starves and reports it;
+//! * [`IncrementalLongestPath::sweep_certified`] — a check-free
+//!   relaxation sweep over the order suffix from the first changed
+//!   node: one branch-light pass, no per-node bookkeeping.
 //!
 //! All label changes are journaled, so a rejected move rolls back to
 //! bit-identical labels — including the maintained order, which is
@@ -38,15 +31,15 @@
 //! comp(u) + w(u,v))` — a maximum over a finite candidate set. IEEE-754
 //! `max` is order-independent in *value* for finite inputs, so the
 //! label fixpoint on a DAG is unique: any relaxation schedule that
-//! processes every node whose candidate set changed (cone, checked
-//! sweep, certified suffix sweep, or full pass) lands on the same
-//! bits. A sweep may also re-relax *unchanged* nodes; that rewrites
-//! their labels with identical bits. The critical-path predecessor of
-//! each node — chosen by a strict `>` scan over the node's in-edges in
-//! storage order — is reproduced identically as well because it
-//! depends only on the node's own candidate sequence.
+//! processes every node whose candidate set changed after all of its
+//! predecessors (suffix sweep or full pass, over any topological
+//! order) lands on the same bits. A sweep may also re-relax
+//! *unchanged* nodes; that rewrites their labels with identical bits.
+//! The critical-path predecessor of each node — chosen by a strict `>`
+//! scan over the node's in-edges in storage order — is reproduced
+//! identically as well because it depends only on the node's own
+//! candidate sequence.
 
-use crate::bitset::FixedBitSet;
 use crate::longest_path::LongestPath;
 use crate::{Digraph, GraphError, NodeId};
 
@@ -421,22 +414,22 @@ impl RepairGraph for DenseDag {
 /// Counters describing how the incremental longest path ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
-    /// Bounded repairs that completed without falling back.
+    /// Certified suffix sweeps
+    /// ([`IncrementalLongestPath::sweep_certified`] calls).
     pub repairs: u64,
-    /// Full Kahn passes (explicit [`IncrementalLongestPath::full`]
-    /// calls plus threshold fall-backs during repair).
+    /// Full Kahn passes ([`IncrementalLongestPath::full`] calls).
     pub full_passes: u64,
-    /// Repairs whose cone exceeded the threshold and fell back to a
-    /// full pass (a subset of `full_passes`).
+    /// Window re-sorts ([`IncrementalLongestPath::resort_window`]
+    /// calls), including those that found a cycle.
     pub fallbacks: u64,
-    /// Largest repair cone relabeled by a bounded repair.
+    /// Most nodes relabeled by one sweep.
     pub max_cone: u64,
-    /// Total nodes across all bounded-repair cones (for mean size).
+    /// Total nodes relabeled across all sweeps (for the mean).
     pub cone_nodes: u64,
 }
 
 impl RepairStats {
-    /// Mean bounded-repair cone size (0 when no repairs ran).
+    /// Mean nodes relabeled per sweep (0 when no sweep ran).
     pub fn mean_cone(&self) -> f64 {
         if self.repairs == 0 {
             0.0
@@ -453,20 +446,26 @@ struct JournalEntry {
     pred: u32,
 }
 
-/// Incrementally maintained longest-path labels with bounded repair.
+/// Longest-path labels kept up to date across deltas over a maintained
+/// topological order.
 ///
 /// The structure owns one completion label and one critical-predecessor
-/// per node, kept consistent with some [`RepairGraph`] by the caller:
+/// per node, plus a topological order, kept consistent with some
+/// [`RepairGraph`] by the caller:
 ///
-/// 1. [`full`](Self::full) computes labels from scratch (Kahn);
-/// 2. after a delta touching node set `T`, [`repair`](Self::repair)
-///    relabels only the descendant cone of `T` — or the whole graph if
-///    the cone exceeds the [threshold](Self::set_threshold);
-/// 3. [`rollback`](Self::rollback) undoes the label changes of the most
-///    recent `full`/`repair` call (each call journals old labels), so a
-///    rejected annealing move costs one replay instead of a recompute.
+/// 1. [`full`](Self::full) computes labels and the order from scratch
+///    (Kahn);
+/// 2. after a delta, [`resort_window`](Self::resort_window) re-sorts
+///    the span of the order the delta's added edges broke (or reports
+///    the cycle they closed), and
+///    [`sweep_certified`](Self::sweep_certified) relabels the order
+///    suffix from the first changed node;
+/// 3. [`rollback`](Self::rollback) undoes the label and order changes
+///    made since the last [`discard_journal`](Self::discard_journal),
+///    so a rejected annealing move costs one replay instead of a
+///    recompute.
 ///
-/// Labels after `repair` are bit-identical to a full recompute; see the
+/// Labels after a sweep are bit-identical to a full recompute; see the
 /// [module docs](self) for the argument.
 ///
 /// # Examples
@@ -478,9 +477,11 @@ struct JournalEntry {
 /// let mut g = DenseDag::from_edges(3, &[(0, 1, 0.0), (1, 2, 0.0)], &[1.0, 1.0, 1.0])?;
 /// let mut lp = IncrementalLongestPath::new(3);
 /// lp.full(&g)?;
+/// lp.discard_journal();
 /// assert_eq!(lp.makespan(), 3.0);
 /// g.set_node_weight(1, 5.0);
-/// lp.repair(&g, &[1])?; // relabels only {1, 2}
+/// // A weight-only delta keeps the order valid: relabel from node 1.
+/// lp.sweep_certified(&g, lp.order_pos(1) as usize);
 /// assert_eq!(lp.makespan(), 7.0);
 /// lp.rollback();
 /// assert_eq!(lp.makespan(), 3.0);
@@ -491,71 +492,42 @@ struct JournalEntry {
 pub struct IncrementalLongestPath {
     comp: Vec<f64>,
     pred: Vec<u32>,
-    cone: FixedBitSet,
-    cone_list: Vec<u32>,
     indeg: Vec<u32>,
+    /// Kahn scratch: a stack for the full pass, a FIFO queue (and the
+    /// new order) for the window re-sort.
     frontier: Vec<u32>,
     journal: Vec<JournalEntry>,
-    threshold: usize,
-    /// Topological order recorded by the last full pass (`ord[i]` is
-    /// the node at position `i`; `pos` is its inverse). Used by
-    /// [`repair_ordered`](Self::repair_ordered) as a relaxation
-    /// schedule and acyclicity certificate.
+    /// Maintained topological order (`ord[i]` is the node at position
+    /// `i`; `pos` is its inverse): recorded by the full pass, patched by
+    /// window re-sorts, and the relaxation schedule of the sweep.
     ord: Vec<u32>,
     pos: Vec<u32>,
     /// Pre-delta backup of `ord`/`pos`, snapshotted once per journal
-    /// window by the first full pass that overwrites them, so
+    /// window by the first pass that overwrites them, so
     /// [`rollback`](Self::rollback) can restore the order along with
     /// the labels.
     ord_backup: Vec<u32>,
     pos_backup: Vec<u32>,
     ord_swapped: bool,
-    /// Generation stamps for the ordered sweep: a node is *dirty* in
-    /// the current sweep iff `dirty_gen[v] == gen`, and *processed*
-    /// iff `proc_gen[v] == gen` (no per-sweep clearing).
-    dirty_gen: Vec<u64>,
-    proc_gen: Vec<u64>,
-    gen: u64,
     stats: RepairStats,
 }
 
 impl IncrementalLongestPath {
-    /// Creates label storage for `n` nodes with the default fall-back
-    /// threshold of `n / 2` (a bounded repair does roughly twice the
-    /// per-node work of a full pass, so beyond half the graph the full
-    /// pass wins).
+    /// Creates label storage for `n` nodes.
     pub fn new(n: usize) -> Self {
         IncrementalLongestPath {
             comp: vec![0.0; n],
             pred: vec![NO_PRED; n],
-            cone: FixedBitSet::new(n),
-            cone_list: Vec::new(),
             indeg: vec![0; n],
             frontier: Vec::new(),
             journal: Vec::new(),
-            threshold: n / 2,
             ord: (0..n as u32).collect(),
             pos: (0..n as u32).collect(),
             ord_backup: vec![0; n],
             pos_backup: vec![0; n],
             ord_swapped: false,
-            dirty_gen: vec![0; n],
-            proc_gen: vec![0; n],
-            gen: 0,
             stats: RepairStats::default(),
         }
-    }
-
-    /// Sets the cone size above which `repair` falls back to a full
-    /// pass. `0` forces a full pass on every non-empty repair; a value
-    /// `>= n` disables the fall-back.
-    pub fn set_threshold(&mut self, threshold: usize) {
-        self.threshold = threshold;
-    }
-
-    /// Current fall-back threshold.
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// Counters accumulated since construction.
@@ -614,8 +586,7 @@ impl IncrementalLongestPath {
     }
 
     /// Number of label changes journaled by the most recent
-    /// `full`/`repair` call (distinct nodes, unless a node was relaxed
-    /// to a new value more than once).
+    /// `full`/`sweep_certified` call.
     pub fn journal_len(&self) -> usize {
         self.journal.len()
     }
@@ -623,14 +594,17 @@ impl IncrementalLongestPath {
     /// Combined capacity of the reusable scratch vectors, for arena
     /// warmness accounting.
     pub fn scratch_capacity(&self) -> usize {
-        self.cone_list.capacity() + self.frontier.capacity() + self.journal.capacity()
+        self.frontier.capacity() + self.journal.capacity()
     }
 
-    /// Recomputes every label with a full Kahn pass over `g`.
+    /// Recomputes every label with a full Kahn pass over `g`, relaxing
+    /// each node as it is popped.
     ///
-    /// Old labels are journaled, so [`rollback`](Self::rollback) undoes
-    /// this call. On a cycle the partially updated labels are left in
-    /// place for the caller to roll back.
+    /// Also records the pop order as the maintained order (any Kahn pop
+    /// order is a topological order). Old labels are journaled and the
+    /// previous order is backed up, so [`rollback`](Self::rollback)
+    /// undoes this call. On a cycle the partially updated labels and
+    /// order are left in place for the caller to roll back.
     ///
     /// # Errors
     ///
@@ -638,506 +612,9 @@ impl IncrementalLongestPath {
     pub fn full<G: RepairGraph>(&mut self, g: &G) -> Result<(), GraphError> {
         debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
         self.journal.clear();
-        self.full_body(g)
-    }
-
-    /// Relabels the descendant cone of `seeds` after a delta, falling
-    /// back to a full pass when the cone exceeds the threshold.
-    ///
-    /// `seeds` must contain every node whose weight or in-edge
-    /// candidate set changed (duplicates are fine). Old labels are
-    /// journaled, so [`rollback`](Self::rollback) undoes this call; on
-    /// a cycle the partially updated labels are left in place for the
-    /// caller to roll back. A cycle introduced by the delta is always
-    /// detected: it must contain an added edge, whose head is seeded,
-    /// so the whole cycle lies inside the cone and Kahn starves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Cycle`] if the (new) graph has a cycle
-    /// through the cone.
-    pub fn repair<G: RepairGraph>(&mut self, g: &G, seeds: &[u32]) -> Result<(), GraphError> {
-        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
-        self.journal.clear();
-        self.cone.clear();
-        self.cone_list.clear();
-        for &s in seeds {
-            if self.cone.insert(s as usize) {
-                self.cone_list.push(s);
-            }
-        }
-        let mut i = 0;
-        while i < self.cone_list.len() {
-            if self.cone_list.len() > self.threshold {
-                self.stats.fallbacks += 1;
-                return self.full_body(g);
-            }
-            let v = self.cone_list[i];
-            i += 1;
-            let (cone, cone_list) = (&mut self.cone, &mut self.cone_list);
-            g.for_each_out(v, |t| {
-                if cone.insert(t as usize) {
-                    cone_list.push(t);
-                }
-            });
-        }
-        if self.cone_list.len() > self.threshold {
-            self.stats.fallbacks += 1;
-            return self.full_body(g);
-        }
-        let cone_len = self.cone_list.len();
-        self.stats.repairs += 1;
-        self.stats.max_cone = self.stats.max_cone.max(cone_len as u64);
-        self.stats.cone_nodes += cone_len as u64;
-        // In-cone in-degrees: count in-edge entries whose source lies in
-        // the cone (out-of-cone predecessors keep final labels already).
-        for idx in 0..cone_len {
-            let v = self.cone_list[idx];
-            let cone = &self.cone;
-            let mut d = 0u32;
-            g.for_each_in(v, |u, _| {
-                if cone.contains(u as usize) {
-                    d += 1;
-                }
-            });
-            self.indeg[v as usize] = d;
-        }
-        self.frontier.clear();
-        for idx in 0..cone_len {
-            let v = self.cone_list[idx];
-            if self.indeg[v as usize] == 0 {
-                self.frontier.push(v);
-            }
-        }
-        let mut processed = 0usize;
-        while let Some(v) = self.frontier.pop() {
-            processed += 1;
-            self.relax(g, v);
-            let (indeg, frontier, cone) = (&mut self.indeg, &mut self.frontier, &self.cone);
-            g.for_each_out(v, |t| {
-                if cone.contains(t as usize) {
-                    let d = &mut indeg[t as usize];
-                    *d -= 1;
-                    if *d == 0 {
-                        frontier.push(t);
-                    }
-                }
-            });
-        }
-        if processed != cone_len {
-            let on_cycle = self
-                .cone_list
-                .iter()
-                .copied()
-                .find(|&v| self.indeg[v as usize] > 0)
-                .expect("starved cone implies a node with nonzero residual in-degree");
-            return Err(GraphError::Cycle {
-                on_cycle: NodeId(on_cycle),
-            });
-        }
-        Ok(())
-    }
-
-    /// Change-driven repair: relaxes outward from `seeds`, enqueueing a
-    /// successor only when its predecessor's completion label actually
-    /// changed bits, and falling back to a full pass once the number of
-    /// relaxations exceeds the threshold.
-    ///
-    /// This refines [`repair`](Self::repair): instead of relabeling the
-    /// whole descendant cone of `seeds`, it touches only the nodes whose
-    /// labels *move* — typically a small fraction of the cone when a
-    /// delta shifts few path lengths. Labels and critical predecessors
-    /// converge to the same unique fixpoint a full pass computes (each
-    /// node's final relaxation sees its predecessors' final labels, and
-    /// the candidate maximum is order-independent in value), so results
-    /// are bit-identical to [`full`](Self::full).
-    ///
-    /// # Cycle detection caveat
-    ///
-    /// Unlike [`repair`](Self::repair), a cycle whose total weight is
-    /// **zero** is *not* detected: the relaxation converges silently and
-    /// the labels on the cycle keep whatever fixpoint they reach.
-    /// Callers must guarantee one of:
-    ///
-    /// * the delta kept the graph acyclic (always true for weight-only
-    ///   deltas on a [`DenseDag`], whose edge structure is fixed), or
-    /// * every node weight on any possible cycle is positive — then a
-    ///   cycle grows labels without bound, the relaxation cap trips, and
-    ///   the full-pass fall-back starves and reports the cycle exactly
-    ///   like [`repair`](Self::repair) would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Cycle`] if the fall-back full pass detects
-    /// a cycle (see the caveat above for when the fall-back is
-    /// guaranteed to trigger).
-    pub fn repair_dirty<G: RepairGraph>(&mut self, g: &G, seeds: &[u32]) -> Result<(), GraphError> {
-        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
-        self.journal.clear();
-        // `frontier` doubles as a FIFO queue (drained by index, never
-        // shifted); `cone` marks currently-queued nodes so a node is
-        // enqueued at most once per wave of predecessor changes.
-        self.frontier.clear();
-        for &s in seeds {
-            if self.cone.insert(s as usize) {
-                self.frontier.push(s);
-            }
-        }
-        let mut head = 0usize;
-        let mut pops = 0usize;
-        while head < self.frontier.len() {
-            if pops >= self.threshold {
-                self.cone.clear();
-                self.stats.fallbacks += 1;
-                return self.full_body(g);
-            }
-            let v = self.frontier[head];
-            head += 1;
-            self.cone.remove(v as usize);
-            pops += 1;
-            let before = self.comp[v as usize].to_bits();
-            self.relax(g, v);
-            if self.comp[v as usize].to_bits() != before {
-                let (cone, frontier) = (&mut self.cone, &mut self.frontier);
-                g.for_each_out(v, |t| {
-                    if cone.insert(t as usize) {
-                        frontier.push(t);
-                    }
-                });
-            }
-        }
-        // All queued bits were removed as they were popped; this only
-        // resets the bitset's dirty-word tracking so it stays bounded.
-        self.cone.clear();
-        self.stats.repairs += 1;
-        self.stats.max_cone = self.stats.max_cone.max(pops as u64);
-        self.stats.cone_nodes += pops as u64;
-        Ok(())
-    }
-
-    /// Order-certified repair: one forward sweep over the topological
-    /// order recorded by the last full pass, relaxing only dirty nodes.
-    ///
-    /// This is the cheapest repair flavor: no cone discovery, no
-    /// in-degree counting, no queue — just a linear scan from the first
-    /// seeded position that skips clean nodes via generation stamps and
-    /// stops as soon as no dirty node remains ahead. A node is dirty if
-    /// it was seeded or an already-relaxed predecessor's label changed;
-    /// each dirty node is relaxed exactly once.
-    ///
-    /// `seeds` must contain every node whose weight or in-edge candidate
-    /// set changed — including the head of every edge the delta *added
-    /// or removed* (duplicates are fine).
-    ///
-    /// # Order validity and cycles
-    ///
-    /// The sweep is correct when the recorded order is still topological
-    /// for the current graph. Rather than requiring the caller to prove
-    /// that, the sweep *detects* every harmful violation and falls back
-    /// to a full pass (which rebuilds the order):
-    ///
-    /// * a relaxation that would read a dirty-but-not-yet-relaxed
-    ///   predecessor (its label is stale, so the order must place it
-    ///   later — a violated added edge);
-    /// * a label change that would re-dirty a node the sweep already
-    ///   relaxed (its position precedes the writer's — same violation
-    ///   from the other side);
-    /// * dirty nodes left over when the scan ends (marked behind the
-    ///   scan point, unreachable in one forward pass).
-    ///
-    /// An added edge that *breaks* the recorded order but whose source
-    /// label never goes stale is harmless and triggers no fall-back. A
-    /// cycle introduced by the delta always trips one of the checks (no
-    /// order can serialize a cycle), and the fall-back's Kahn pass then
-    /// starves and reports it — no weight precondition, unlike
-    /// [`repair_dirty`](Self::repair_dirty).
-    ///
-    /// Labels are bit-identical to a full recompute: every relaxed node
-    /// saw final predecessor labels (else a check fired), and the
-    /// candidate maximum is order-independent in value.
-    ///
-    /// The threshold bounds relaxations exactly as in
-    /// [`repair`](Self::repair): exceeding it falls back to a full pass
-    /// and counts a `fallbacks` tick.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Cycle`] if the fall-back full pass detects
-    /// a cycle. Partially updated labels are left in place for the
-    /// caller to roll back.
-    pub fn repair_ordered<G: RepairGraph>(
-        &mut self,
-        g: &G,
-        seeds: &[u32],
-    ) -> Result<(), GraphError> {
-        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
-        self.journal.clear();
-        let n = self.comp.len();
-        self.gen += 1;
-        let gen = self.gen;
-        let mut pending = 0usize;
-        let mut start = n;
-        for &s in seeds {
-            let si = s as usize;
-            if self.dirty_gen[si] != gen {
-                self.dirty_gen[si] = gen;
-                pending += 1;
-                let p = self.pos[si] as usize;
-                if p < start {
-                    start = p;
-                }
-            }
-        }
-        let mut processed = 0usize;
-        let mut i = start;
-        while i < n && pending > 0 {
-            let v = self.ord[i];
-            i += 1;
-            let vi = v as usize;
-            if self.dirty_gen[vi] != gen {
-                continue;
-            }
-            if processed >= self.threshold {
-                self.stats.fallbacks += 1;
-                return self.full_body(g);
-            }
-            processed += 1;
-            pending -= 1;
-            self.proc_gen[vi] = gen;
-            // Pull-relax with staleness detection (can't reuse `relax`:
-            // the dirty/processed stamps must be consulted per in-edge).
-            let mut stale = false;
-            let mut best = 0.0_f64;
-            let mut best_pred = NO_PRED;
-            {
-                let (comp, dirty_gen, proc_gen) = (&self.comp, &self.dirty_gen, &self.proc_gen);
-                g.for_each_in(v, |u, w| {
-                    let ui = u as usize;
-                    if dirty_gen[ui] == gen && proc_gen[ui] != gen {
-                        stale = true;
-                    }
-                    let cand = comp[ui] + w;
-                    if cand > best {
-                        best = cand;
-                        best_pred = u;
-                    }
-                });
-            }
-            if stale {
-                self.stats.fallbacks += 1;
-                return self.full_body(g);
-            }
-            let label = best + g.node_weight(v);
-            let value_changed = label.to_bits() != self.comp[vi].to_bits();
-            if value_changed || best_pred != self.pred[vi] {
-                self.journal.push(JournalEntry {
-                    node: v,
-                    comp: self.comp[vi],
-                    pred: self.pred[vi],
-                });
-                self.comp[vi] = label;
-                self.pred[vi] = best_pred;
-            }
-            if value_changed {
-                let (dirty_gen, proc_gen) = (&mut self.dirty_gen, &self.proc_gen);
-                let mut redirtied = false;
-                g.for_each_out(v, |t| {
-                    let ti = t as usize;
-                    if dirty_gen[ti] != gen {
-                        dirty_gen[ti] = gen;
-                        pending += 1;
-                    } else if proc_gen[ti] == gen {
-                        redirtied = true;
-                    }
-                });
-                if redirtied {
-                    self.stats.fallbacks += 1;
-                    return self.full_body(g);
-                }
-            }
-        }
-        if pending > 0 {
-            self.stats.fallbacks += 1;
-            return self.full_body(g);
-        }
-        self.stats.repairs += 1;
-        self.stats.max_cone = self.stats.max_cone.max(processed as u64);
-        self.stats.cone_nodes += processed as u64;
-        Ok(())
-    }
-
-    /// Position of `v` in the recorded topological order (see
-    /// [`reposition`](Self::reposition) and
-    /// [`sweep_certified`](Self::sweep_certified)).
-    #[inline]
-    pub fn order_pos(&self, v: u32) -> u32 {
-        self.pos[v as usize]
-    }
-
-    /// Relaxes every node at order positions `start..n` in one plain
-    /// forward pass — the cheapest repair of all, with **no** safety
-    /// net: the caller must have certified that the recorded order is
-    /// a valid topological order of the current graph (e.g. via
-    /// [`reposition`](Self::reposition) outcomes plus
-    /// [`order_pos`](Self::order_pos) checks over every changed edge).
-    /// A valid order proves the graph acyclic, so this cannot fail;
-    /// labels reach the unique fixpoint because each node is relaxed
-    /// after all its predecessors. `start` must be at or before the
-    /// first position whose node's weight or in-edge candidate set
-    /// changed. Old labels are journaled exactly as in
-    /// [`repair`](Self::repair).
-    pub fn sweep_certified<G: RepairGraph>(&mut self, g: &G, start: usize) {
-        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
-        self.journal.clear();
-        let n = self.comp.len();
-        let start = start.min(n);
-        for i in start..n {
-            let v = self.ord[i];
-            self.relax(g, v);
-        }
-        let processed = n - start;
-        self.stats.repairs += 1;
-        self.stats.max_cone = self.stats.max_cone.max(processed as u64);
-        self.stats.cone_nodes += processed as u64;
-    }
-
-    /// Full recompute used as the fall-back when a caller could *not*
-    /// certify the recorded order for
-    /// [`sweep_certified`](Self::sweep_certified): counts a `fallbacks`
-    /// tick, then behaves exactly like [`full`](Self::full) (which also
-    /// rebuilds the order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Cycle`] if `g` is not acyclic.
-    pub fn full_fallback<G: RepairGraph>(&mut self, g: &G) -> Result<(), GraphError> {
-        self.stats.fallbacks += 1;
-        self.full(g)
-    }
-
-    /// Locally re-certifies the recorded topological order after a
-    /// delta that changed only `v`'s own edge set: moves `v` to a
-    /// position strictly after all its in-neighbors and before all its
-    /// out-neighbors, leaving every other node in place.
-    ///
-    /// This keeps the order valid — and the cheap
-    /// [`repair_ordered`](Self::repair_ordered) sweep fall-back-free —
-    /// across moves that re-chain a single node (e.g. re-splicing a
-    /// task into a processor chain). Soundness requires that no *other*
-    /// node's edge set changed, except for added edges `(a, b)` whose
-    /// endpoints the caller knows were already ordered `a` before `b`
-    /// (a bypass edge closing the gap `v` left satisfies this: both
-    /// endpoints flanked `v`).
-    ///
-    /// Returns `None` — leaving the order untouched — when no such
-    /// position exists (other nodes would have to move too); callers
-    /// fall back to a full pass, or just proceed and let
-    /// [`repair_ordered`](Self::repair_ordered)'s checks catch any
-    /// harm. Returns `Some(false)` when `v`'s current position already
-    /// satisfies its edges (nothing moved — the common fast path) and
-    /// `Some(true)` when `v` was moved; after any move, previously
-    /// checked nodes may have shifted relative to `v`, so callers
-    /// certifying the whole order must re-verify every changed node's
-    /// edges with [`order_pos`](Self::order_pos). The order change
-    /// participates in the journal window: [`rollback`](Self::rollback)
-    /// restores it.
-    pub fn reposition<G: RepairGraph>(&mut self, g: &G, v: u32) -> Option<bool> {
-        let n = self.comp.len();
-        let pv = self.pos[v as usize] as i64;
-        let mut lo: i64 = -1;
-        let mut hi: i64 = n as i64;
-        {
-            let pos = &self.pos;
-            g.for_each_in(v, |u, _| {
-                let p = pos[u as usize] as i64;
-                if p > lo {
-                    lo = p;
-                }
-            });
-            g.for_each_out(v, |t| {
-                let p = pos[t as usize] as i64;
-                if p < hi {
-                    hi = p;
-                }
-            });
-        }
-        if lo < pv && pv < hi {
-            return Some(false); // already between its neighbors
-        }
-        // Work in v-removed coordinates for the insertion slot.
-        let lo_r = if lo > pv { lo - 1 } else { lo };
-        let hi_r = if hi > pv { hi - 1 } else { hi };
-        if lo_r >= hi_r {
-            return None; // no single-node slot exists
-        }
-        if !self.ord_swapped {
-            self.ord_backup.copy_from_slice(&self.ord);
-            self.pos_backup.copy_from_slice(&self.pos);
-            self.ord_swapped = true;
-        }
-        let s = (lo_r + 1) as usize; // insertion slot, v-removed coords
-        let pv = pv as usize;
-        if s <= pv {
-            // v moves earlier: shift [s, pv) right by one.
-            self.ord.copy_within(s..pv, s + 1);
-            self.ord[s] = v;
-            for i in s..=pv {
-                self.pos[self.ord[i] as usize] = i as u32;
-            }
-        } else {
-            // v moves later: shift (pv, s] left by one.
-            self.ord.copy_within(pv + 1..s + 1, pv);
-            self.ord[s] = v;
-            for i in pv..=s {
-                self.pos[self.ord[i] as usize] = i as u32;
-            }
-        }
-        Some(true)
-    }
-
-    /// Undoes the label changes of the most recent `full`/`repair`
-    /// call. Idempotent once drained; statistics are not rewound.
-    ///
-    /// If a full pass overwrote the recorded topological order within
-    /// this journal window, the pre-delta order is restored too, so the
-    /// order stays valid for the graph the caller is rolling back to.
-    pub fn rollback(&mut self) {
-        while let Some(e) = self.journal.pop() {
-            self.comp[e.node as usize] = e.comp;
-            self.pred[e.node as usize] = e.pred;
-        }
-        if self.ord_swapped {
-            std::mem::swap(&mut self.ord, &mut self.ord_backup);
-            std::mem::swap(&mut self.pos, &mut self.pos_backup);
-            self.ord_swapped = false;
-        }
-    }
-
-    /// Drops the undo journal of the most recent `full`/`repair` call
-    /// without applying it, committing those label changes. After this,
-    /// [`rollback`](Self::rollback) is a no-op until the next
-    /// `full`/`repair`. Callers that interleave label updates with other
-    /// revertible state use this to mark a delta boundary: a later abort
-    /// that never re-ran `repair` must not roll labels back across it.
-    pub fn discard_journal(&mut self) {
-        self.journal.clear();
-        self.ord_swapped = false;
-    }
-
-    /// Kahn over all nodes; shared by `full` and the repair fall-back
-    /// (which must keep the already-cleared journal).
-    ///
-    /// Also records the pop order into `ord`/`pos` (any Kahn pop order
-    /// is a topological order), backing up the previous order once per
-    /// journal window so `rollback` can restore it.
-    fn full_body<G: RepairGraph>(&mut self, g: &G) -> Result<(), GraphError> {
         self.stats.full_passes += 1;
         let n = self.comp.len();
-        if !self.ord_swapped {
-            self.ord_backup.copy_from_slice(&self.ord);
-            self.pos_backup.copy_from_slice(&self.pos);
-            self.ord_swapped = true;
-        }
+        self.backup_order();
         self.frontier.clear();
         for v in 0..n {
             let d = g.in_degree(v as u32);
@@ -1170,6 +647,162 @@ impl IncrementalLongestPath {
             });
         }
         Ok(())
+    }
+
+    /// Position of `v` in the maintained topological order (see
+    /// [`resort_window`](Self::resort_window) and
+    /// [`sweep_certified`](Self::sweep_certified)).
+    #[inline]
+    pub fn order_pos(&self, v: u32) -> u32 {
+        self.pos[v as usize]
+    }
+
+    /// Re-sorts the nodes at order positions `lo..=hi` with a Kahn pass
+    /// restricted to them (in-degrees count only in-window sources) and
+    /// writes the new order back into those positions; every node
+    /// outside the window keeps its position.
+    ///
+    /// This is the dynamic topological order update of Pearce and Kelly
+    /// (ACM JEA 11, 2006): after a delta, take `lo` as the smallest
+    /// head position and `hi` as the largest tail position over the
+    /// edges that now point backwards in the order. No edge then enters
+    /// the window from behind `hi` or leaves it towards before `lo`, so
+    /// every cycle lies inside the window, and a topological order of
+    /// the window's nodes makes the whole order topological again.
+    ///
+    /// The pass changes no label. The order change participates in the
+    /// journal window: [`rollback`](Self::rollback) restores it. Counts
+    /// a `fallbacks` tick.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Cycle`] if the pass starves, i.e. the
+    /// window's nodes contain a cycle; the order is then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi` is not a valid position.
+    pub fn resort_window<G: RepairGraph>(
+        &mut self,
+        g: &G,
+        lo: usize,
+        hi: usize,
+    ) -> Result<(), GraphError> {
+        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
+        assert!(lo <= hi, "empty re-sort window {lo}..={hi}");
+        self.stats.fallbacks += 1;
+        let (lo32, span) = (lo as u32, (hi - lo) as u32);
+        let in_window = |p: u32| p.wrapping_sub(lo32) <= span;
+        self.frontier.clear();
+        for &v in &self.ord[lo..=hi] {
+            let pos = &self.pos;
+            let mut d = 0u32;
+            g.for_each_in(v, |u, _| d += in_window(pos[u as usize]) as u32);
+            self.indeg[v as usize] = d;
+            if d == 0 {
+                self.frontier.push(v);
+            }
+        }
+        // FIFO Kahn seeded in position order: `frontier` doubles as the
+        // queue and the new order.
+        let mut head = 0;
+        while head < self.frontier.len() {
+            let v = self.frontier[head];
+            head += 1;
+            let (pos, indeg, frontier) = (&self.pos, &mut self.indeg, &mut self.frontier);
+            g.for_each_out(v, |t| {
+                if in_window(pos[t as usize]) {
+                    let d = &mut indeg[t as usize];
+                    *d -= 1;
+                    if *d == 0 {
+                        frontier.push(t);
+                    }
+                }
+            });
+        }
+        if self.frontier.len() != hi - lo + 1 {
+            let on_cycle = self.ord[lo..=hi]
+                .iter()
+                .copied()
+                .find(|&v| self.indeg[v as usize] > 0)
+                .expect("starved window implies a node with nonzero residual in-degree");
+            return Err(GraphError::Cycle {
+                on_cycle: NodeId(on_cycle),
+            });
+        }
+        self.backup_order();
+        for (i, &v) in (lo..).zip(&self.frontier) {
+            self.ord[i] = v;
+            self.pos[v as usize] = i as u32;
+        }
+        Ok(())
+    }
+
+    /// Relaxes every node at order positions `start..n` in one plain
+    /// forward pass, with **no** safety net: the caller must have
+    /// certified that the maintained order is a valid topological order
+    /// of the current graph (no edge points backwards, e.g. after
+    /// [`resort_window`](Self::resort_window) over the span any added
+    /// edge broke). A valid order proves the graph acyclic, so this
+    /// cannot fail; labels reach the unique fixpoint because each node
+    /// is relaxed after all its predecessors. `start` must be at or
+    /// before the first position whose node's weight or in-edge
+    /// candidate set changed. Old labels are journaled, so
+    /// [`rollback`](Self::rollback) undoes this call.
+    pub fn sweep_certified<G: RepairGraph>(&mut self, g: &G, start: usize) {
+        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
+        self.journal.clear();
+        let n = self.comp.len();
+        let start = start.min(n);
+        for i in start..n {
+            let v = self.ord[i];
+            self.relax(g, v);
+        }
+        let processed = n - start;
+        self.stats.repairs += 1;
+        self.stats.max_cone = self.stats.max_cone.max(processed as u64);
+        self.stats.cone_nodes += processed as u64;
+    }
+
+    /// Undoes the label changes of the most recent `full`/
+    /// `sweep_certified` call. Idempotent once drained; statistics are
+    /// not rewound.
+    ///
+    /// If a full pass or a window re-sort overwrote the maintained
+    /// order within this journal window, the pre-delta order is
+    /// restored too, so the order stays valid for the graph the caller
+    /// is rolling back to.
+    pub fn rollback(&mut self) {
+        while let Some(e) = self.journal.pop() {
+            self.comp[e.node as usize] = e.comp;
+            self.pred[e.node as usize] = e.pred;
+        }
+        if self.ord_swapped {
+            std::mem::swap(&mut self.ord, &mut self.ord_backup);
+            std::mem::swap(&mut self.pos, &mut self.pos_backup);
+            self.ord_swapped = false;
+        }
+    }
+
+    /// Drops the undo journal without applying it, committing the label
+    /// and order changes made since the last call. After this,
+    /// [`rollback`](Self::rollback) is a no-op until the next change.
+    /// Callers that interleave label updates with other revertible
+    /// state use this to mark a delta boundary: a later abort that
+    /// never re-ran a sweep must not roll labels back across it.
+    pub fn discard_journal(&mut self) {
+        self.journal.clear();
+        self.ord_swapped = false;
+    }
+
+    /// Snapshots `ord`/`pos` before their first overwrite in this
+    /// journal window.
+    fn backup_order(&mut self) {
+        if !self.ord_swapped {
+            self.ord_backup.copy_from_slice(&self.ord);
+            self.pos_backup.copy_from_slice(&self.pos);
+            self.ord_swapped = true;
+        }
     }
 
     /// Recomputes the label of `v` from its in-edges, journaling the old
@@ -1284,16 +917,74 @@ mod tests {
         );
     }
 
+    /// Edge-list graph whose structure a test can edit between passes.
+    struct EdgeList {
+        w: Vec<f64>,
+        edges: Vec<(u32, u32, f64)>,
+    }
+
+    impl RepairGraph for EdgeList {
+        fn n_nodes(&self) -> usize {
+            self.w.len()
+        }
+
+        fn node_weight(&self, v: u32) -> f64 {
+            self.w[v as usize]
+        }
+
+        fn for_each_out<F: FnMut(u32)>(&self, v: u32, mut f: F) {
+            for &(a, b, _) in &self.edges {
+                if a == v {
+                    f(b);
+                }
+            }
+        }
+
+        fn for_each_in<F: FnMut(u32, f64)>(&self, v: u32, mut f: F) {
+            for &(a, b, w) in &self.edges {
+                if b == v {
+                    f(a, w);
+                }
+            }
+        }
+    }
+
+    /// Two disjoint chains `0 -> 1` and `2 -> 3`; the full pass records
+    /// the order `[2, 3, 0, 1]`.
+    fn two_chains() -> (EdgeList, IncrementalLongestPath) {
+        let g = EdgeList {
+            w: vec![1.0, 2.0, 3.0, 4.0],
+            edges: vec![(0, 1, 0.5), (2, 3, 0.5)],
+        };
+        let mut lp = IncrementalLongestPath::new(4);
+        lp.full(&g).unwrap();
+        lp.discard_journal();
+        assert_eq!(order(&lp), vec![2, 3, 0, 1]);
+        (g, lp)
+    }
+
+    fn order(lp: &IncrementalLongestPath) -> Vec<u32> {
+        let mut ord = vec![0; lp.labels().len()];
+        for v in 0..ord.len() as u32 {
+            ord[lp.order_pos(v) as usize] = v;
+        }
+        ord
+    }
+
+    fn label_bits(lp: &IncrementalLongestPath) -> Vec<u64> {
+        lp.labels().iter().map(|c| c.to_bits()).collect()
+    }
+
     #[test]
-    fn repair_updates_descendants_only() {
+    fn sweep_relabels_the_suffix_from_the_first_seed() {
         let mut g = chain3();
         let mut lp = IncrementalLongestPath::new(3);
-        lp.set_threshold(3);
         lp.full(&g).unwrap();
+        lp.discard_journal();
         assert_eq!(lp.makespan(), 8.0);
         assert_eq!(lp.labels(), &[1.0, 4.0, 8.0]);
         g.set_node_weight(1, 3.0);
-        lp.repair(&g, &[1]).unwrap();
+        lp.sweep_certified(&g, lp.order_pos(1) as usize);
         assert_eq!(lp.labels(), &[1.0, 6.0, 10.0]);
         assert_eq!(lp.critical_path(), vec![0, 1, 2]);
         let stats = lp.stats();
@@ -1307,41 +998,42 @@ mod tests {
     fn rollback_restores_previous_labels() {
         let mut g = chain3();
         let mut lp = IncrementalLongestPath::new(3);
-        lp.set_threshold(3);
         lp.full(&g).unwrap();
-        let before: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
+        lp.discard_journal();
+        let before = label_bits(&lp);
         g.set_node_weight(0, 9.0);
         g.set_edge_weight(1, 7.0);
-        lp.repair(&g, &[0, 2]).unwrap();
+        let start = lp.order_pos(0).min(lp.order_pos(2));
+        lp.sweep_certified(&g, start as usize);
         assert_eq!(lp.makespan(), 20.0);
         lp.rollback();
-        let after: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        assert_eq!(before, after);
+        assert_eq!(before, label_bits(&lp));
         assert_eq!(lp.makespan(), 8.0);
     }
 
     #[test]
-    fn zero_threshold_always_falls_back() {
-        let mut g = chain3();
-        let mut lp = IncrementalLongestPath::new(3);
-        lp.set_threshold(0);
-        lp.full(&g).unwrap();
-        g.set_node_weight(2, 4.0);
-        lp.repair(&g, &[2]).unwrap();
-        assert_eq!(lp.makespan(), 11.0);
+    fn resort_window_restores_a_topological_order() {
+        let (mut g, mut lp) = two_chains();
+        // `1 -> 2` points backwards: head 2 at position 0, tail 1 at 3.
+        g.edges.push((1, 2, 0.25));
+        lp.resort_window(&g, 0, 3).unwrap();
+        assert_eq!(order(&lp), vec![0, 1, 2, 3]);
+        lp.sweep_certified(&g, lp.order_pos(2) as usize);
+        let mut fresh = IncrementalLongestPath::new(4);
+        fresh.full(&g).unwrap();
+        assert_eq!(label_bits(&lp), label_bits(&fresh));
+        assert_eq!(lp.critical_path(), vec![0, 1, 2, 3]);
         let stats = lp.stats();
-        assert_eq!(stats.repairs, 0);
-        assert_eq!(stats.fallbacks, 1);
-        assert_eq!(stats.full_passes, 2);
-        // Rollback works through the fall-back path too.
-        lp.rollback();
-        assert_eq!(lp.makespan(), 8.0);
+        assert_eq!(
+            (stats.fallbacks, stats.repairs, stats.full_passes),
+            (1, 1, 1)
+        );
     }
 
     #[test]
-    fn dirty_repair_matches_full_and_stops_at_unchanged_labels() {
+    fn sweep_matches_full_and_journals_only_changed_labels() {
         // Diamond where only one branch matters: bumping the slack
-        // branch below the critical one must not touch the join's label.
+        // branch below the critical one must not change the join.
         let mut g = DenseDag::from_edges(
             4,
             &[(0, 1, 0.0), (0, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0)],
@@ -1349,74 +1041,65 @@ mod tests {
         )
         .unwrap();
         let mut lp = IncrementalLongestPath::new(4);
-        lp.set_threshold(4);
         lp.full(&g).unwrap();
+        lp.discard_journal();
         assert_eq!(lp.labels(), &[1.0, 11.0, 3.0, 12.0]);
         g.set_node_weight(2, 4.0);
-        lp.repair_dirty(&g, &[2]).unwrap();
+        lp.sweep_certified(&g, lp.order_pos(2) as usize);
         assert_eq!(lp.labels(), &[1.0, 11.0, 5.0, 12.0]);
-        // Node 2 changed (5 < 11 so node 3's max is unmoved): the
-        // relaxation visits 2 and 3 but never re-enqueues past 3.
-        assert_eq!(lp.stats().repairs, 1);
-        assert_eq!(lp.stats().max_cone, 2);
+        // 5 < 11, so the join keeps its label and only node 2 is
+        // journaled.
+        assert_eq!(lp.journal_len(), 1);
         // A change that does move the join propagates and matches a
         // from-scratch pass bit for bit.
+        lp.discard_journal();
         g.set_node_weight(2, 20.0);
-        lp.repair_dirty(&g, &[2]).unwrap();
+        lp.sweep_certified(&g, lp.order_pos(2) as usize);
         let mut fresh = IncrementalLongestPath::new(4);
         fresh.full(&g).unwrap();
-        for v in 0..4 {
-            assert_eq!(lp.labels()[v].to_bits(), fresh.labels()[v].to_bits());
-        }
+        assert_eq!(label_bits(&lp), label_bits(&fresh));
         assert_eq!(lp.critical_path(), fresh.critical_path());
     }
 
     #[test]
-    fn dirty_repair_rollback_and_threshold_fallback() {
-        let mut g = chain3();
-        let mut lp = IncrementalLongestPath::new(3);
-        lp.set_threshold(3);
-        lp.full(&g).unwrap();
-        let before: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        g.set_node_weight(0, 9.0);
-        lp.repair_dirty(&g, &[0]).unwrap();
-        assert_eq!(lp.makespan(), 16.0);
+    fn rollback_after_a_window_resort_restores_order_and_labels() {
+        let (mut g, mut lp) = two_chains();
+        let before = label_bits(&lp);
+        g.edges.push((1, 2, 0.25));
+        g.w[0] = 9.0;
+        lp.resort_window(&g, 0, 3).unwrap();
+        lp.sweep_certified(&g, lp.order_pos(0) as usize);
+        assert_eq!(lp.makespan(), 19.25);
         lp.rollback();
-        let after: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        assert_eq!(before, after);
-        // Zero threshold: immediate fall-back to the full pass, which
-        // still lands on the same labels.
-        lp.set_threshold(0);
-        lp.repair_dirty(&g, &[0]).unwrap();
-        assert_eq!(lp.makespan(), 16.0);
-        assert_eq!(lp.stats().fallbacks, 1);
-        lp.rollback();
-        assert_eq!(lp.makespan(), 8.0);
+        assert_eq!(order(&lp), vec![2, 3, 0, 1]);
+        assert_eq!(before, label_bits(&lp));
     }
 
     #[test]
-    fn dirty_repair_detects_positive_weight_cycle_via_fallback() {
-        // A cyclic graph with positive node weights: labels grow on
-        // every lap, so the relaxation cap trips and the full-pass
-        // fall-back reports the cycle.
-        let g =
-            DenseDag::from_edges(3, &[(0, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0)], &[1.0; 3]).unwrap();
-        let mut lp = IncrementalLongestPath::new(3);
-        lp.set_threshold(16);
+    fn resort_window_reports_a_cycle_and_keeps_the_order() {
+        let (mut g, mut lp) = two_chains();
+        // `1 -> 2` and `3 -> 0` close the cycle 0 -> 1 -> 2 -> 3 -> 0.
+        g.edges.push((1, 2, 0.0));
+        g.edges.push((3, 0, 0.0));
         assert!(matches!(
-            lp.repair_dirty(&g, &[0]),
+            lp.resort_window(&g, 0, 3),
             Err(GraphError::Cycle { .. })
         ));
-        assert!(lp.stats().fallbacks >= 1);
+        assert_eq!(order(&lp), vec![2, 3, 0, 1]);
+        assert_eq!(lp.journal_len(), 0);
+        assert_eq!(lp.stats().fallbacks, 1);
+        lp.rollback();
+        assert_eq!(order(&lp), vec![2, 3, 0, 1]);
     }
 
     #[test]
-    fn empty_seed_repair_is_a_cheap_no_op() {
+    fn empty_sweep_is_a_cheap_no_op() {
         let g = chain3();
         let mut lp = IncrementalLongestPath::new(3);
         lp.full(&g).unwrap();
-        lp.repair(&g, &[]).unwrap();
+        lp.sweep_certified(&g, 3);
         assert_eq!(lp.makespan(), 8.0);
+        assert_eq!(lp.journal_len(), 0);
         assert_eq!(lp.stats().repairs, 1);
         assert_eq!(lp.stats().cone_nodes, 0);
     }

@@ -9,11 +9,11 @@
 //! * [`dense::DenseDag`] — the same graph in CSR form (flat `u32` edge
 //!   slabs, structure-of-arrays attributes) for read-mostly hot paths,
 //!   plus [`dense::IncrementalLongestPath`], which keeps longest-path
-//!   labels up to date under *bounded repair*: after a delta touching
-//!   node set `T`, only the descendant cone of `T` is relabeled, with a
-//!   fall-back to a full Kahn pass when the cone exceeds a threshold.
-//!   Labels stay bit-identical to a from-scratch recompute (see the
-//!   [`dense`] module docs for the determinism argument);
+//!   labels and a topological order up to date across deltas: only the
+//!   span of the order a delta breaks is re-sorted, and only the order
+//!   suffix from the first changed node is relabeled. Labels stay
+//!   bit-identical to a from-scratch recompute (see the [`dense`]
+//!   module docs for the determinism argument);
 //! * [`topo`] — topological ordering and cycle diagnostics;
 //! * [`closure::TransitiveClosure`] — a bitset reachability matrix with
 //!   the O(1) cycle query used in §4.3 of the paper;
@@ -51,7 +51,7 @@ pub mod longest_path;
 pub mod topo;
 
 pub use apsp::MaxPlusClosure;
-pub use bitset::{BitMatrix, BitRow, FixedBitSet};
+pub use bitset::{BitMatrix, BitRow};
 pub use closure::TransitiveClosure;
 pub use dense::{DenseDag, IncrementalLongestPath, RepairGraph, RepairStats};
 pub use digraph::{Digraph, EdgeRef, NodeId};

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rdse_graph::{
-    count_linear_extensions, dag_longest_path, topo_sort, DenseDag, Digraph,
-    IncrementalLongestPath, MaxPlusClosure, NodeId, TransitiveClosure,
+    count_linear_extensions, dag_longest_path, topo_sort, DenseDag, Digraph, GraphError,
+    IncrementalLongestPath, MaxPlusClosure, NodeId, RepairGraph, TransitiveClosure,
 };
 
 /// Strategy: a random DAG over `n` nodes. Edges only go from lower to
@@ -211,6 +211,48 @@ proptest! {
     }
 }
 
+/// One structural edit: insert (`true`) or delete, plus two selectors
+/// reduced modulo the node/edge count at use site.
+type EdgeEdit = (bool, usize, usize);
+
+/// Strategy: 1–7 structural edits.
+fn arb_edge_edits() -> impl Strategy<Value = Vec<EdgeEdit>> {
+    proptest::collection::vec((any::<bool>(), 0usize..1 << 20, 0usize..1 << 20), 1..8)
+}
+
+/// Edge-list graph whose structure can change between passes (a
+/// [`DenseDag`] fixes its edges at construction).
+struct EdgeList {
+    w: Vec<f64>,
+    edges: Vec<(u32, u32, f64)>,
+}
+
+impl RepairGraph for EdgeList {
+    fn n_nodes(&self) -> usize {
+        self.w.len()
+    }
+
+    fn node_weight(&self, v: u32) -> f64 {
+        self.w[v as usize]
+    }
+
+    fn for_each_out<F: FnMut(u32)>(&self, v: u32, mut f: F) {
+        for &(a, b, _) in &self.edges {
+            if a == v {
+                f(b);
+            }
+        }
+    }
+
+    fn for_each_in<F: FnMut(u32, f64)>(&self, v: u32, mut f: F) {
+        for &(a, b, w) in &self.edges {
+            if b == v {
+                f(a, w);
+            }
+        }
+    }
+}
+
 // Note: the proptest macro takes plain identifiers on the left of
 // `in`, so composite values are destructured inside the body.
 proptest! {
@@ -246,51 +288,41 @@ proptest! {
     #[test]
     fn bounded_repair_equals_full_recompute(
         input in arb_dense_edges(18, 0.3),
-        threshold in 0usize..=18, // spans both boundaries: always-fall-back and never-fall-back
         deltas in arb_delta_walk()
     ) {
+        // Weight-only deltas keep the maintained order valid, so a
+        // sweep from the first seed's position is a complete repair.
         let (n, edges) = input;
         let node_w: Vec<f64> = (0..n).map(|i| (i % 5) as f64 + 0.5).collect();
         let mut g = DenseDag::from_edges(n, &edges, &node_w).unwrap();
         let mut lp = IncrementalLongestPath::new(n);
-        lp.set_threshold(threshold);
         lp.full(&g).unwrap();
-        // Change-driven sibling: weight-only deltas keep the DenseDag
-        // acyclic, so `repair_dirty` must land on the same fixpoint.
-        let mut lpd = IncrementalLongestPath::new(n);
-        lpd.set_threshold(threshold);
-        lpd.full(&g).unwrap();
         for (on_node, idx, w) in deltas {
-            let mut seeds = Vec::new();
-            if on_node || g.n_edges() == 0 {
+            lp.discard_journal();
+            let seed = if on_node || g.n_edges() == 0 {
                 let v = (idx % n) as u32;
                 g.set_node_weight(v, w);
-                seeds.push(v);
+                v
             } else {
                 let eid = (idx % g.n_edges()) as u32;
                 g.set_edge_weight(eid, w);
-                seeds.push(g.edge_endpoints(eid).1);
-            }
-            lp.repair(&g, &seeds).unwrap();
-            lpd.repair_dirty(&g, &seeds).unwrap();
+                g.edge_endpoints(eid).1
+            };
+            lp.sweep_certified(&g, lp.order_pos(seed) as usize);
             let mut fresh = IncrementalLongestPath::new(n);
             fresh.full(&g).unwrap();
             let got: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-            let got_dirty: Vec<u64> = lpd.labels().iter().map(|c| c.to_bits()).collect();
             let want: Vec<u64> = fresh.labels().iter().map(|c| c.to_bits()).collect();
-            prop_assert_eq!(got, want.clone());
-            prop_assert_eq!(got_dirty, want);
+            prop_assert_eq!(got, want);
             prop_assert_eq!(lp.makespan().to_bits(), fresh.makespan().to_bits());
-            prop_assert_eq!(lpd.makespan().to_bits(), fresh.makespan().to_bits());
             prop_assert_eq!(lp.critical_path(), fresh.critical_path());
-            prop_assert_eq!(lpd.critical_path(), fresh.critical_path());
         }
+        prop_assert_eq!(lp.stats().full_passes, 1);
     }
 
     #[test]
     fn repair_rollback_restores_labels(
         input in arb_dense_edges(16, 0.3),
-        threshold in 0usize..=16,
         delta in arb_delta_walk()
     ) {
         let (n, edges) = input;
@@ -298,8 +330,8 @@ proptest! {
         let node_w: Vec<f64> = (0..n).map(|i| (i % 4) as f64 + 1.0).collect();
         let mut g = DenseDag::from_edges(n, &edges, &node_w).unwrap();
         let mut lp = IncrementalLongestPath::new(n);
-        lp.set_threshold(threshold);
         lp.full(&g).unwrap();
+        lp.discard_journal();
         let before: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
         let before_path = lp.critical_path();
         let seed = if on_node || g.n_edges() == 0 {
@@ -311,10 +343,88 @@ proptest! {
             g.set_edge_weight(eid, w);
             g.edge_endpoints(eid).1
         };
-        lp.repair(&g, &[seed]).unwrap();
+        lp.sweep_certified(&g, lp.order_pos(seed) as usize);
         lp.rollback();
         let after: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
         prop_assert_eq!(before, after);
         prop_assert_eq!(before_path, lp.critical_path());
+    }
+
+    #[test]
+    fn resort_window_errs_exactly_on_cycles_and_keeps_the_outside(
+        input in arb_dense_edges(16, 0.3),
+        edits in arb_edge_edits()
+    ) {
+        let (n, edges) = input;
+        let w: Vec<f64> = (0..n).map(|i| (i % 3) as f64 + 1.0).collect();
+        let mut g = EdgeList { w, edges };
+        let mut lp = IncrementalLongestPath::new(n);
+        lp.full(&g).unwrap();
+        lp.discard_journal();
+        let order_before: Vec<u32> = (0..n as u32).map(|v| lp.order_pos(v)).collect();
+        // Structural seeds: the head of every inserted or deleted edge.
+        let mut seeds = Vec::new();
+        for (insert, a, b) in edits {
+            if insert {
+                let (u, v) = ((a % n) as u32, (b % n) as u32);
+                if u != v {
+                    g.edges.push((u, v, (a % 7) as f64));
+                    seeds.push(v);
+                }
+            } else if !g.edges.is_empty() {
+                let (_, v, _) = g.edges.remove(a % g.edges.len());
+                seeds.push(v);
+            }
+        }
+        // The evaluator's window: smallest head and largest tail
+        // position over the edges that now point backwards.
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        for &v in &seeds {
+            let pv = lp.order_pos(v) as usize;
+            g.for_each_in(v, |u, _| {
+                let pu = lp.order_pos(u) as usize;
+                if pu > pv {
+                    lo = lo.min(pv);
+                    hi = hi.max(pu);
+                }
+            });
+        }
+        let mut reference = Digraph::new(n);
+        for &(u, v, w) in &g.edges {
+            reference.add_edge(NodeId(u), NodeId(v), w).unwrap();
+        }
+        let acyclic = topo_sort(&reference).is_ok();
+        if lo == usize::MAX {
+            // Nothing points backwards: the order still certifies the
+            // graph as acyclic.
+            prop_assert!(acyclic);
+        } else {
+            let resorted = lp.resort_window(&g, lo, hi);
+            prop_assert_eq!(resorted.is_ok(), acyclic);
+            prop_assert!(matches!(resorted, Ok(()) | Err(GraphError::Cycle { .. })));
+            for v in 0..n as u32 {
+                let (old, new) = (order_before[v as usize] as usize, lp.order_pos(v) as usize);
+                if !(lo..=hi).contains(&old) {
+                    prop_assert_eq!(old, new);
+                }
+            }
+        }
+        if acyclic {
+            for &(u, v, _) in &g.edges {
+                prop_assert!(lp.order_pos(u) < lp.order_pos(v));
+            }
+            // The sweep from the first seed lands on the full pass's
+            // labels.
+            let start = seeds.iter().map(|&v| lp.order_pos(v) as usize).min();
+            lp.sweep_certified(&g, start.unwrap_or(n));
+            let mut fresh = IncrementalLongestPath::new(n);
+            fresh.full(&g).unwrap();
+            let got: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
+            let want: Vec<u64> = fresh.labels().iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+        lp.rollback();
+        let order_after: Vec<u32> = (0..n as u32).map(|v| lp.order_pos(v)).collect();
+        prop_assert_eq!(order_before, order_after);
     }
 }

@@ -20,17 +20,18 @@
 //!   never materializes those edges;
 //! * [`Evaluator::evaluate_delta`] re-derives only the state a single
 //!   move can touch, seeds the nodes whose in-edge candidate sets
-//!   changed, and relabels through the *certified ordered sweep*: the
-//!   longest-path engine maintains a topological order across moves
-//!   ([`IncrementalLongestPath::order_pos`]), the evaluator locally
-//!   [`reposition`](IncrementalLongestPath::reposition)s every node
-//!   whose own edge set changed and verifies the order still covers
-//!   their edges, then a single check-free relaxation pass over the
-//!   order suffix from the first seed relabels the cone
-//!   ([`IncrementalLongestPath::sweep_certified`]). When the order
-//!   cannot absorb the move the engine falls back to a full Kahn pass
-//!   ([`IncrementalLongestPath::full_fallback`]) — still journaled, so
-//!   rejection stays a cheap rollback.
+//!   changed, and relabels over a maintained topological order
+//!   ([`IncrementalLongestPath::order_pos`]). Every edge the move
+//!   added has its head among the seeds, so the evaluator finds the
+//!   edges that now point backwards by scanning the seeds' in-edges,
+//!   and re-sorts only the span of the order between the first such
+//!   head and the last such tail
+//!   ([`IncrementalLongestPath::resort_window`]); if that span holds a
+//!   cycle the move is rejected as cyclic without touching a label.
+//!   A single check-free relaxation pass over the order suffix from
+//!   the first seed then relabels the cone
+//!   ([`IncrementalLongestPath::sweep_certified`]). Order and labels
+//!   are journaled, so rejection stays a cheap rollback.
 //!
 //! Batches of sibling candidates amortize the one full synchronization
 //! through [`Evaluator::evaluate_batch`].
@@ -44,9 +45,9 @@
 //! * every completion label is `w(v) + max(0, max over in-edges
 //!   (completion(u) + w(u,v)))` — a max over a finite candidate set,
 //!   and IEEE-754 `max` is order-independent in value, so the labels
-//!   have a unique fixpoint on a DAG and *no relaxation order* (cone
-//!   sweep, certified suffix sweep, or full Kahn pass) can change
-//!   label bits;
+//!   have a unique fixpoint on a DAG and *no relaxation order*
+//!   (suffix sweep over any topological order, or full Kahn pass) can
+//!   change label bits;
 //! * a sweep relabels a superset of the nodes whose candidate sets
 //!   changed (every directly changed node is seeded, the suffix from
 //!   the minimum seed position covers all their descendants in a valid
@@ -114,18 +115,19 @@ pub struct EvaluatorStats {
     /// none ever did). Once `evaluations` is well past this, every
     /// subsequent step runs entirely in the warm arenas.
     pub last_growth_eval: u64,
-    /// Bounded repairs that completed without falling back.
+    /// Deltas relabeled by a certified sweep over the order suffix.
     pub repairs: u64,
-    /// Full longest-path passes (initial synchronizations and repair
-    /// fall-backs).
+    /// Full longest-path passes (full synchronizations only; deltas
+    /// never run one).
     pub full_passes: u64,
-    /// Repairs that exceeded the cone threshold and fell back to a
-    /// full pass.
+    /// Window re-sorts: deltas whose added edges pointed backwards in
+    /// the maintained order, so the span they broke was re-sorted
+    /// (including deltas whose re-sort found a cycle).
     pub fallbacks: u64,
-    /// Largest repair cone seen, in nodes.
+    /// Most nodes relabeled by one delta's sweep.
     pub max_cone: u64,
-    /// Total nodes relabeled across all completed repairs (for the
-    /// mean cone size).
+    /// Total nodes relabeled across all sweeps (for the mean cone
+    /// size).
     pub cone_nodes: u64,
 }
 
@@ -136,7 +138,7 @@ impl EvaluatorStats {
         self.evaluations > self.last_growth_eval
     }
 
-    /// Mean repair-cone size over completed repairs (0.0 if none ran).
+    /// Mean nodes relabeled per sweep (0.0 if none ran).
     pub fn mean_cone(&self) -> f64 {
         if self.repairs == 0 {
             0.0
@@ -399,7 +401,7 @@ pub struct Evaluator<'a> {
     seeds: Vec<u32>,
     /// The subset of seeds whose *edge structure* changed (heads of
     /// every edge the delta added or removed) — the nodes whose
-    /// positions the order certification must patch and verify.
+    /// in-edges the scan for backward edges covers.
     struct_seeds: Vec<u32>,
     /// Scratch for incident `(endpoint, edge id)` pairs (collected
     /// before mutating the CSR weights).
@@ -530,16 +532,7 @@ impl<'a> Evaluator<'a> {
             drlcs: vec![DrlcState::default(); arch.drlcs().len()],
             membership: vec![0; n],
             generation: 0,
-            lp: {
-                // Disable the relaxation cap by default: the ordered
-                // sweep relaxes each node at most once per delta and
-                // detects cycles through its order checks, so there is
-                // no runaway to bound. A caller can still lower it via
-                // `set_repair_threshold` to force full-pass fall-backs.
-                let mut lp = IncrementalLongestPath::new(n + 1);
-                lp.set_threshold(n + 2);
-                lp
-            },
+            lp: IncrementalLongestPath::new(n + 1),
             seeds: Vec::with_capacity(16),
             struct_seeds: Vec::with_capacity(16),
             eid_scratch: Vec::with_capacity(8),
@@ -585,7 +578,7 @@ impl<'a> Evaluator<'a> {
             drlcs,
             membership,
             generation,
-            mut lp,
+            lp,
             mut seeds,
             mut struct_seeds,
             mut eid_scratch,
@@ -600,7 +593,6 @@ impl<'a> Evaluator<'a> {
         for (slot, e) in xfer.iter_mut().zip(app.edges()) {
             *slot = bus.transfer_time(e.bytes).value();
         }
-        lp.set_threshold(n + 2);
         log.clear();
         seeds.clear();
         struct_seeds.clear();
@@ -726,21 +718,6 @@ impl<'a> Evaluator<'a> {
     /// [`evaluate_delta`](Evaluator::evaluate_delta)'s fast path.
     pub fn is_synced(&self) -> bool {
         self.synced
-    }
-
-    /// Sets the repair budget — relaxations the ordered sweep may spend
-    /// on a delta before falling back to a full longest-path pass. The
-    /// default (`node count + 2`) never trips, since the sweep relaxes
-    /// each node at most once; lower values trade repair work for
-    /// full-pass predictability and are mainly useful for testing the
-    /// fall-back path.
-    pub fn set_repair_threshold(&mut self, threshold: usize) {
-        self.lp.set_threshold(threshold);
-    }
-
-    /// The current repair fall-back threshold.
-    pub fn repair_threshold(&self) -> usize {
-        self.lp.threshold()
     }
 
     /// Scores `mapping` from scratch and synchronizes every mirror
@@ -1423,9 +1400,8 @@ impl<'a> Evaluator<'a> {
 
     /// Shared tail of every delta: capacity check from the mirrors (in
     /// `(device, context)` order, same error priority as the
-    /// reference), bounded label repair, summary. Reverts the delta on
-    /// error.
-    ///
+    /// reference), order and label repair, summary. Reverts the delta
+    /// on error.
     fn finish_delta(&mut self) -> Result<EvalSummary, MappingError> {
         let mut clb_area = Clbs::new(0);
         for d in 0..self.drlcs.len() {
@@ -1454,78 +1430,42 @@ impl<'a> Evaluator<'a> {
                 drlcs: &self.drlcs,
                 n: self.n,
             };
-            // Certify the recorded topological order, then relabel
-            // with one plain relax sweep from the first seeded
-            // position. Every edge the delta added or removed has its
-            // head in `struct_seeds`, and rotations preserve the
-            // mutual order of unmoved nodes, so the order stays valid
-            // iff (a) each structural seed can be placed between its
-            // neighbors and (b) after any placement actually moved a
-            // node, every structural seed's in- and out-edges still
-            // respect the positions. A valid order proves the graph
-            // acyclic and makes the sweep exact (each node relaxes
-            // after all predecessors — the unique label fixpoint, bit
-            // for bit). Certification failure — including any cycle,
-            // which no order can serialize — falls back to a full
-            // pass, which rebuilds the order.
-            let mut certified = true;
-            let mut moved_any = false;
-            // Up to three placement rounds: a seed can be unplaceable
-            // only because another not-yet-moved seed blocks its slot,
-            // so retrying the failures after the rest have moved
-            // resolves chains (e.g. consecutive contexts reordering
-            // together). No progress between rounds means a genuine
-            // conflict.
-            for _round in 0..3 {
-                let mut failed = false;
-                let mut progressed = false;
-                for i in 0..self.struct_seeds.len() {
-                    match self.lp.reposition(&overlay, self.struct_seeds[i]) {
-                        None => failed = true,
-                        Some(moved) => {
-                            moved_any |= moved;
-                            progressed |= moved;
-                        }
-                    }
-                }
-                if !failed {
-                    certified = true;
-                    break;
-                }
-                certified = false;
-                if !progressed {
-                    // A failed round that placed nothing leaves the
-                    // order bit-identical, so the next round would fail
-                    // the same way — a genuine conflict. Fall back now
-                    // instead of burning two more identical rounds.
-                    break;
-                }
-            }
-            if certified && moved_any {
+            // Every edge the delta added or removed has its head in
+            // `struct_seeds`, and the order was topological before the
+            // delta, so every edge that now points backwards is an
+            // in-edge of a structural seed. Re-sorting the span from
+            // the first such head to the last such tail restores a
+            // topological order, or finds the cycle the delta closed
+            // (every cycle lies inside that span). The relax sweep over
+            // a valid order then lands on the unique label fixpoint,
+            // bit for bit.
+            let (mut lo, mut hi) = (u32::MAX, 0u32);
+            for &v in &self.struct_seeds {
                 let lp = &self.lp;
-                'verify: for &v in &self.struct_seeds {
-                    let pv = lp.order_pos(v);
-                    let mut ok = true;
-                    overlay.for_each_in(v, |u, _| ok &= lp.order_pos(u) < pv);
-                    overlay.for_each_out(v, |t| ok &= pv < lp.order_pos(t));
-                    if !ok {
-                        certified = false;
-                        break 'verify;
+                let pv = lp.order_pos(v);
+                overlay.for_each_in(v, |u, _| {
+                    let pu = lp.order_pos(u);
+                    if pu > pv {
+                        lo = lo.min(pv);
+                        hi = hi.max(pu);
                     }
-                }
+                });
             }
-            if certified {
+            let acyclic = lo == u32::MAX
+                || self
+                    .lp
+                    .resort_window(&overlay, lo as usize, hi as usize)
+                    .is_ok();
+            if acyclic {
                 let mut start = usize::MAX;
                 for &v in &self.seeds {
                     start = start.min(self.lp.order_pos(v) as usize);
                 }
                 self.lp.sweep_certified(&overlay, start);
-                Ok(())
-            } else {
-                self.lp.full_fallback(&overlay)
             }
+            acyclic
         };
-        if repaired.is_err() {
+        if !repaired {
             self.rollback_delta_state();
             self.delta_active = false;
             return Err(MappingError::CyclicSchedule);
@@ -1766,22 +1706,20 @@ mod tests {
         assert_eq!(full.makespan, us(35.0));
     }
 
+    /// Window re-sorts seen by one [`delta_walk`].
+    #[derive(Debug)]
+    struct Resorts {
+        acyclic: u64,
+        cyclic: u64,
+    }
+
     /// Drives the delta path with the real move proposals and checks
     /// every answer (and every revert) against the from-scratch
     /// reference, bit for bit.
-    fn delta_walk(
-        app: &TaskGraph,
-        arch: &Architecture,
-        seed: u64,
-        steps: usize,
-        threshold: Option<usize>,
-    ) {
+    fn delta_walk(app: &TaskGraph, arch: &Architecture, seed: u64, steps: usize) -> Resorts {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mapping = random_initial(app, arch, &mut rng);
         let mut evaluator = Evaluator::new(app, arch);
-        if let Some(t) = threshold {
-            evaluator.set_repair_threshold(t);
-        }
         // Feasible start (random_initial is all-feasible by design,
         // but keep the walk robust).
         if evaluator.evaluate(&mapping).is_err() {
@@ -1790,6 +1728,8 @@ mod tests {
         }
         let mut scratch = MoveScratch::default();
         let mut applied = 0usize;
+        let mut cyclic = 0u64;
+        let before = evaluator.stats();
         for step in 0..steps {
             let outcome = if step % 3 == 0 {
                 propose_impl_move(app, arch, &mut mapping, &mut rng, &mut scratch)
@@ -1812,6 +1752,7 @@ mod tests {
                 (Err(e), Err(re)) => assert_eq!(e, re, "error diverged at step {step}"),
                 _ => panic!("feasibility diverged at step {step}: {delta:?} vs {reference:?}"),
             }
+            cyclic += u64::from(delta == Err(MappingError::CyclicSchedule));
             match delta {
                 Ok(_) => {
                     // Coin-flip rejection, like the annealer.
@@ -1827,16 +1768,24 @@ mod tests {
             }
         }
         assert!(applied > steps / 10, "walk exercised too few moves");
+        let after = evaluator.stats();
+        // Deltas re-sort windows; they never run a full pass.
+        assert_eq!(after.full_passes, before.full_passes, "{after:?}");
+        let resorts = after.fallbacks - before.fallbacks;
         // The mirrors must still be exact: one more fresh comparison.
         let summary = evaluator.evaluate(&mapping).unwrap();
         assert_eq!(summary, evaluate(app, arch, &mapping).unwrap().summary());
+        Resorts {
+            acyclic: resorts - cyclic,
+            cyclic,
+        }
     }
 
     #[test]
     fn delta_walk_matches_reference() {
         let (app, arch) = fixture();
         for seed in [1, 17, 42] {
-            delta_walk(&app, &arch, seed, 400, None);
+            delta_walk(&app, &arch, seed, 400);
         }
     }
 
@@ -1845,60 +1794,65 @@ mod tests {
         let app = rdse_workloads::motion_detection_app();
         let arch = rdse_workloads::epicure_architecture(2000);
         for seed in [1, 17] {
-            delta_walk(&app, &arch, seed, 300, None);
+            delta_walk(&app, &arch, seed, 300);
         }
     }
 
     #[test]
-    fn delta_walk_matches_reference_at_threshold_extremes() {
-        let (app, arch) = fixture();
-        // Threshold 0: every repair falls back to a full pass.
-        delta_walk(&app, &arch, 7, 200, Some(0));
-        // Threshold n+1: no repair ever falls back.
-        delta_walk(&app, &arch, 7, 200, Some(app.n_tasks() + 1));
+    fn delta_walk_matches_reference_on_layered_200() {
+        // 200 tasks give the re-sort windows room to be long, unlike
+        // the 3-task fixture and the 28-task paper workload.
+        let app = rdse_workloads::layered_dag(
+            &rdse_workloads::LayeredDagConfig {
+                layers: 20,
+                width: 10,
+                edge_percent: 30,
+                hw_percent: 60,
+            },
+            42,
+        );
+        let arch = rdse_workloads::epicure_architecture(4000);
+        let resorts = delta_walk(&app, &arch, 5, 300);
+        assert!(resorts.acyclic > 0, "{resorts:?}");
+        assert!(resorts.cyclic > 0, "{resorts:?}");
     }
 
     #[test]
-    fn delta_stats_count_repairs_and_fallbacks() {
+    fn delta_stats_count_sweeps_and_window_resorts() {
         let (app, arch) = fixture();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mapping = random_initial(&app, &arch, &mut rng);
+        let topo = topo(&app);
+        // a -> b -> c on one processor: the data edges fix the order.
+        let base = Mapping::all_software(&app, &arch, topo.clone());
         let mut evaluator = Evaluator::new(&app, &arch);
-        evaluator.evaluate(&mapping).unwrap();
-        let mut m = mapping.clone();
-        let mut scratch = MoveScratch::default();
-        for _ in 0..50 {
-            if let Some(outcome) = propose_pair_move(&app, &arch, &mut m, &mut rng, &mut scratch) {
-                match evaluator.evaluate_delta(&m, outcome.delta.task()) {
-                    Ok(_) => {}
-                    Err(_) => outcome.delta.undo(&mut m),
-                }
-            }
-        }
-        let stats = evaluator.stats();
-        assert!(stats.repairs > 0, "{stats:?}");
-        assert!(stats.full_passes >= 1, "{stats:?}"); // the initial sync
-        assert!(stats.max_cone as usize <= app.n_tasks() + 1, "{stats:?}");
-        // Force fall-backs and confirm they are counted.
-        evaluator.set_repair_threshold(0);
-        evaluator.evaluate(&m).unwrap();
-        let before = evaluator.stats().fallbacks;
-        let mut forced = 0;
-        for _ in 0..20 {
-            if let Some(outcome) = propose_pair_move(&app, &arch, &mut m, &mut rng, &mut scratch) {
-                match evaluator.evaluate_delta(&m, outcome.delta.task()) {
-                    Ok(_) => forced += 1,
-                    Err(_) => outcome.delta.undo(&mut m),
-                }
-            }
-        }
-        if forced > 0 {
-            assert!(
-                evaluator.stats().fallbacks > before,
-                "{:?}",
-                evaluator.stats()
-            );
-        }
+        evaluator.evaluate(&base).unwrap();
+        let synced = evaluator.stats();
+        assert_eq!(synced.full_passes, 1, "{synced:?}");
+        // An order-preserving delta (b to the fabric) is one sweep.
+        let mut m = base.clone();
+        m.detach(TaskId(1));
+        m.insert_new_context(TaskId(1), 0, 0, 0);
+        evaluator.evaluate_delta(&m, TaskId(1)).unwrap();
+        evaluator.revert_delta();
+        let swept = evaluator.stats();
+        assert_eq!(swept.repairs, synced.repairs + 1, "{swept:?}");
+        assert_eq!(swept.fallbacks, synced.fallbacks, "{swept:?}");
+        // Moving c ahead of a on the processor chains c -> a against the
+        // data path a -> b -> c: the re-sort finds the cycle.
+        let mut m = base.clone();
+        m.detach(TaskId(2));
+        m.insert_software(TaskId(2), 0, 0);
+        assert_eq!(
+            evaluator.evaluate_delta(&m, TaskId(2)),
+            Err(MappingError::CyclicSchedule)
+        );
+        let cyclic = evaluator.stats();
+        assert_eq!(cyclic.fallbacks, swept.fallbacks + 1, "{cyclic:?}");
+        assert_eq!(cyclic.repairs, swept.repairs, "{cyclic:?}");
+        // Deltas never run a full pass, and the evaluator is back on
+        // the base.
+        assert_eq!(cyclic.full_passes, 1, "{cyclic:?}");
+        let again = evaluator.evaluate_delta(&base, TaskId(2)).unwrap();
+        assert_eq!(again, evaluate(&app, &arch, &base).unwrap().summary());
     }
 
     #[test]

@@ -300,7 +300,19 @@ fn session_limit_answers_busy_and_recovers() {
         std::thread::sleep(Duration::from_millis(100));
     }
     assert!(healthy, "session slot was never released");
-    shut_down(handle);
+    // The health probe's session may still hold the only slot for a
+    // moment after its reply, so retry the shutdown while it answers
+    // busy, bounded like the health loop.
+    let mut ack = client::shutdown(&addr, &opts);
+    for _ in 0..50 {
+        if !matches!(&ack, Err(e) if e.code.as_deref() == Some("busy")) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        ack = client::shutdown(&addr, &opts);
+    }
+    ack.expect("shutdown ack");
+    handle.join().expect("clean server exit");
 }
 
 #[test]

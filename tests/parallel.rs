@@ -53,8 +53,8 @@ fn portfolio_is_bit_identical_across_thread_counts() {
         assert_eq!(x.run.iterations, y.run.iterations);
         assert_eq!(x.run.accepted, y.run.accepted);
         assert_eq!(x.run.infeasible, y.run.infeasible);
-        // The evaluator's repair behaviour (full passes, bounded
-        // repairs, fall-backs, cone sizes) is part of the deterministic
+        // The evaluator's repair behaviour (full passes, sweeps,
+        // window re-sorts, cone sizes) is part of the deterministic
         // contract too: a chain must take the *same* code paths no
         // matter how many workers host it.
         assert_eq!(x.eval_stats, y.eval_stats);
