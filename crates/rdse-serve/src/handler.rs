@@ -12,7 +12,9 @@ use rdse_mapping::{
     ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
 use rdse_model::{Architecture, TaskGraph};
-use rdse_store::{ArchivedRecord, CostBits, KeySpec, PairKey, StoreKey, StoreRecord};
+use rdse_store::{
+    ArchivedRecord, CostBits, PairKey, PairPrefix, SearchKnobs, StoreKey, StoreRecord,
+};
 use rdse_workloads::{epicure_architecture, figure1_app, motion_detection_app};
 use serde::{Deserialize, Serialize, Value};
 
@@ -175,11 +177,25 @@ pub fn store_keys(
     spec: &JobSpec,
     objective: &Objective,
 ) -> (StoreKey, PairKey) {
+    prefixed_store_keys(pair_prefix(app, arch), spec, objective)
+}
+
+/// The store-key hash state over the resolved models: the one pass
+/// over their canonical JSON that [`store_keys`] makes.
+pub fn pair_prefix(app: &TaskGraph, arch: &Architecture) -> PairPrefix {
     let app_json = serde_json::to_string(&app.to_value()).expect("Value serialization");
     let arch_json = serde_json::to_string(&arch.to_value()).expect("Value serialization");
-    let ks = KeySpec {
-        app_json: &app_json,
-        arch_json: &arch_json,
+    PairPrefix::new(&app_json, &arch_json)
+}
+
+/// [`store_keys`] continued from a job's [`pair_prefix`], without the
+/// models.
+pub fn prefixed_store_keys(
+    prefix: PairPrefix,
+    spec: &JobSpec,
+    objective: &Objective,
+) -> (StoreKey, PairKey) {
+    let knobs = SearchKnobs {
         objective: &objective.describe(),
         seed: spec.seed,
         iters: spec.iters,
@@ -187,7 +203,7 @@ pub fn store_keys(
         chains: spec.chains as u64,
         exchange_every: spec.exchange_every,
     };
-    (ks.key(), ks.pair())
+    (prefix.key(&knobs), prefix.pair())
 }
 
 /// Packs a finished exploration into its archived form under `key`.

@@ -21,6 +21,17 @@
 //!   and their warm [`rdse_mapping::EvaluatorArenas`] cached, so
 //!   repeat submissions skip model building and arena allocation —
 //!   observable as `evaluator_cache_hits` in the health report.
+//! - With a result store, a job's read path is memo → exact →
+//!   dominated → resolve → warm or miss. Each worker memoises the
+//!   store-key [`rdse_store::PairPrefix`] of every `(app, arch)` spec
+//!   it resolved (keyed by a 128-bit digest of the cache key, at most
+//!   4 096 entries, cleared when full). A memoised job's exact and
+//!   dominated lookups need neither its models nor their JSON; a hit
+//!   returns at once and never touches the model cache, so it cannot
+//!   evict a warm entry. Its `cache` field still reports whether the
+//!   worker holds the models, counted once in `evaluator_cache_*`.
+//!   Every other job resolves its models, hashes them once, and goes
+//!   on to the exact, dominated and warm-start lookups.
 //! - [`Limits`] bounds every request (frame size, tasks, devices,
 //!   iteration budget, chains, concurrent sessions, socket timeouts);
 //!   every violation is answered with a typed

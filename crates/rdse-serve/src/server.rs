@@ -8,6 +8,7 @@ use crate::worker::{self, JobRequest, ShardState};
 use rdse_mapping::Pool;
 use rdse_store::{ResultStore, SyncPolicy};
 use serde::{Serialize, Value};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -92,10 +93,12 @@ impl JobState {
 /// Recent job records: bounded ring, oldest evicted first.
 const MAX_JOB_RECORDS: usize = 256;
 
+/// Job records in id order. Lookups search from the newest end: the job
+/// being updated or polled is almost always among the latest.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
     next: AtomicU64,
-    records: Mutex<Vec<(u64, JobState)>>,
+    records: Mutex<VecDeque<(u64, JobState)>>,
 }
 
 impl Registry {
@@ -103,22 +106,22 @@ impl Registry {
         let id = self.next.fetch_add(1, Relaxed) + 1;
         let mut records = self.records.lock().expect("registry lock");
         if records.len() >= MAX_JOB_RECORDS {
-            records.remove(0);
+            records.pop_front();
         }
-        records.push((id, JobState::Queued));
+        records.push_back((id, JobState::Queued));
         id
     }
 
     pub fn set_state(&self, id: u64, state: JobState) {
         let mut records = self.records.lock().expect("registry lock");
-        if let Some(slot) = records.iter_mut().find(|(rid, _)| *rid == id) {
+        if let Some(slot) = records.iter_mut().rev().find(|(rid, _)| *rid == id) {
             slot.1 = state;
         }
     }
 
     pub fn record_value(&self, id: u64) -> Option<Value> {
         let records = self.records.lock().expect("registry lock");
-        let (_, state) = records.iter().find(|(rid, _)| *rid == id)?;
+        let (_, state) = records.iter().rev().find(|(rid, _)| *rid == id)?;
         let (result, error) = match state {
             JobState::Done(v) => (v.clone(), Value::Null),
             JobState::Failed(e) => (Value::Null, e.to_value()),
@@ -406,5 +409,46 @@ impl ServerHandle {
         self.handle
             .join()
             .map_err(|_| io::Error::other("server thread panicked"))?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_keeps_the_newest_records_and_evicts_the_oldest() {
+        let registry = Registry::default();
+        let ids: Vec<u64> = (0..MAX_JOB_RECORDS + 3)
+            .map(|_| registry.register())
+            .collect();
+        // The three oldest fell out of the ring; everything after them
+        // is still queryable.
+        for &gone in &ids[..3] {
+            assert!(registry.record_value(gone).is_none(), "job {gone}");
+        }
+        for &kept in &ids[3..] {
+            assert!(registry.record_value(kept).is_some(), "job {kept}");
+        }
+        assert_eq!(
+            registry.records.lock().unwrap().len(),
+            MAX_JOB_RECORDS,
+            "the ring stays bounded"
+        );
+
+        // Updates land on the right record, old or new.
+        let (oldest, newest) = (ids[3], *ids.last().unwrap());
+        registry.set_state(oldest, JobState::Running);
+        registry.set_state(newest, JobState::Done(Value::Bool(true)));
+        let state = |id| match registry.record_value(id).unwrap().get("state") {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("no state: {other:?}"),
+        };
+        assert_eq!(state(oldest), "running");
+        assert_eq!(state(newest), "done");
+        assert_eq!(state(ids[4]), "queued");
+        // Updating an evicted job is a no-op, not a resurrection.
+        registry.set_state(ids[0], JobState::Running);
+        assert!(registry.record_value(ids[0]).is_none());
     }
 }

@@ -8,14 +8,20 @@
 //! serially in submission order on that lane's worker, so the shard
 //! mutex below is uncontended on the hot path — it exists to satisfy
 //! the pool's `'static + Send` job bounds, not to arbitrate.
+//!
+//! With a result store, each shard also memoises the store-key
+//! [`PairPrefix`] of every cache key it resolved. A job is a pure
+//! function of its spec, so a memoised prefix is all an exact or
+//! dominated hit needs: such a job is answered without resolving or
+//! serializing its models, and without touching the model cache.
 
 use crate::handler;
 use crate::protocol::{ErrorCode, JobSpec, ServeError};
-use crate::server::{Core, JobState, SessionPermit};
+use crate::server::{Core, JobState, ServeStats, SessionPermit};
 use crate::transport::FrameSink;
 use rdse_mapping::{CostVector, EvaluatorArenas, Mapping, Objective, Scalarizer, WarmStart};
 use rdse_model::{Architecture, TaskGraph};
-use rdse_store::{PairKey, StoreKey};
+use rdse_store::{fnv1a128, ArchivedRecord, PairKey, PairPrefix, ResultStore, StoreKey};
 use serde::{Deserialize, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,6 +30,10 @@ use std::sync::{Arc, Mutex};
 
 /// Warm entries kept per shard before least-recently-used eviction.
 const MAX_CACHE_ENTRIES: usize = 8;
+
+/// Memoised pair prefixes kept per shard; a full memo is cleared. An
+/// entry is 32 bytes however large the job's inline models are.
+const MAX_MEMO_ENTRIES: usize = 4096;
 
 /// A fully validated job, ready to run. The sink is the live client
 /// connection; the permit keeps the session slot occupied until the
@@ -45,11 +55,15 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// One shard's warm state: the model/arena cache and its LRU clock.
+/// One shard's warm state: the model/arena cache and its LRU clock,
+/// and the pair-prefix memo.
 #[derive(Default)]
 pub(crate) struct ShardState {
     cache: HashMap<String, CacheEntry>,
     tick: u64,
+    /// Store-key prefix of each resolved cache key, keyed by the cache
+    /// key's 128-bit FNV-1a digest.
+    memo: HashMap<u128, PairPrefix>,
 }
 
 /// Builds the per-lane shard states for an `n`-worker pool.
@@ -61,13 +75,16 @@ pub(crate) fn shards(n: usize) -> Arc<Vec<Mutex<ShardState>>> {
 ///
 /// The panic catch point sits *inside* the lock scope, so a panicking
 /// job never poisons the shard mutex: the guard is dropped normally,
-/// the entry is evicted, and the lane keeps serving.
+/// the entry and its memoised prefix are evicted, and the lane keeps
+/// serving.
 pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<JobRequest>) {
     core.registry.set_state(req.id, JobState::Running);
     let mut state = shard.lock().expect("shard state lock");
     let state = &mut *state;
+    // Only store hits read the memo.
+    let memo_key = core.store.as_ref().map(|_| fnv1a128(req.key.as_bytes()));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_one(&mut state.cache, &mut state.tick, &mut req, core)
+        run_one(state, memo_key, &mut req, core)
     }));
     match outcome {
         Ok(Ok(v)) => {
@@ -84,6 +101,9 @@ pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<
             // A panicking job must not take the lane (or the server)
             // down, and its cache entry can no longer be trusted.
             state.cache.remove(&req.key);
+            if let Some(k) = memo_key {
+                state.memo.remove(&k);
+            }
             let e = ServeError::new(
                 ErrorCode::Internal,
                 "job panicked; its evaluator cache entry was dropped",
@@ -96,17 +116,59 @@ pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<
     req.sink.finish();
 }
 
+fn count_cache(stats: &ServeStats, hit: bool) {
+    if hit {
+        stats.cache_hits.fetch_add(1, Relaxed);
+    } else {
+        stats.cache_misses.fetch_add(1, Relaxed);
+    }
+}
+
+/// The result store's zero-search answers, cheapest first: an exact
+/// hit, then a dominated one. Counts the hit it returns.
+fn archived_answer<'s>(
+    store: &'s ResultStore,
+    (skey, pkey): (StoreKey, PairKey),
+    req: &JobRequest,
+    stats: &ServeStats,
+) -> Option<(&'s ArchivedRecord, &'static str)> {
+    if let Some(record) = store.archive().exact(&skey) {
+        stats.store_exact_hits.fetch_add(1, Relaxed);
+        return Some((record, "exact"));
+    }
+    let record = store
+        .archive()
+        .dominating(&pkey, &req.objective.describe(), req.spec.iters)?;
+    stats.store_dominated_hits.fetch_add(1, Relaxed);
+    Some((record, "dominated"))
+}
+
+/// Runs one job. `memo_key` is the digest of `req.key` when the store
+/// is on.
 fn run_one(
-    cache: &mut HashMap<String, CacheEntry>,
-    tick: &mut u64,
+    state: &mut ShardState,
+    memo_key: Option<u128>,
     req: &mut JobRequest,
     core: &Arc<Core>,
 ) -> Result<Value, ServeError> {
+    // Memo path: a pair this shard resolved before is answered from the
+    // archive by its memoised prefix alone. The model cache is only
+    // asked whether it holds the models, for the `cache` label.
+    let memoised = memo_key.and_then(|k| state.memo.get(&k).copied());
+    if let (Some(store), Some(prefix)) = (&core.store, memoised) {
+        let keys = handler::prefixed_store_keys(prefix, &req.spec, &req.objective);
+        let store = store.lock().expect("store lock");
+        if let Some((record, label)) = archived_answer(&store, keys, req, &core.stats) {
+            let hit = state.cache.contains_key(&req.key);
+            count_cache(&core.stats, hit);
+            return Ok(handler::stored_result_value(req.id, record, hit, label));
+        }
+    }
+
+    let cache = &mut state.cache;
     let hit = cache.contains_key(&req.key);
-    if hit {
-        core.stats.cache_hits.fetch_add(1, Relaxed);
-    } else {
-        core.stats.cache_misses.fetch_add(1, Relaxed);
+    count_cache(&core.stats, hit);
+    if !hit {
         let (app, arch) = handler::resolve_models(&req.spec, &core.limits)?;
         if cache.len() >= MAX_CACHE_ENTRIES {
             let oldest = cache
@@ -127,37 +189,32 @@ fn run_one(
             },
         );
     }
-    *tick += 1;
+    state.tick += 1;
     let entry = cache.get_mut(&req.key).expect("entry ensured above");
-    entry.last_used = *tick;
+    entry.last_used = state.tick;
 
     // The result store's three read paths, cheapest first: exact hit
     // (no search), dominated hit (no search), warm start (search from
     // an archived incumbent). All lookups happen under one short lock;
-    // the search itself never holds it.
+    // the search itself never holds it. The models are hashed at most
+    // once, and only for a pair the memo does not know yet.
     let mut store_label = if core.store.is_some() { "miss" } else { "off" };
     let mut warm: Option<WarmStart> = None;
     let mut keys: Option<(StoreKey, PairKey)> = None;
-    if let Some(store) = &core.store {
+    if let (Some(store), Some(memo_key)) = (&core.store, memo_key) {
+        let prefix = memoised.unwrap_or_else(|| {
+            let prefix = handler::pair_prefix(&entry.app, &entry.arch);
+            if state.memo.len() >= MAX_MEMO_ENTRIES {
+                state.memo.clear();
+            }
+            state.memo.insert(memo_key, prefix);
+            prefix
+        });
         let objective = req.objective;
-        let (skey, pkey) = handler::store_keys(&entry.app, &entry.arch, &req.spec, &objective);
+        let (skey, pkey) = handler::prefixed_store_keys(prefix, &req.spec, &objective);
         let store = store.lock().expect("store lock");
-        if let Some(record) = store.archive().exact(&skey) {
-            core.stats.store_exact_hits.fetch_add(1, Relaxed);
-            return Ok(handler::stored_result_value(req.id, record, hit, "exact"));
-        }
-        if let Some(record) =
-            store
-                .archive()
-                .dominating(&pkey, &objective.describe(), req.spec.iters)
-        {
-            core.stats.store_dominated_hits.fetch_add(1, Relaxed);
-            return Ok(handler::stored_result_value(
-                req.id,
-                record,
-                hit,
-                "dominated",
-            ));
+        if let Some((record, label)) = archived_answer(&store, (skey, pkey), req, &core.stats) {
+            return Ok(handler::stored_result_value(req.id, record, hit, label));
         }
         let candidate = store.archive().warm_candidate(&pkey, |b| {
             objective.scalarize(&CostVector {

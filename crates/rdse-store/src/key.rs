@@ -27,7 +27,7 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Incremental 128-bit FNV-1a hasher over tagged, length-prefixed
 /// fields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Hasher128 {
     state: u128,
 }
@@ -62,6 +62,15 @@ impl Hasher128 {
     fn digest(&self) -> [u8; 16] {
         self.state.to_be_bytes()
     }
+}
+
+/// Plain 128-bit FNV-1a over `bytes` (no tags, no length prefix) — the
+/// store's hash, for callers that need a compact, collision-resistant
+/// stand-in for a long string.
+pub fn fnv1a128(bytes: &[u8]) -> u128 {
+    let mut h = Hasher128::new();
+    h.write(bytes);
+    h.state
 }
 
 fn hex(bytes: &[u8; 16]) -> String {
@@ -169,30 +178,85 @@ pub struct KeySpec<'a> {
     pub exchange_every: u64,
 }
 
-impl KeySpec<'_> {
-    fn pair_hasher(&self) -> Hasher128 {
+/// The search knobs of one exploration: every [`KeySpec`] field after
+/// the models, in hash order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchKnobs<'a> {
+    /// Canonical objective description.
+    pub objective: &'a str,
+    /// Master RNG seed.
+    pub seed: u64,
+    /// Total iteration budget.
+    pub iters: u64,
+    /// Warm-up iterations.
+    pub warmup: u64,
+    /// Portfolio chain count.
+    pub chains: u64,
+    /// Per-chain iterations between exchanges.
+    pub exchange_every: u64,
+}
+
+/// The key hash state after a [`KeySpec`]'s `(app, arch)` fields: the
+/// [`PairKey`] is its digest, and every [`StoreKey`] over the same
+/// models continues from it. One pass over the model JSON therefore
+/// yields both keys, and a `PairPrefix` kept by value (it is 16 bytes
+/// and `Copy`) re-derives them without the models at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PairPrefix(Hasher128);
+
+impl PairPrefix {
+    /// Hashes the canonical JSON of the resolved models.
+    pub fn new(app_json: &str, arch_json: &str) -> Self {
         let mut h = Hasher128::new();
-        h.field_str(1, self.app_json);
-        h.field_str(2, self.arch_json);
-        h
+        h.field_str(1, app_json);
+        h.field_str(2, arch_json);
+        PairPrefix(h)
+    }
+
+    /// The `(app, arch)` grouping key.
+    pub fn pair(&self) -> PairKey {
+        PairKey(self.0.digest())
+    }
+
+    /// The full content key of the exploration running `knobs` over
+    /// these models.
+    pub fn key(&self, knobs: &SearchKnobs<'_>) -> StoreKey {
+        let mut h = self.0;
+        h.field_str(3, knobs.objective);
+        h.field_u64(4, knobs.seed);
+        h.field_u64(5, knobs.iters);
+        h.field_u64(6, knobs.warmup);
+        h.field_u64(7, knobs.chains);
+        h.field_u64(8, knobs.exchange_every);
+        StoreKey(h.digest())
+    }
+}
+
+impl<'a> KeySpec<'a> {
+    fn prefix(&self) -> PairPrefix {
+        PairPrefix::new(self.app_json, self.arch_json)
+    }
+
+    fn knobs(&self) -> SearchKnobs<'a> {
+        SearchKnobs {
+            objective: self.objective,
+            seed: self.seed,
+            iters: self.iters,
+            warmup: self.warmup,
+            chains: self.chains,
+            exchange_every: self.exchange_every,
+        }
     }
 
     /// The full content key of this exploration.
     pub fn key(&self) -> StoreKey {
-        let mut h = self.pair_hasher();
-        h.field_str(3, self.objective);
-        h.field_u64(4, self.seed);
-        h.field_u64(5, self.iters);
-        h.field_u64(6, self.warmup);
-        h.field_u64(7, self.chains);
-        h.field_u64(8, self.exchange_every);
-        StoreKey(h.digest())
+        self.prefix().key(&self.knobs())
     }
 
     /// The `(app, arch)` grouping key — the prefix of [`key`](Self::key)
     /// covering only the models.
     pub fn pair(&self) -> PairKey {
-        PairKey(self.pair_hasher().digest())
+        self.prefix().pair()
     }
 }
 
@@ -262,6 +326,24 @@ mod tests {
             assert_ne!(variant.key(), base.key());
             assert_ne!(variant.pair(), base.pair());
         }
+    }
+
+    /// Digests captured before keys were derived from a [`PairPrefix`]:
+    /// archived logs are addressed by them, so they must never move.
+    #[test]
+    fn digests_are_pinned() {
+        assert_eq!(spec().key().hex(), "2101572e68527782fa5acb82dde494bf");
+        assert_eq!(spec().pair().hex(), "3af192932b9240900c5f8f7988d32cf0");
+        let prefix = spec().prefix();
+        assert_eq!(prefix.key(&spec().knobs()), spec().key());
+        assert_eq!(prefix.pair(), spec().pair());
+    }
+
+    #[test]
+    fn fnv1a128_matches_the_reference_vectors() {
+        // The published 128-bit FNV-1a test vectors.
+        assert_eq!(fnv1a128(b""), FNV128_OFFSET);
+        assert_eq!(fnv1a128(b"a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! # Layout
 //!
 //! - [`key`] — 128-bit FNV-1a content hashes ([`StoreKey`], [`PairKey`])
-//!   over the *resolved* job, tagged and length-prefixed per field.
+//!   over the *resolved* job, tagged and length-prefixed per field. A
+//!   [`PairPrefix`] is the hash state after the models, so one pass over
+//!   their JSON yields both keys.
 //! - [`record`] — the persisted form of one run ([`StoreRecord`]): every
 //!   `f64` as raw bits, the winning mapping as index-only JSON. The
 //!   archive keeps each one as an [`ArchivedRecord`], the mapping held as
@@ -80,7 +82,7 @@ pub mod record;
 pub mod store;
 
 pub use archive::Archive;
-pub use key::{KeySpec, PairKey, StoreKey};
+pub use key::{fnv1a128, KeySpec, PairKey, PairPrefix, SearchKnobs, StoreKey};
 pub use log::{ReplayReport, TailIssue};
 pub use record::{ArchivedRecord, CostBits, StoreRecord};
 pub use store::{verify, CompactReport, ResultStore, SyncPolicy};
