@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in DESIGN.md:
+//! Ablations of the annealer's design choices:
 //!
 //! * **A2 — schedules**: Lam adaptive cooling vs geometric cooling vs
 //!   pure random walk, at an equal iteration budget, on the motion
@@ -7,8 +7,9 @@
 //! * **move controller**: adaptive move-class weighting vs uniform
 //!   class selection.
 //!
-//! (A1, the incremental Woodbury evaluation, is a Criterion bench:
-//! `cargo bench -p rdse-bench --bench eval_incremental`.)
+//! (A1, the §4.4 Woodbury-type incremental longest path, was measured
+//! and dropped; the README's "Deviations from the paper" section gives
+//! its numbers.)
 //!
 //! Usage: `ablation [--runs N] [--iters N] [--clbs N] [--out F]`
 

@@ -1,6 +1,6 @@
 //! Shared helpers for the experiment harness: tiny CSV writer, ASCII
 //! plotting, and summary statistics. Each figure/table of the paper has
-//! a dedicated binary in `src/bin/` (see DESIGN.md's experiment index).
+//! a dedicated binary in `src/bin/`.
 
 use std::fmt::Write as _;
 use std::fs;

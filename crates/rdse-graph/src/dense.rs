@@ -1,7 +1,7 @@
 //! Data-oriented DAG storage and an incrementally repaired longest path.
 //!
-//! [`Digraph`] optimizes for cheap edge edits; the annealing hot path
-//! wants the opposite trade: a fixed edge structure scanned millions of
+//! [`Digraph`] keeps one heap-allocated adjacency list per node; the
+//! annealing hot path wants a fixed edge structure scanned millions of
 //! times with mutable *weights*. [`DenseDag`] stores the graph in CSR
 //! form — flat `u32` slabs for both edge directions, structure-of-arrays
 //! node and edge attributes — so a longest-path relaxation touches

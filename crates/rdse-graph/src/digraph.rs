@@ -1,12 +1,17 @@
-//! A dense directed graph with weighted, removable edges.
+//! An adjacency-list directed graph with weighted edges.
 //!
-//! The search graph *G′* of the paper is a fixed set of task nodes whose
-//! edge set is edited on every annealing move (sequentialization edges
-//! come and go), so [`Digraph`] optimizes for a fixed node count and
-//! cheap edge insertion/removal. Parallel edges are allowed: the task
-//! graph may impose a precedence between two tasks *and* a scheduling
-//! edge may join the same pair; longest-path queries see the maximum
-//! weight among parallel edges.
+//! [`Digraph`] is built once by [`Digraph::add_edge`] calls and then only
+//! read. It holds an application's precedence graph (the task graph of
+//! the paper), feeds [`crate::topo`], [`crate::longest_path`] and
+//! [`crate::linext`], and serves as the from-scratch reference the dense
+//! engine is tested against. The search graph *G′* that annealing edits
+//! on every move is not a `Digraph`: it lives in
+//! [`crate::dense::DenseDag`], with labels and order maintained by
+//! [`crate::dense::IncrementalLongestPath`].
+//!
+//! Parallel edges are allowed: the task graph may impose a precedence
+//! between two tasks *and* a scheduling edge may join the same pair;
+//! longest-path queries see the maximum weight among parallel edges.
 
 use crate::GraphError;
 use serde::{Deserialize, Serialize};
@@ -55,7 +60,7 @@ struct HalfEdge {
     weight: f64,
 }
 
-/// Dense directed graph over nodes `0..n` with weighted edges.
+/// Directed graph over nodes `0..n` with weighted edges.
 ///
 /// # Examples
 ///
@@ -68,8 +73,7 @@ struct HalfEdge {
 /// g.add_edge(NodeId(0), NodeId(2), 0.0)?;
 /// assert_eq!(g.n_edges(), 2);
 /// assert!(g.has_edge(NodeId(0), NodeId(1)));
-/// g.remove_edge(NodeId(0), NodeId(1))?;
-/// assert!(!g.has_edge(NodeId(0), NodeId(1)));
+/// assert!(!g.has_edge(NodeId(1), NodeId(0)));
 /// # Ok(())
 /// # }
 /// ```
@@ -100,13 +104,6 @@ impl Digraph {
         self.n_edges
     }
 
-    /// Appends a new isolated node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
-        NodeId((self.succ.len() - 1) as u32)
-    }
-
     fn check(&self, node: NodeId) -> Result<(), GraphError> {
         if node.index() >= self.n_nodes() {
             Err(GraphError::NodeOutOfBounds {
@@ -135,31 +132,6 @@ impl Digraph {
         self.succ[from.index()].push(HalfEdge { to, weight });
         self.pred[to.index()].push(from);
         self.n_edges += 1;
-        Ok(())
-    }
-
-    /// Removes one edge `from → to` (the most recently added parallel
-    /// instance, if several exist).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NoSuchEdge`] if no such edge exists, and
-    /// [`GraphError::NodeOutOfBounds`] for invalid endpoints.
-    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), GraphError> {
-        self.check(from)?;
-        self.check(to)?;
-        let succ = &mut self.succ[from.index()];
-        let Some(pos) = succ.iter().rposition(|e| e.to == to) else {
-            return Err(GraphError::NoSuchEdge(from, to));
-        };
-        succ.swap_remove(pos);
-        let pred = &mut self.pred[to.index()];
-        let ppos = pred
-            .iter()
-            .rposition(|&p| p == from)
-            .expect("pred list out of sync with succ list");
-        pred.swap_remove(ppos);
-        self.n_edges -= 1;
         Ok(())
     }
 
@@ -292,18 +264,6 @@ mod tests {
         g.add_edge(n(0), n(1), 5.0).unwrap();
         assert_eq!(g.n_edges(), 2);
         assert_eq!(g.edge_weight(n(0), n(1)), Some(5.0));
-        g.remove_edge(n(0), n(1)).unwrap();
-        assert_eq!(g.n_edges(), 1);
-        assert_eq!(g.edge_weight(n(0), n(1)), Some(1.0));
-    }
-
-    #[test]
-    fn remove_missing_edge_errors() {
-        let mut g = Digraph::new(2);
-        assert_eq!(
-            g.remove_edge(n(0), n(1)),
-            Err(GraphError::NoSuchEdge(n(0), n(1)))
-        );
     }
 
     #[test]
@@ -319,15 +279,6 @@ mod tests {
             g.add_edge(n(0), n(7), 0.0),
             Err(GraphError::NodeOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn add_node_extends_graph() {
-        let mut g = Digraph::new(1);
-        let v = g.add_node();
-        assert_eq!(v, n(1));
-        g.add_edge(n(0), v, 1.0).unwrap();
-        assert!(g.has_edge(n(0), v));
     }
 
     #[test]

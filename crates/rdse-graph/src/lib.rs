@@ -3,24 +3,19 @@
 //! This crate provides the graph machinery that the DATE'05 exploration
 //! tool of Miramond & Delosme is built on:
 //!
-//! * [`Digraph`] — a dense directed graph with weighted edges that
-//!   supports cheap edge insertion/removal (the search graph *G′* of the
-//!   paper is edited on every annealing move);
-//! * [`dense::DenseDag`] — the same graph in CSR form (flat `u32` edge
-//!   slabs, structure-of-arrays attributes) for read-mostly hot paths,
-//!   plus [`dense::IncrementalLongestPath`], which keeps longest-path
-//!   labels and a topological order up to date across deltas: only the
-//!   span of the order a delta breaks is re-sorted, and only the order
-//!   suffix from the first changed node is relabeled. Labels stay
-//!   bit-identical to a from-scratch recompute (see the [`dense`]
-//!   module docs for the determinism argument);
-//! * [`topo`] — topological ordering and cycle diagnostics;
-//! * [`closure::TransitiveClosure`] — a bitset reachability matrix with
-//!   the O(1) cycle query used in §4.3 of the paper;
+//! * [`Digraph`] — an adjacency-list directed graph with weighted
+//!   edges, the representation of an application's precedence graph
+//!   and the from-scratch reference for the dense engine;
+//! * [`dense::DenseDag`] — the search graph *G′* in CSR form (flat `u32`
+//!   edge slabs, structure-of-arrays attributes) for read-mostly hot
+//!   paths, plus [`dense::IncrementalLongestPath`], which keeps
+//!   longest-path labels and a topological order up to date across
+//!   deltas: only the span of the order a delta breaks is re-sorted, and
+//!   only the order suffix from the first changed node is relabeled.
+//!   Labels stay bit-identical to a from-scratch recompute (see the
+//!   [`dense`] module docs for the determinism argument);
+//! * [`topo`] — topological ordering and reachability;
 //! * [`longest_path`] — DAG longest path (the solution cost of §4.4);
-//! * [`apsp::MaxPlusClosure`] — an all-pairs longest-path matrix in the
-//!   (max,+) path algebra with the Woodbury-type rank-1 edge-insertion
-//!   update the paper attributes to Carré's *Graphs and Networks*;
 //! * [`linext`] — linear-extension counting, used to regenerate the
 //!   solution-space sizes quoted in §5.
 //!
@@ -40,24 +35,17 @@
 //! # }
 //! ```
 
-pub mod apsp;
-pub mod bitset;
-pub mod closure;
 pub mod dense;
 pub mod digraph;
-pub mod dot;
 pub mod linext;
 pub mod longest_path;
 pub mod topo;
 
-pub use apsp::MaxPlusClosure;
-pub use bitset::{BitMatrix, BitRow};
-pub use closure::TransitiveClosure;
 pub use dense::{DenseDag, IncrementalLongestPath, RepairGraph, RepairStats};
 pub use digraph::{Digraph, EdgeRef, NodeId};
 pub use linext::{binomial, count_linear_extensions, parallel_chain_orders};
 pub use longest_path::{dag_longest_path, LongestPath};
-pub use topo::{is_acyclic, topo_sort};
+pub use topo::topo_sort;
 
 use std::error::Error;
 use std::fmt;
@@ -83,8 +71,6 @@ pub enum GraphError {
         /// A node known to lie on the cycle.
         on_cycle: NodeId,
     },
-    /// The requested edge does not exist.
-    NoSuchEdge(NodeId, NodeId),
 }
 
 impl fmt::Display for GraphError {
@@ -100,7 +86,6 @@ impl fmt::Display for GraphError {
             GraphError::Cycle { on_cycle } => {
                 write!(f, "graph contains a cycle through node {on_cycle}")
             }
-            GraphError::NoSuchEdge(u, v) => write!(f, "no edge from {u} to {v}"),
         }
     }
 }

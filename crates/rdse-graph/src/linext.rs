@@ -19,10 +19,10 @@ pub const DEFAULT_IDEAL_CAP: usize = 20_000_000;
 ///
 /// Uses a dynamic program over order ideals represented as `u64`
 /// bitmasks, so it supports at most 64 nodes. Returns `None` when the
-/// graph has more than 64 nodes, contains a cycle, or the ideal lattice
+/// graph has more than 64 nodes, contains a cycle, the ideal lattice
 /// exceeds `ideal_cap` states (the count would be astronomically large
-/// anyway). For the chain-parallel graphs of the paper the lattice is
-/// tiny (hundreds of states).
+/// anyway), or the count exceeds `u128::MAX`. For the chain-parallel
+/// graphs of the paper the lattice is tiny (hundreds of states).
 ///
 /// # Examples
 ///
@@ -72,7 +72,8 @@ pub fn count_linear_extensions(g: &Digraph, ideal_cap: Option<usize>) -> Option<
             for v in 0..n {
                 let bit = 1u64 << v;
                 if s & bit == 0 && pred_mask[v] & !s == 0 {
-                    *next.entry(s | bit).or_insert(0) += count;
+                    let ways_to = next.entry(s | bit).or_insert(0);
+                    *ways_to = ways_to.checked_add(count)?;
                 }
             }
         }
@@ -201,6 +202,23 @@ mod tests {
         // 20-element antichain has 2^20 ideals; cap below that.
         let g = Digraph::new(20);
         assert_eq!(count_linear_extensions(&g, Some(1000)), None);
+    }
+
+    #[test]
+    fn count_beyond_u128_returns_none() {
+        // Five parallel chains of 13, 13, 13, 13 and 12 nodes: 14⁴·13 ≈ 500k
+        // ideals, well under the cap, but 64!/(13!⁴·12!) ≈ 1.76e41 orders,
+        // more than `u128::MAX` ≈ 3.4e38.
+        let mut g = Digraph::new(64);
+        let mut first = 0;
+        for len in [13u32, 13, 13, 13, 12] {
+            for i in first + 1..first + len {
+                g.add_edge(n(i - 1), n(i), 0.0).unwrap();
+            }
+            first += len;
+        }
+        assert_eq!(first, 64);
+        assert_eq!(count_linear_extensions(&g, None), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Topological ordering and cycle diagnostics.
+//! Topological ordering and reachability.
 
 use crate::{Digraph, GraphError, NodeId};
 
@@ -54,31 +54,10 @@ pub fn topo_sort(g: &Digraph) -> Result<Vec<NodeId>, GraphError> {
     Ok(order)
 }
 
-/// Returns `true` if `g` contains no directed cycle.
-///
-/// # Examples
-///
-/// ```
-/// use rdse_graph::{Digraph, NodeId, is_acyclic};
-///
-/// # fn main() -> Result<(), rdse_graph::GraphError> {
-/// let mut g = Digraph::new(2);
-/// g.add_edge(NodeId(0), NodeId(1), 0.0)?;
-/// assert!(is_acyclic(&g));
-/// g.add_edge(NodeId(1), NodeId(0), 0.0)?;
-/// assert!(!is_acyclic(&g));
-/// # Ok(())
-/// # }
-/// ```
-pub fn is_acyclic(g: &Digraph) -> bool {
-    topo_sort(g).is_ok()
-}
-
 /// Depth-first reachability: is there a directed path `from → … → to`?
 ///
-/// `from == to` counts as reachable (the empty path). Used as the exact
-/// fallback when the maintained transitive closure is stale after edge
-/// deletions (see the crate-level docs and DESIGN.md).
+/// `from == to` counts as reachable (the empty path). Inserting an edge
+/// `u → v` into a DAG closes a cycle exactly when `reaches(g, v, u)`.
 pub fn reaches(g: &Digraph, from: NodeId, to: NodeId) -> bool {
     if from == to {
         return true;
@@ -133,13 +112,11 @@ mod tests {
         g.add_edge(n(1), n(2), 0.0).unwrap();
         g.add_edge(n(2), n(0), 0.0).unwrap();
         assert!(matches!(topo_sort(&g), Err(GraphError::Cycle { .. })));
-        assert!(!is_acyclic(&g));
     }
 
     #[test]
-    fn empty_graph_is_acyclic() {
+    fn empty_graph_sorts_to_empty_order() {
         let g = Digraph::new(0);
-        assert!(is_acyclic(&g));
         assert!(topo_sort(&g).unwrap().is_empty());
     }
 

@@ -1499,7 +1499,11 @@ fn run_space(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!("too many nodes/ideals to count exactly");
+            eprintln!(
+                "{}: {} tasks, total-order count too large to compute exactly",
+                app.name(),
+                app.n_tasks()
+            );
             ExitCode::FAILURE
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`graph`] | DAG substrate: transitive closure, longest path, (max,+) closure with Woodbury updates, linear-extension counting |
+//! | [`graph`] | DAG substrate: precedence `Digraph`, CSR `DenseDag` with an incrementally maintained longest path and topological order, linear-extension counting |
 //! | [`anneal`] | adaptive simulated annealing (Lam schedule), move-class controller with an optional deterministic UCB operator bandit, Pareto utilities (non-dominated rank, crowding distance, hypervolume), test problems |
 //! | [`model`] | task graphs with area–time Pareto implementations; architectures (processor / DRLC / ASIC / bus) |
 //! | [`mapping`] | the paper's core: solutions, search graph, moves m1–m5, evaluation, Gantt schedules, the resumable explorer and the parallel portfolio engine (`Explorer`, `explore_parallel`) |

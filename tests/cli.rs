@@ -1,7 +1,9 @@
 //! CLI smoke tests for the multi-objective flags: malformed
 //! `--objective` specs are rejected with exit code 2 and an actionable
-//! message; well-formed specs run and report a Pareto front.
+//! message; well-formed specs run and report a Pareto front. Also covers
+//! `rdse space`, the serve/submit surface and the store subcommands.
 
+use rdse::model::{Bytes, Micros, TaskGraph};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
@@ -304,4 +306,46 @@ fn served_job_matches_offline_explore_bit_for_bit() {
     let served_bits = bits_line(&served).expect("served bits line");
     let offline_bits = bits_line(&offline).expect("offline bits line");
     assert_eq!(served_bits, offline_bits, "served ≠ offline");
+}
+
+#[test]
+fn space_counts_motion_and_names_a_count_too_large_to_compute() {
+    let (app, _) = models();
+    let out = rdse(&["space", "--app", app]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("348840 total orders"),
+        "{out:?}"
+    );
+
+    // Five parallel chains of 13, 13, 13, 13 and 12 tasks: few enough
+    // order ideals to enumerate, but about 1.76e41 orders, more than a
+    // u128 holds.
+    let mut wide = TaskGraph::new("five-chains");
+    for len in [13, 13, 13, 13, 12] {
+        let mut prev = None;
+        for _ in 0..len {
+            let t = wide
+                .add_task(
+                    format!("t{}", wide.n_tasks()),
+                    "f",
+                    Micros::new(1.0),
+                    vec![],
+                )
+                .expect("valid task");
+            if let Some(p) = prev {
+                wide.add_data_edge(p, t, Bytes::new(1)).expect("valid edge");
+            }
+            prev = Some(t);
+        }
+    }
+    let path = std::env::temp_dir().join("rdse_cli_space_five_chains.json");
+    wide.save(&path).expect("saves");
+    let out = rdse(&["space", "--app", path.to_str().unwrap()]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("64 tasks, total-order count too large to compute exactly"),
+        "{stderr}"
+    );
 }
