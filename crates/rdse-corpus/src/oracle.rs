@@ -24,7 +24,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rdse_mapping::moves::{propose_impl_move, propose_pair_move};
-use rdse_mapping::{evaluate, CostVector, Dominance, Evaluator, Mapping, MoveScratch, ParetoFront};
+use rdse_mapping::{
+    evaluate, CostVector, Dominance, EvalSummary, Evaluator, Mapping, MoveScratch, ParetoFront,
+};
 use rdse_model::units::Micros;
 use rdse_model::{Architecture, TaskGraph};
 use rdse_sim::{simulate, SimConfig};
@@ -261,18 +263,16 @@ pub fn front_check(
     Ok(())
 }
 
-/// Three-way agreement at one mapping; returns the agreed makespan and
-/// the with-contention makespan.
+/// Three-way agreement at one mapping, given the incremental
+/// evaluator's full-evaluation summary of it; returns the agreed
+/// makespan and the with-contention makespan.
 fn check_state(
     app: &TaskGraph,
     arch: &Architecture,
-    evaluator: &mut Evaluator<'_>,
+    incremental: EvalSummary,
     mapping: &Mapping,
     step: u32,
 ) -> Result<(Micros, Micros), OracleFailure> {
-    let incremental = evaluator
-        .evaluate(mapping)
-        .map_err(|e| OracleFailure::Engine(format!("incremental evaluation: {e}")))?;
     let scratch = match evaluate(app, arch, mapping) {
         Ok(e) => e,
         Err(_) => return Err(OracleFailure::FeasibilityDisagreement { step }),
@@ -325,7 +325,10 @@ pub fn differential_check(
     walk_steps: u32,
 ) -> Result<OracleReport, OracleFailure> {
     let mut evaluator = Evaluator::new(app, arch);
-    let (makespan, contention_makespan) = check_state(app, arch, &mut evaluator, mapping, 0)?;
+    let initial = evaluator
+        .evaluate(mapping)
+        .map_err(|e| OracleFailure::Engine(format!("incremental evaluation: {e}")))?;
+    let (makespan, contention_makespan) = check_state(app, arch, initial, mapping, 0)?;
 
     // The fourth leg's evaluator advances move by move through
     // evaluate_delta (the window re-sort / certified sweep
@@ -391,7 +394,7 @@ pub fn differential_check(
                     }
                     Err(_) => return Err(OracleFailure::RepairFeasibilityDiverged { step }),
                 }
-                check_state(app, arch, &mut evaluator, &walk, step)?;
+                check_state(app, arch, full, &walk, step)?;
                 moves_applied += 1;
                 if batch_states.len() < BATCH_CAP {
                     batch_states.push((walk.clone(), full.makespan.value().to_bits()));

@@ -13,14 +13,24 @@
 //!   the bus transfer time otherwise);
 //! * the processor total orders (*Esw*) are doubly linked
 //!   `prev_sw`/`next_sw` arrays, spliced in O(1) per move;
+//! * the contexts live in a slab of context mirrors (member list, area,
+//!   reconfiguration weight, initials, terminals) under stable slot
+//!   ids, linked per device in context order;
 //! * the context sequentialization edges (*Ehw*) are *virtual*: each
 //!   task carries at most one in-bundle and one out-bundle marker
-//!   `(device, context)`, and the [`RepairGraph`] overlay expands a
+//!   naming a context slot, and the [`RepairGraph`] overlay expands a
 //!   marker into the terminals×initials biclique on the fly — a move
 //!   never materializes those edges;
-//! * [`Evaluator::evaluate_delta`] re-derives only the state a single
-//!   move can touch, seeds the nodes whose in-edge candidate sets
-//!   changed, and relabels over a maintained topological order
+//! * [`Evaluator::evaluate_delta`] re-derives only what one move can
+//!   touch. A move changes the task's node and incident edge weights,
+//!   at most two processor chains, and the one or two contexts the
+//!   task left and joined. Only those contexts' mirrors are recomputed
+//!   and re-marked. A context whose index shifts (because one before
+//!   it was inserted or removed) keeps its slot, content and markers;
+//!   only its neighbours' links and the terminals' markers before an
+//!   inserted or removed context are rewritten. The delta seeds the
+//!   nodes whose in-edge candidate sets changed and relabels over a
+//!   maintained topological order
 //!   ([`IncrementalLongestPath::order_pos`]). Every edge the move
 //!   added has its head among the seeds, so the evaluator finds the
 //!   edges that now point backwards by scanning the seeds' in-edges,
@@ -30,8 +40,9 @@
 //!   cycle the move is rejected as cyclic without touching a label.
 //!   A single check-free relaxation pass over the order suffix from
 //!   the first seed then relabels the cone
-//!   ([`IncrementalLongestPath::sweep_certified`]). Order and labels
-//!   are journaled, so rejection stays a cheap rollback.
+//!   ([`IncrementalLongestPath::sweep_certified`]). Mirror writes,
+//!   replaced context mirrors, order and labels are journaled, so
+//!   rejection stays a cheap rollback.
 //!
 //! Batches of sibling candidates amortize the one full synchronization
 //! through [`Evaluator::evaluate_batch`].
@@ -76,19 +87,6 @@ const K_SW: u8 = 0;
 const K_HW: u8 = 1;
 const K_ASIC: u8 = 2;
 
-/// Packs a `(device, context)` bundle marker into one `u32`.
-#[inline]
-fn enc_bundle(d: usize, k: usize) -> u32 {
-    debug_assert!(d < 0x1_0000 && k < 0x1_0000, "bundle marker overflow");
-    ((d as u32) << 16) | k as u32
-}
-
-/// Unpacks a bundle marker produced by [`enc_bundle`].
-#[inline]
-fn dec_bundle(b: u32) -> (usize, usize) {
-    ((b >> 16) as usize, (b & 0xFFFF) as usize)
-}
-
 /// Logs `arr[i] = v` into `log` and reports whether anything changed.
 #[inline]
 fn log_set_u32(log: &mut Vec<(u32, u32)>, arr: &mut [u32], i: u32, v: u32) -> bool {
@@ -99,6 +97,18 @@ fn log_set_u32(log: &mut Vec<(u32, u32)>, arr: &mut [u32], i: u32, v: u32) -> bo
     log.push((i, old));
     arr[i as usize] = v;
     true
+}
+
+/// Sets `arr[i] = v`, logging it into `log` only when `journal` is
+/// set, and reports whether anything changed.
+#[inline]
+fn set_u32(journal: bool, log: &mut Vec<(u32, u32)>, arr: &mut [u32], i: u32, v: u32) -> bool {
+    if journal {
+        return log_set_u32(log, arr, i, v);
+    }
+    let changed = arr[i as usize] != v;
+    arr[i as usize] = v;
+    changed
 }
 
 /// Counters describing an [`Evaluator`]'s arena and repair behaviour,
@@ -129,6 +139,13 @@ pub struct EvaluatorStats {
     /// Total nodes relabeled across all sweeps (for the mean cone
     /// size).
     pub cone_nodes: u64,
+    /// Contexts whose mirror a delta or batch candidate re-derived
+    /// (area, reconfiguration weight, initials, terminals): the
+    /// contexts a moved task left or joined.
+    pub contexts_recomputed: u64,
+    /// Contexts on the devices a delta or batch candidate touched whose
+    /// mirror it kept as it was.
+    pub contexts_untouched: u64,
 }
 
 impl EvaluatorStats {
@@ -151,6 +168,10 @@ impl EvaluatorStats {
 /// Mirror of one context's evaluation-relevant state.
 #[derive(Debug, Clone, Default)]
 struct CtxState {
+    /// Device the context lives on.
+    dev: u32,
+    /// Member tasks, in the mapping's context order.
+    tasks: Vec<u32>,
     /// CLBs occupied by the context's tasks (u32 sum — order-free).
     clbs: u32,
     /// Reconfiguration latency for this context, in microseconds.
@@ -163,18 +184,235 @@ struct CtxState {
     terminals: Vec<u32>,
 }
 
-/// Mirror of one DRLC's context list, double-buffered so a delta can
-/// rebuild into `alt` and diff against `cur` before committing.
+impl CtxState {
+    fn capacity(&self) -> usize {
+        self.tasks.capacity() + self.initials.capacity() + self.terminals.capacity()
+    }
+}
+
+/// The context mirror (*Ehw*): every live context of every device sits
+/// in one slab under a stable slot id, and each device's contexts form
+/// a doubly linked list in context order. Bundle markers name slots,
+/// not positions, so a context whose index shifts keeps its slot, its
+/// content and its markers; a sync pass re-derives only the contexts a
+/// dirty task left or joined and relinks their neighbours.
 ///
-/// Buffers only grow: `cur`/`alt` keep `CtxState` slots (and their
-/// inner vectors) alive past the current length, so steady-state
-/// rebuilds recycle capacity instead of allocating.
+/// A pass is journaled: a recomputed slot's old content moves into
+/// `saved` (its replacement comes from the `spare` pool), released
+/// slots wait in `released` and new ones are listed in `allocated`, so
+/// [`rollback`](Self::rollback) restores the slab by moving values
+/// back and [`commit`](Self::commit) recycles them. Buffers only grow.
 #[derive(Debug, Clone, Default)]
-struct DrlcState {
-    cur: Vec<CtxState>,
-    cur_len: usize,
-    alt: Vec<CtxState>,
-    alt_len: usize,
+struct CtxMirror {
+    /// Context slab and per-slot links, indexed by slot id.
+    slots: Vec<CtxState>,
+    meta: Vec<SlotMeta>,
+    /// Slot ids holding no live context.
+    free: Vec<u32>,
+    /// Recycled context buffers.
+    spare: Vec<CtxState>,
+    /// Per device: first context's slot ([`NONE`] if none).
+    head: Vec<u32>,
+    /// Per device: stamp of the last pass that touched it.
+    dev_mark: Vec<u64>,
+    /// Per task: slot of its context ([`NONE`] unless hardware-placed).
+    of: Vec<u32>,
+    /// Per task: `dirty_mark` stamps the pass's dirty tasks;
+    /// `first_mark` stamps the first task of each context queued for
+    /// recomputation, then the terminals of the recomputed contexts.
+    dirty_mark: Vec<u64>,
+    first_mark: Vec<u64>,
+    /// Pass inputs and scratch: the dirty tasks, the old slots they
+    /// left, the contexts to recompute, and the slots to relink.
+    dirty: Vec<u32>,
+    left: Vec<u32>,
+    fresh: Vec<Recompute>,
+    links: Vec<u32>,
+    /// Journal of the outstanding pass.
+    saved: Vec<(u32, CtxState)>,
+    allocated: Vec<u32>,
+    released: Vec<u32>,
+    /// `true` once a context buffer grew during the current evaluation.
+    grew: bool,
+}
+
+/// A slot's place in its device's context order, and its stamps for
+/// the current sync pass.
+#[derive(Debug, Clone, Copy)]
+struct SlotMeta {
+    /// Neighbours in the device's context order ([`NONE`] at either
+    /// end).
+    prev: u32,
+    next: u32,
+    /// A dirty task left this (old) slot.
+    left_mark: u64,
+    /// Queued for relinking (or released: never relinked).
+    link: u64,
+}
+
+impl CtxMirror {
+    fn new(n_tasks: usize, n_devices: usize) -> Self {
+        CtxMirror {
+            head: vec![NONE; n_devices],
+            dev_mark: vec![0; n_devices],
+            of: vec![NONE; n_tasks],
+            dirty_mark: vec![0; n_tasks],
+            first_mark: vec![0; n_tasks],
+            ..CtxMirror::default()
+        }
+    }
+
+    /// Takes a free slot (or grows the slab) for a new context.
+    fn alloc(&mut self) -> u32 {
+        let s = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.slots.push(CtxState::default());
+                self.meta.push(SlotMeta {
+                    prev: NONE,
+                    next: NONE,
+                    left_mark: 0,
+                    link: 0,
+                });
+                self.grew = true;
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.allocated.push(s);
+        s
+    }
+
+    /// Moves slot `s`'s content into the journal and hands the slot an
+    /// empty (recycled) buffer set.
+    fn save(&mut self, s: u32) {
+        let fresh = self.spare.pop().unwrap_or_default();
+        let old = std::mem::replace(&mut self.slots[s as usize], fresh);
+        self.saved.push((s, old));
+    }
+
+    /// Accepts the outstanding pass: replaced content and released
+    /// slots become reusable.
+    fn commit(&mut self) {
+        self.spare.extend(self.saved.drain(..).map(|(_, c)| c));
+        self.free.append(&mut self.released);
+        self.allocated.clear();
+    }
+
+    /// Undoes the outstanding pass's slab changes (links, heads and
+    /// task slots are restored from the [`DeltaLog`]).
+    fn rollback(&mut self) {
+        while let Some((s, old)) = self.saved.pop() {
+            let new = std::mem::replace(&mut self.slots[s as usize], old);
+            self.spare.push(new);
+        }
+        while let Some(s) = self.allocated.pop() {
+            self.free.push(s);
+        }
+        self.released.clear();
+    }
+
+    /// Forgets every context: all slots free, no device has one, and
+    /// room for `n_contexts` of them.
+    fn reset(&mut self, n_contexts: usize) {
+        self.commit();
+        self.free.clear();
+        self.free.extend((0..self.slots.len() as u32).rev());
+        let more = n_contexts.saturating_sub(self.slots.len());
+        self.slots.reserve(more);
+        self.meta.reserve(more);
+        self.fresh.reserve(n_contexts);
+        self.allocated.reserve(n_contexts);
+        self.head.fill(NONE);
+        self.of.fill(NONE);
+    }
+
+    /// Capacity of the growable slab-level vectors (context buffers
+    /// report their own growth through `grew`).
+    fn capacity(&self) -> usize {
+        self.slots.capacity()
+            + self.meta.capacity()
+            + self.free.capacity()
+            + self.spare.capacity()
+            + self.dirty.capacity()
+            + self.left.capacity()
+            + self.fresh.capacity()
+            + self.links.capacity()
+            + self.saved.capacity()
+            + self.allocated.capacity()
+            + self.released.capacity()
+    }
+
+    /// Slot of context `k` of device `d` in `mapping` (valid once every
+    /// task's slot is synced).
+    #[inline]
+    fn slot_at(&self, mapping: &Mapping, d: usize, k: usize) -> u32 {
+        self.of[mapping.contexts(d)[k].tasks()[0].index()]
+    }
+}
+
+/// Queues context `k` of device `d` for recomputation once per pass
+/// (deduplicated on its first task).
+fn queue_ctx(ctx: &mut CtxMirror, mapping: &Mapping, g: u64, d: usize, k: usize) {
+    let first = mapping.contexts(d)[k].tasks()[0].index();
+    if ctx.first_mark[first] != g {
+        ctx.first_mark[first] = g;
+        ctx.fresh.push(Recompute::at(d, k));
+    }
+}
+
+/// A context a sync pass recomputes: its position in the new mapping,
+/// its slot, and what changed against the slot's old content.
+#[derive(Debug, Clone, Copy)]
+struct Recompute {
+    dev: u32,
+    k: u32,
+    slot: u32,
+    /// Index of the slot's old content in the journal ([`NONE`] for a
+    /// new slot).
+    saved: u32,
+    /// The initials or the reconfiguration weight changed: the
+    /// initials' in-edges did.
+    heads: bool,
+    /// The initials list changed (their markers need rewriting).
+    inits: bool,
+    /// The terminals list changed (their markers, and the next
+    /// context's initials' in-edges, need rewriting).
+    terms: bool,
+    /// A released slot taken back for the same member list: relinked
+    /// like a new slot, and its old neighbours too.
+    revived: bool,
+}
+
+impl Recompute {
+    fn at(d: usize, k: usize) -> Self {
+        Recompute {
+            dev: d as u32,
+            k: k as u32,
+            slot: NONE,
+            saved: NONE,
+            heads: true,
+            inits: true,
+            terms: true,
+            revived: false,
+        }
+    }
+}
+
+/// Queues slot `s` for relinking once per pass.
+fn queue_link(ctx: &mut CtxMirror, g: u64, s: u32) {
+    if ctx.meta[s as usize].link != g {
+        ctx.meta[s as usize].link = g;
+        ctx.links.push(s);
+    }
+}
+
+/// Peak occupancy, context count and reconfiguration sums of the
+/// context mirror, accumulated in `(device, context)` order.
+struct CtxTotals {
+    clb_area: Clbs,
+    n_contexts: usize,
+    initial_reconfig: Micros,
+    dynamic_reconfig: Micros,
 }
 
 /// Typed undo log for one delta evaluation. Each vector records
@@ -190,8 +428,12 @@ struct DeltaLog {
     out_bundle: Vec<(u32, u32)>,
     kind: Vec<(u32, u8)>,
     drlc_of: Vec<(u32, u32)>,
-    /// DRLCs whose `cur`/`alt` buffers were swapped.
-    swapped: Vec<u32>,
+    /// Context mirror links: per-slot neighbours, per-device head,
+    /// per-task slot.
+    ctx_prev: Vec<(u32, u32)>,
+    ctx_next: Vec<(u32, u32)>,
+    ctx_head: Vec<(u32, u32)>,
+    ctx_of: Vec<(u32, u32)>,
     /// `hw_count` before the delta.
     hw_count: u32,
 }
@@ -206,7 +448,10 @@ impl DeltaLog {
         self.out_bundle.clear();
         self.kind.clear();
         self.drlc_of.clear();
-        self.swapped.clear();
+        self.ctx_prev.clear();
+        self.ctx_next.clear();
+        self.ctx_head.clear();
+        self.ctx_of.clear();
     }
 
     fn capacity(&self) -> usize {
@@ -218,7 +463,10 @@ impl DeltaLog {
             + self.out_bundle.capacity()
             + self.kind.capacity()
             + self.drlc_of.capacity()
-            + self.swapped.capacity()
+            + self.ctx_prev.capacity()
+            + self.ctx_next.capacity()
+            + self.ctx_head.capacity()
+            + self.ctx_of.capacity()
     }
 }
 
@@ -233,7 +481,7 @@ struct Overlay<'e> {
     next_sw: &'e [u32],
     in_bundle: &'e [u32],
     out_bundle: &'e [u32],
-    drlcs: &'e [DrlcState],
+    ctx: &'e CtxMirror,
     /// Task count; node `n` is the virtual source.
     n: usize,
 }
@@ -254,9 +502,9 @@ impl RepairGraph for Overlay<'_> {
         if v as usize == self.n {
             // Virtual source: one edge per device to each initial task
             // of the device's first context.
-            for st in self.drlcs {
-                if st.cur_len > 0 {
-                    for &t in &st.cur[0].initials {
+            for &h in &self.ctx.head {
+                if h != NONE {
+                    for &t in &self.ctx.slots[h as usize].initials {
                         f(t);
                     }
                 }
@@ -270,8 +518,7 @@ impl RepairGraph for Overlay<'_> {
         }
         let b = self.out_bundle[v as usize];
         if b != NONE {
-            let (d, k) = dec_bundle(b);
-            for &t in &self.drlcs[d].cur[k].initials {
+            for &t in &self.ctx.slots[b as usize].initials {
                 f(t);
             }
         }
@@ -279,10 +526,11 @@ impl RepairGraph for Overlay<'_> {
 
     /// Closed-form in-degree: static data edges from the CSR extents,
     /// plus one software-chain edge if `prev_sw` is set, plus the
-    /// bundle contribution (one virtual-source edge for context 0,
-    /// otherwise one edge per terminal of the previous context). The
-    /// default enumeration-based count would walk every in-edge; this
-    /// makes the full pass's Kahn seeding O(n) instead of O(n + m).
+    /// bundle contribution (one virtual-source edge for a device's
+    /// first context, otherwise one edge per terminal of the previous
+    /// context). The default enumeration-based count would walk every
+    /// in-edge; this makes the full pass's Kahn seeding O(n) instead of
+    /// O(n + m).
     #[inline]
     fn in_degree(&self, v: u32) -> u32 {
         if v as usize == self.n {
@@ -294,11 +542,11 @@ impl RepairGraph for Overlay<'_> {
         }
         let b = self.in_bundle[v as usize];
         if b != NONE {
-            let (dev, k) = dec_bundle(b);
-            if k == 0 {
+            let p = self.ctx.meta[b as usize].prev;
+            if p == NONE {
                 d += 1;
             } else {
-                d += self.drlcs[dev].cur[k - 1].terminals.len() as u32;
+                d += self.ctx.slots[p as usize].terminals.len() as u32;
             }
         }
         d
@@ -316,12 +564,12 @@ impl RepairGraph for Overlay<'_> {
         }
         let b = self.in_bundle[v as usize];
         if b != NONE {
-            let (d, k) = dec_bundle(b);
-            let w = self.drlcs[d].cur[k].reconfig;
-            if k == 0 {
+            let w = self.ctx.slots[b as usize].reconfig;
+            let p = self.ctx.meta[b as usize].prev;
+            if p == NONE {
                 f(self.n as u32, w);
             } else {
-                for &t in &self.drlcs[d].cur[k - 1].terminals {
+                for &t in &self.ctx.slots[p as usize].terminals {
                     f(t, w);
                 }
             }
@@ -378,10 +626,11 @@ pub struct Evaluator<'a> {
     /// Processor chains (*Esw*) as doubly linked lists over tasks.
     prev_sw: Vec<u32>,
     next_sw: Vec<u32>,
-    /// Virtual *Ehw* markers: `in_bundle[t]` is set iff `t` is an
-    /// initial of context `(d, k)`; `out_bundle[t]` iff `t` is a
-    /// terminal of context `(d, k-1)` and context `k` exists (the
-    /// marker encodes the *target* context).
+    /// Virtual *Ehw* markers, naming context slots: `in_bundle[t]` is
+    /// the slot of the context `t` is an initial of; `out_bundle[t]`,
+    /// for a terminal `t`, the slot of the next context on its device
+    /// (the marker names the *target* context; [`NONE`] if `t`'s
+    /// context is the device's last).
     in_bundle: Vec<u32>,
     out_bundle: Vec<u32>,
     /// Placement kind per task ([`K_SW`]/[`K_HW`]/[`K_ASIC`]).
@@ -390,9 +639,11 @@ pub struct Evaluator<'a> {
     drlc_of: Vec<u32>,
     /// Number of hardware-placed tasks.
     hw_count: u32,
-    /// Double-buffered per-DRLC context mirrors.
-    drlcs: Vec<DrlcState>,
-    /// Generation-stamped context membership (avoids clearing).
+    /// Per-device context mirrors.
+    ctx: CtxMirror,
+    /// Generation-stamped context membership (avoids clearing); a sync
+    /// pass also stamps the recomputed contexts' initials in it. The
+    /// generation stamps every sync pass too.
     membership: Vec<u64>,
     generation: u64,
     /// Longest-path labels, kept alive and repaired across moves.
@@ -414,11 +665,10 @@ pub struct Evaluator<'a> {
     synced: bool,
     /// Per-candidate results of the last [`evaluate_batch`] call.
     batch_out: Vec<Result<EvalSummary, MappingError>>,
-    /// Scratch for batch diffs: tasks / processors / DRLCs that differ
-    /// between the base and the candidate.
+    /// Scratch for batch diffs: tasks / processors that differ between
+    /// the base and the candidate.
     diff_tasks: Vec<u32>,
     diff_procs: Vec<u32>,
-    diff_drlcs: Vec<u32>,
     stats: EvaluatorStats,
 }
 
@@ -446,7 +696,7 @@ pub struct EvaluatorArenas {
     out_bundle: Vec<u32>,
     kind: Vec<u8>,
     drlc_of: Vec<u32>,
-    drlcs: Vec<DrlcState>,
+    ctx: CtxMirror,
     membership: Vec<u64>,
     generation: u64,
     lp: IncrementalLongestPath,
@@ -457,7 +707,6 @@ pub struct EvaluatorArenas {
     batch_out: Vec<Result<EvalSummary, MappingError>>,
     diff_tasks: Vec<u32>,
     diff_procs: Vec<u32>,
-    diff_drlcs: Vec<u32>,
     stats: EvaluatorStats,
 }
 
@@ -474,7 +723,7 @@ impl EvaluatorArenas {
             && self.xfer.len() == m
             && self.dag.n_nodes() == n + 1
             && self.dag.n_edges() == m
-            && self.drlcs.len() == arch.drlcs().len()
+            && self.ctx.head.len() == arch.drlcs().len()
             && app
                 .edges()
                 .iter()
@@ -529,7 +778,7 @@ impl<'a> Evaluator<'a> {
             kind: vec![K_SW; n],
             drlc_of: vec![NONE; n],
             hw_count: 0,
-            drlcs: vec![DrlcState::default(); arch.drlcs().len()],
+            ctx: CtxMirror::new(n, arch.drlcs().len()),
             membership: vec![0; n],
             generation: 0,
             lp: IncrementalLongestPath::new(n + 1),
@@ -542,7 +791,6 @@ impl<'a> Evaluator<'a> {
             batch_out: Vec::new(),
             diff_tasks: Vec::new(),
             diff_procs: Vec::new(),
-            diff_drlcs: Vec::new(),
             stats: EvaluatorStats::default(),
         }
     }
@@ -575,7 +823,7 @@ impl<'a> Evaluator<'a> {
             out_bundle,
             kind,
             drlc_of,
-            drlcs,
+            mut ctx,
             membership,
             generation,
             lp,
@@ -586,7 +834,6 @@ impl<'a> Evaluator<'a> {
             mut batch_out,
             diff_tasks,
             diff_procs,
-            diff_drlcs,
             stats,
         } = arenas;
         let bus = arch.bus();
@@ -594,6 +841,7 @@ impl<'a> Evaluator<'a> {
             *slot = bus.transfer_time(e.bytes).value();
         }
         log.clear();
+        ctx.commit();
         seeds.clear();
         struct_seeds.clear();
         eid_scratch.clear();
@@ -611,7 +859,7 @@ impl<'a> Evaluator<'a> {
             kind,
             drlc_of,
             hw_count: 0,
-            drlcs,
+            ctx,
             membership,
             generation,
             lp,
@@ -624,7 +872,6 @@ impl<'a> Evaluator<'a> {
             batch_out,
             diff_tasks,
             diff_procs,
-            diff_drlcs,
             stats,
         }
     }
@@ -648,7 +895,7 @@ impl<'a> Evaluator<'a> {
             kind,
             drlc_of,
             hw_count: _,
-            drlcs,
+            ctx,
             membership,
             generation,
             lp,
@@ -661,7 +908,6 @@ impl<'a> Evaluator<'a> {
             batch_out,
             diff_tasks,
             diff_procs,
-            diff_drlcs,
             stats,
         } = self;
         EvaluatorArenas {
@@ -674,7 +920,7 @@ impl<'a> Evaluator<'a> {
             out_bundle,
             kind,
             drlc_of,
-            drlcs,
+            ctx,
             membership,
             generation,
             lp,
@@ -685,7 +931,6 @@ impl<'a> Evaluator<'a> {
             batch_out,
             diff_tasks,
             diff_procs,
-            diff_drlcs,
             stats,
         }
     }
@@ -741,28 +986,10 @@ impl<'a> Evaluator<'a> {
         self.stats.evaluations += 1;
         self.synced = false;
         self.delta_active = false;
-        self.log.clear();
+        self.commit_log();
         self.lp.discard_journal();
-
-        // Capacity check first: a context overflow is infeasible
-        // regardless of ordering (same order as `evaluate`). The same
-        // pass records the peak context occupancy — the clb_area
-        // objective, a `u32` max, so both engines agree exactly.
-        let mut clb_area = Clbs::new(0);
-        for (d, spec) in arch.drlcs().iter().enumerate() {
-            for c in 0..mapping.contexts(d).len() {
-                let used = mapping.context_clbs(app, d, c);
-                if used > spec.n_clbs() {
-                    return Err(MappingError::CapacityExceeded {
-                        drlc: d,
-                        context: c,
-                    });
-                }
-                clb_area = clb_area.max(used);
-            }
-        }
-
         let capacity_before = self.arena_capacity();
+        self.ctx.grew = false;
 
         // Node weights under the mapping's placements/implementations
         // (the virtual source keeps weight 0 from construction).
@@ -806,28 +1033,24 @@ impl<'a> Evaluator<'a> {
             }
         }
 
-        // Context mirrors and bundle markers (Ehw).
-        for d in 0..arch.drlcs().len() {
-            self.rebuild_drlc_into_alt(mapping, d);
-            let st = &mut self.drlcs[d];
-            std::mem::swap(&mut st.cur, &mut st.alt);
-            std::mem::swap(&mut st.cur_len, &mut st.alt_len);
-        }
+        // Context mirror and bundle markers (Ehw): the same sync pass
+        // as a delta, with every task dirty and no context to keep.
         self.in_bundle.fill(NONE);
         self.out_bundle.fill(NONE);
-        for d in 0..self.drlcs.len() {
-            let st = &self.drlcs[d];
-            for k in 0..st.cur_len {
-                for &t in &st.cur[k].initials {
-                    self.in_bundle[t as usize] = enc_bundle(d, k);
-                }
-                if k + 1 < st.cur_len {
-                    for &t in &st.cur[k].terminals {
-                        self.out_bundle[t as usize] = enc_bundle(d, k + 1);
-                    }
-                }
+        self.ctx.reset(mapping.n_contexts());
+        self.sync_contexts(mapping);
+        self.commit_log();
+
+        // Capacity check before the longest path: a context overflow
+        // is infeasible regardless of ordering (same priority as
+        // `evaluate`).
+        let totals = match self.context_totals() {
+            Ok(t) => t,
+            Err(e) => {
+                self.note_growth(capacity_before);
+                return Err(e);
             }
-        }
+        };
 
         // Full longest-path pass over the overlay.
         let full = {
@@ -837,23 +1060,18 @@ impl<'a> Evaluator<'a> {
                 next_sw: &self.next_sw,
                 in_bundle: &self.in_bundle,
                 out_bundle: &self.out_bundle,
-                drlcs: &self.drlcs,
+                ctx: &self.ctx,
                 n: self.n,
             };
             self.lp.full(&overlay)
         };
+        self.lp.discard_journal();
+        self.note_growth(capacity_before);
         if full.is_err() {
             return Err(MappingError::CyclicSchedule);
         }
-        self.lp.discard_journal();
         self.synced = true;
-
-        if self.arena_capacity() != capacity_before {
-            self.stats.arena_growths += 1;
-            self.stats.last_growth_eval = self.stats.evaluations;
-        }
-
-        Ok(self.summarize(clb_area))
+        Ok(self.summarize(&totals))
     }
 
     /// Scores the mapping that results from applying one move (of task
@@ -886,21 +1104,12 @@ impl<'a> Evaluator<'a> {
         if !self.synced {
             return self.evaluate(mapping);
         }
-        self.stats.evaluations += 1;
+        self.begin_delta();
         let capacity_before = self.arena_capacity();
-        self.log.clear();
-        self.seeds.clear();
-        self.struct_seeds.clear();
-        self.lp.discard_journal();
-        self.log.hw_count = self.hw_count;
-        self.delta_active = true;
 
         let ti = moved.index();
-        let old_kind = self.kind[ti];
-        let old_drlc = self.drlc_of[ti];
-
         // 1. Unsplice from the old processor chain (O(1)).
-        if old_kind == K_SW {
+        if self.kind[ti] == K_SW {
             self.unsplice_sw(moved.0);
         }
         // 2. Task-local updates: node weight, incident data-edge
@@ -910,46 +1119,13 @@ impl<'a> Evaluator<'a> {
         if self.kind[ti] == K_SW {
             self.splice_sw(mapping, moved);
         }
-        // 4. Rebuild the touched devices (old home, new home) and seed
-        //    the difference: diff against the old state, clear old
-        //    markers, commit, set new markers.
-        let mut touched = [usize::MAX; 2];
-        let mut nt = 0usize;
-        if old_kind == K_HW {
-            touched[nt] = old_drlc as usize;
-            nt += 1;
-        }
-        if self.kind[ti] == K_HW {
-            let nd = self.drlc_of[ti] as usize;
-            if nt == 0 || touched[0] != nd {
-                touched[nt] = nd;
-                nt += 1;
-            }
-        }
-        for &d in &touched[..nt] {
-            self.rebuild_drlc_into_alt(mapping, d);
-        }
-        for &d in &touched[..nt] {
-            self.diff_seed_drlc(d);
-        }
-        for &d in &touched[..nt] {
-            self.clear_bundles_logged(d);
-        }
-        for &d in &touched[..nt] {
-            let st = &mut self.drlcs[d];
-            std::mem::swap(&mut st.cur, &mut st.alt);
-            std::mem::swap(&mut st.cur_len, &mut st.alt_len);
-            self.log.swapped.push(d as u32);
-        }
-        for &d in &touched[..nt] {
-            self.set_bundles_logged(d);
-        }
+        // 4. Re-derive the contexts the task left or joined.
+        self.ctx.dirty.clear();
+        self.ctx.dirty.push(moved.0);
+        self.sync_contexts(mapping);
 
         let result = self.finish_delta();
-        if result.is_ok() && self.arena_capacity() != capacity_before {
-            self.stats.arena_growths += 1;
-            self.stats.last_growth_eval = self.stats.evaluations;
-        }
+        self.note_growth(capacity_before);
         result
     }
 
@@ -992,15 +1168,11 @@ impl<'a> Evaluator<'a> {
         self.evaluate(base)?;
         self.batch_out.clear();
         for cand in candidates {
-            self.stats.evaluations += 1;
-            self.log.clear();
-            self.seeds.clear();
-            self.struct_seeds.clear();
-            self.lp.discard_journal();
-            self.log.hw_count = self.hw_count;
-            self.delta_active = true;
+            self.begin_delta();
+            let capacity_before = self.arena_capacity();
             self.apply_diff(base, cand);
             let r = self.finish_delta();
+            self.note_growth(capacity_before);
             let ok = r.is_ok();
             self.batch_out.push(r);
             if ok {
@@ -1025,6 +1197,36 @@ impl<'a> Evaluator<'a> {
     }
 
     // --- delta machinery -------------------------------------------------
+
+    /// Opens a delta: commits the previous one and starts a fresh undo
+    /// log and seed set.
+    fn begin_delta(&mut self) {
+        self.stats.evaluations += 1;
+        self.commit_log();
+        self.seeds.clear();
+        self.struct_seeds.clear();
+        self.lp.discard_journal();
+        self.log.hw_count = self.hw_count;
+        self.delta_active = true;
+        self.ctx.grew = false;
+    }
+
+    /// Accepts the outstanding undo log (the delta it records can no
+    /// longer be reverted).
+    fn commit_log(&mut self) {
+        self.log.clear();
+        self.ctx.commit();
+    }
+
+    /// Records an arena growth against the current evaluation if a
+    /// context buffer grew or the other arenas' total capacity moved
+    /// from `capacity_before`.
+    fn note_growth(&mut self, capacity_before: usize) {
+        if self.ctx.grew || self.arena_capacity() != capacity_before {
+            self.stats.arena_growths += 1;
+            self.stats.last_growth_eval = self.stats.evaluations;
+        }
+    }
 
     /// Removes `t` from its processor chain, relinking its neighbours.
     fn unsplice_sw(&mut self, t: u32) {
@@ -1164,130 +1366,382 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Rebuilds device `d`'s context mirror from `mapping` into the
-    /// `alt` buffer (occupancy, reconfiguration latency, initials,
-    /// terminals), recycling capacity.
-    fn rebuild_drlc_into_alt(&mut self, mapping: &Mapping, d: usize) {
+    /// Re-derives the context mirror for the tasks in `ctx.dirty` (the
+    /// tasks whose placement changed since the last sync), logged and
+    /// seeded, when a delta is open.
+    ///
+    /// Only the contexts a dirty task left or joined are recomputed
+    /// (member list, area, reconfiguration weight, initials, terminals)
+    /// and re-marked; a context keeping a clean task keeps its slot.
+    /// Every other context keeps its mirror: its neighbours get at most
+    /// plain link and marker writes (a terminal's marker names the next
+    /// context's slot) and, where their in-edges changed, a seed on
+    /// their initials. The seeds are exactly the initials (old and new)
+    /// of the contexts whose in-bundle changed.
+    ///
+    /// A full synchronization is the same pass with every task dirty:
+    /// after [`CtxMirror::reset`] no context is kept, so the pass
+    /// recomputes them all, journaling and seeding nothing (`ctx.dirty`
+    /// is ignored).
+    fn sync_contexts(&mut self, mapping: &Mapping) {
         let app = self.app;
-        let arch = self.arch;
-        let spec = &arch.drlcs()[d];
-        let n_ctxs = mapping.contexts(d).len();
+        let specs = self.arch.drlcs();
         let Self {
             dag,
-            drlcs,
+            in_bundle,
+            out_bundle,
             membership,
             generation,
-            ..
-        } = self;
-        let st = &mut drlcs[d];
-        st.alt_len = n_ctxs;
-        while st.alt.len() < n_ctxs {
-            st.alt.push(CtxState::default());
-        }
-        for k in 0..n_ctxs {
-            let ctx_tasks = mapping.contexts(d)[k].tasks();
-            let used = mapping.context_clbs(app, d, k);
-            let slot = &mut st.alt[k];
-            slot.clbs = used.value();
-            slot.reconfig = spec.reconfiguration_time(used).value();
-            *generation += 1;
-            let g = *generation;
-            for &t in ctx_tasks {
-                membership[t.index()] = g;
-            }
-            slot.initials.clear();
-            slot.terminals.clear();
-            for &t in ctx_tasks {
-                if dag.in_edges(t.0).all(|(u, _)| membership[u as usize] != g) {
-                    slot.initials.push(t.0);
-                }
-                if dag.out_edges(t.0).all(|(v, _)| membership[v as usize] != g) {
-                    slot.terminals.push(t.0);
-                }
-            }
-        }
-    }
-
-    /// Seeds every node whose virtual *Ehw* in-edges differ between
-    /// device `d`'s old (`cur`) and new (`alt`) context mirror. Context
-    /// `k`'s initials gain their in-edges from context `k-1`'s
-    /// terminals (or the source, for `k == 0`) at the reconfiguration
-    /// weight, so a context is "changed" when any of those moved.
-    fn diff_seed_drlc(&mut self, d: usize) {
-        let Self {
-            drlcs,
             seeds,
             struct_seeds,
+            log,
+            ctx,
+            stats,
+            delta_active,
             ..
         } = self;
-        let st = &drlcs[d];
-        let kmax = st.cur_len.max(st.alt_len);
-        for k in 0..kmax {
-            let changed = if k >= st.cur_len || k >= st.alt_len {
-                true
-            } else {
-                let o = &st.cur[k];
-                let nw = &st.alt[k];
-                o.reconfig.to_bits() != nw.reconfig.to_bits()
-                    || o.initials != nw.initials
-                    || (k > 0 && st.cur[k - 1].terminals != st.alt[k - 1].terminals)
+        // A full synchronization never rolls back: it journals nothing
+        // and seeds nothing (its longest-path pass relabels everything).
+        let journal = *delta_active;
+        *generation += 1;
+        let g = *generation;
+        ctx.left.clear();
+        ctx.fresh.clear();
+        if journal {
+            for &t in &ctx.dirty {
+                ctx.dirty_mark[t as usize] = g;
+            }
+            // Old slots a dirty task left, and the contexts it joined.
+            for i in 0..ctx.dirty.len() {
+                let t = ctx.dirty[i];
+                let s = ctx.of[t as usize];
+                if s != NONE && ctx.meta[s as usize].left_mark != g {
+                    ctx.meta[s as usize].left_mark = g;
+                    ctx.left.push(s);
+                }
+                if let Placement::Hardware { drlc, context, .. } = mapping.placement(TaskId(t)) {
+                    queue_ctx(ctx, mapping, g, drlc, context);
+                }
+            }
+            // A left slot is recomputed where its clean tasks now sit,
+            // or released if it has none.
+            for i in 0..ctx.left.len() {
+                let s = ctx.left[i];
+                let keeper = ctx.slots[s as usize]
+                    .tasks
+                    .iter()
+                    .find(|&&u| ctx.dirty_mark[u as usize] != g);
+                match keeper.map(|&u| mapping.placement(TaskId(u))) {
+                    Some(Placement::Hardware { drlc, context, .. }) => {
+                        queue_ctx(ctx, mapping, g, drlc, context);
+                    }
+                    Some(_) => unreachable!("a clean task keeps its hardware placement"),
+                    None => {
+                        // Stamped as if queued: a released slot is
+                        // never relinked.
+                        ctx.meta[s as usize].link = g;
+                        ctx.dev_mark[ctx.slots[s as usize].dev as usize] = g;
+                        ctx.released.push(s);
+                    }
+                }
+            }
+        } else {
+            // Every task is dirty and the mirror is empty: every
+            // context is new.
+            for d in 0..specs.len() {
+                for k in 0..mapping.contexts(d).len() {
+                    ctx.fresh.push(Recompute::at(d, k));
+                }
+            }
+        }
+        // Recompute every queued context into its kept (or a new) slot.
+        for i in 0..ctx.fresh.len() {
+            let Recompute { dev: d, k, .. } = ctx.fresh[i];
+            let tasks = mapping.contexts(d as usize)[k as usize].tasks();
+            let mut kept = match journal {
+                true => tasks.iter().find(|u| ctx.dirty_mark[u.index()] != g),
+                false => None,
+            }
+            .map(|u| ctx.of[u.index()]);
+            if kept.is_none() && journal {
+                // Dirty tasks only: a released slot that held exactly
+                // these tasks (a singleton re-implemented, or removed and
+                // spawned again) takes them back and is relinked.
+                let same = |r: &u32| {
+                    let old = &ctx.slots[*r as usize].tasks;
+                    old.len() == tasks.len() && old.iter().zip(tasks).all(|(&a, b)| a == b.0)
+                };
+                if let Some(j) = ctx.released.iter().position(same) {
+                    let r = ctx.released.swap_remove(j);
+                    ctx.meta[r as usize].link = 0;
+                    ctx.fresh[i].revived = true;
+                    kept = Some(r);
+                }
+            }
+            let s = match kept {
+                Some(s) => {
+                    ctx.save(s);
+                    ctx.fresh[i].saved = (ctx.saved.len() - 1) as u32;
+                    s
+                }
+                None => ctx.alloc(),
             };
-            if changed {
-                if k < st.cur_len {
-                    seeds.extend_from_slice(&st.cur[k].initials);
-                    struct_seeds.extend_from_slice(&st.cur[k].initials);
+            ctx.dev_mark[d as usize] = g;
+            ctx.fresh[i].slot = s;
+            let st = &mut ctx.slots[s as usize];
+            let capacity_before = st.capacity();
+            *generation += 1;
+            let gm = *generation;
+            let mut used = Clbs::ZERO;
+            for &t in tasks {
+                membership[t.index()] = gm;
+                used += mapping.task_clbs(app, t);
+            }
+            st.dev = d;
+            st.clbs = used.value();
+            st.reconfig = specs[d as usize].reconfiguration_time(used).value();
+            #[cfg(rdse_fault = "ctx_stale_area")]
+            if kept.is_some() {
+                let old = &ctx.saved.last().expect("kept slot was saved").1;
+                st.clbs = old.clbs;
+                st.reconfig = old.reconfig;
+            }
+            st.tasks.clear();
+            st.tasks.extend(tasks.iter().map(|t| t.0));
+            st.initials.clear();
+            st.initials.reserve(tasks.len());
+            st.terminals.clear();
+            st.terminals.reserve(tasks.len());
+            for &t in tasks {
+                if dag.in_edges(t.0).all(|(u, _)| membership[u as usize] != gm) {
+                    st.initials.push(t.0);
                 }
-                if k < st.alt_len {
-                    seeds.extend_from_slice(&st.alt[k].initials);
-                    struct_seeds.extend_from_slice(&st.alt[k].initials);
+                if dag
+                    .out_edges(t.0)
+                    .all(|(v, _)| membership[v as usize] != gm)
+                {
+                    st.terminals.push(t.0);
+                }
+            }
+            ctx.grew |= st.capacity() != capacity_before;
+            if kept.is_some() {
+                let old = &ctx.saved.last().expect("kept slot was saved").1;
+                let e = &mut ctx.fresh[i];
+                e.inits = old.initials != st.initials;
+                e.terms = old.terminals != st.terminals;
+                e.heads = e.inits || old.reconfig.to_bits() != st.reconfig.to_bits();
+            }
+            for &t in tasks {
+                if kept.is_none() || ctx.dirty_mark[t.index()] == g {
+                    set_u32(journal, &mut log.ctx_of, &mut ctx.of, t.0, s);
                 }
             }
         }
-    }
-
-    /// Clears the bundle markers of device `d`'s *old* (`cur`) mirror,
-    /// logged (called before the `cur`/`alt` swap).
-    fn clear_bundles_logged(&mut self, d: usize) {
-        let Self {
-            drlcs,
-            in_bundle,
-            out_bundle,
-            log,
-            ..
-        } = self;
-        let st = &drlcs[d];
-        for k in 0..st.cur_len {
-            for &t in &st.cur[k].initials {
-                log_set_u32(&mut log.in_bundle, in_bundle, t, NONE);
+        if journal {
+            for &t in &ctx.dirty {
+                if !matches!(mapping.placement(TaskId(t)), Placement::Hardware { .. }) {
+                    log_set_u32(&mut log.ctx_of, &mut ctx.of, t, NONE);
+                }
             }
-            if k + 1 < st.cur_len {
-                for &t in &st.cur[k].terminals {
-                    log_set_u32(&mut log.out_bundle, out_bundle, t, NONE);
+            // Stamp the new owners of changed marker lists (`membership`
+            // for initials, `first_mark` for terminals), then clear the
+            // replaced and released lists' markers that no recomputed
+            // context takes over. A replaced or released initial had its
+            // in-edges changed: seed those no recomputed context seeds
+            // as its own.
+            *generation += 1;
+            let go = *generation;
+            for e in &ctx.fresh {
+                let st = &ctx.slots[e.slot as usize];
+                if e.inits {
+                    for &t in &st.initials {
+                        membership[t as usize] = go;
+                    }
+                }
+                if e.terms {
+                    for &t in &st.terminals {
+                        ctx.first_mark[t as usize] = go;
+                    }
+                }
+            }
+            let replaced = ctx
+                .fresh
+                .iter()
+                .filter(|e| e.saved != NONE)
+                .map(|e| (e.inits, e.terms, &ctx.saved[e.saved as usize].1));
+            let released = ctx
+                .released
+                .iter()
+                .map(|&s| (true, true, &ctx.slots[s as usize]));
+            for (inits, terms, old) in replaced.chain(released) {
+                if inits {
+                    for &t in &old.initials {
+                        if membership[t as usize] != go {
+                            log_set_u32(&mut log.in_bundle, in_bundle, t, NONE);
+                            seeds.push(t);
+                            struct_seeds.push(t);
+                        }
+                    }
+                }
+                if terms {
+                    for &t in &old.terminals {
+                        if ctx.first_mark[t as usize] != go {
+                            log_set_u32(&mut log.out_bundle, out_bundle, t, NONE);
+                        }
+                    }
                 }
             }
         }
-    }
-
-    /// Sets the bundle markers of device `d`'s *new* (`cur`) mirror,
-    /// logged (called after the `cur`/`alt` swap).
-    fn set_bundles_logged(&mut self, d: usize) {
-        let Self {
-            drlcs,
-            in_bundle,
-            out_bundle,
-            log,
-            ..
-        } = self;
-        let st = &drlcs[d];
-        for k in 0..st.cur_len {
-            for &t in &st.cur[k].initials {
-                log_set_u32(&mut log.in_bundle, in_bundle, t, enc_bundle(d, k));
-            }
-            if k + 1 < st.cur_len {
-                for &t in &st.cur[k].terminals {
-                    log_set_u32(&mut log.out_bundle, out_bundle, t, enc_bundle(d, k + 1));
+        if journal {
+            // Relink around every inserted, revived and released
+            // context: a new or revived slot and its neighbours, the old
+            // neighbours of a revived slot, and the surviving neighbours
+            // of a released one. Contexts kept in place keep their
+            // links.
+            ctx.links.clear();
+            for i in 0..ctx.fresh.len() {
+                let e = ctx.fresh[i];
+                if e.saved != NONE && !e.revived {
+                    continue;
+                }
+                let (d, k) = (e.dev as usize, e.k as usize);
+                if e.revived {
+                    let m = ctx.meta[e.slot as usize];
+                    for nb in [m.prev, m.next] {
+                        if nb != NONE {
+                            queue_link(ctx, g, nb);
+                        }
+                    }
+                }
+                if k > 0 {
+                    let p = ctx.slot_at(mapping, d, k - 1);
+                    queue_link(ctx, g, p);
+                }
+                queue_link(ctx, g, e.slot);
+                if k + 1 < mapping.contexts(d).len() {
+                    let x = ctx.slot_at(mapping, d, k + 1);
+                    queue_link(ctx, g, x);
                 }
             }
+            for i in 0..ctx.released.len() {
+                let r = ctx.released[i] as usize;
+                let m = ctx.meta[r];
+                for nb in [m.prev, m.next] {
+                    if nb != NONE {
+                        queue_link(ctx, g, nb);
+                    }
+                }
+            }
+            for i in 0..ctx.links.len() {
+                let s = ctx.links[i];
+                let st = &ctx.slots[s as usize];
+                let d = st.dev as usize;
+                let Placement::Hardware { context: k, .. } = mapping.placement(TaskId(st.tasks[0]))
+                else {
+                    unreachable!("a live context holds hardware tasks")
+                };
+                let p = if k > 0 {
+                    ctx.slot_at(mapping, d, k - 1)
+                } else {
+                    NONE
+                };
+                let x = if k + 1 < mapping.contexts(d).len() {
+                    ctx.slot_at(mapping, d, k + 1)
+                } else {
+                    NONE
+                };
+                let m = &mut ctx.meta[s as usize];
+                let (old_prev, old_next) = (m.prev, m.next);
+                (m.prev, m.next) = (p, x);
+                let prev_changed = old_prev != p;
+                let next_changed = old_next != x;
+                if prev_changed {
+                    log.ctx_prev.push((s, old_prev));
+                }
+                if next_changed {
+                    log.ctx_next.push((s, old_next));
+                }
+                if k == 0 {
+                    log_set_u32(&mut log.ctx_head, &mut ctx.head, d as u32, s);
+                }
+                // The terminals follow the next context's slot: plain
+                // marker writes.
+                let tail = x == NONE || old_next == NONE;
+                if next_changed && !(cfg!(rdse_fault = "ctx_tail_marker") && tail) {
+                    for &t in &st.terminals {
+                        log_set_u32(&mut log.out_bundle, out_bundle, t, x);
+                    }
+                }
+                // Another context now precedes this one: its initials'
+                // in-edges changed.
+                if prev_changed {
+                    seeds.extend_from_slice(&st.initials);
+                    struct_seeds.extend_from_slice(&st.initials);
+                }
+            }
+        } else {
+            // A full pass queued every context in order: chain each
+            // device's run.
+            for i in 0..ctx.fresh.len() {
+                let e = ctx.fresh[i];
+                let neighbour = |j: usize| match ctx.fresh.get(j) {
+                    Some(n) if n.dev == e.dev => n.slot,
+                    _ => NONE,
+                };
+                let p = if i > 0 { neighbour(i - 1) } else { NONE };
+                let x = neighbour(i + 1);
+                let m = &mut ctx.meta[e.slot as usize];
+                (m.prev, m.next) = (p, x);
+                if p == NONE {
+                    ctx.head[e.dev as usize] = e.slot;
+                }
+            }
+        }
+        // Mark the recomputed contexts' changed lists, and seed the
+        // initials whose in-edges changed with them: a context's own
+        // when its in-bundle changed, the next context's when its
+        // terminals did.
+        for e in &ctx.fresh {
+            let s = e.slot;
+            let st = &ctx.slots[s as usize];
+            let x = ctx.meta[s as usize].next;
+            if e.inits {
+                for &t in &st.initials {
+                    set_u32(journal, &mut log.in_bundle, in_bundle, t, s);
+                }
+            }
+            if e.terms {
+                for &t in &st.terminals {
+                    set_u32(journal, &mut log.out_bundle, out_bundle, t, x);
+                }
+            }
+            if journal && e.heads {
+                seeds.extend_from_slice(&st.initials);
+                struct_seeds.extend_from_slice(&st.initials);
+            }
+            if journal && e.terms && x != NONE {
+                let next = &ctx.slots[x as usize];
+                seeds.extend_from_slice(&next.initials);
+                struct_seeds.extend_from_slice(&next.initials);
+            }
+        }
+        if journal {
+            // A device whose last context went has no head; the
+            // contexts of the devices this pass touched feed the
+            // kept-context count.
+            let mut on_touched = 0u64;
+            for d in 0..specs.len() {
+                let len = mapping.contexts(d).len();
+                if len == 0 {
+                    log_set_u32(&mut log.ctx_head, &mut ctx.head, d as u32, NONE);
+                }
+                if ctx.dev_mark[d] == g {
+                    on_touched += len as u64;
+                }
+            }
+            let recomputed = ctx.fresh.len() as u64;
+            stats.contexts_recomputed += recomputed;
+            stats.contexts_untouched += on_touched - recomputed;
         }
     }
 
@@ -1299,21 +1753,9 @@ impl<'a> Evaluator<'a> {
         let arch = self.arch;
         self.diff_tasks.clear();
         self.diff_procs.clear();
-        self.diff_drlcs.clear();
         for t in app.task_ids() {
             if base.placement(t) != cand.placement(t) {
                 self.diff_tasks.push(t.0);
-                // A hardware placement that changed on either side can
-                // alter its device's context areas and reconfiguration
-                // weights even when the context *membership* lists
-                // compare equal (a pure re-implementation), so those
-                // devices must be rebuilt too.
-                if let Placement::Hardware { drlc, .. } = base.placement(t) {
-                    self.diff_drlcs.push(drlc as u32);
-                }
-                if let Placement::Hardware { drlc, .. } = cand.placement(t) {
-                    self.diff_drlcs.push(drlc as u32);
-                }
             }
         }
         for p in 0..arch.processors().len() {
@@ -1321,13 +1763,6 @@ impl<'a> Evaluator<'a> {
                 self.diff_procs.push(p as u32);
             }
         }
-        for d in 0..arch.drlcs().len() {
-            if base.contexts(d) != cand.contexts(d) {
-                self.diff_drlcs.push(d as u32);
-            }
-        }
-        self.diff_drlcs.sort_unstable();
-        self.diff_drlcs.dedup();
 
         // Tasks that left software lose their chain links up front so
         // the per-processor walks below see a consistent membership.
@@ -1371,31 +1806,11 @@ impl<'a> Evaluator<'a> {
                 log_set_u32(&mut log.next_sw, next_sw, t, want_next);
             }
         }
-        // Rebuild the differing devices: diff, clear old markers,
-        // commit, set new markers (same order as the single-move path).
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.rebuild_drlc_into_alt(cand, d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.diff_seed_drlc(d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.clear_bundles_logged(d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            let st = &mut self.drlcs[d];
-            std::mem::swap(&mut st.cur, &mut st.alt);
-            std::mem::swap(&mut st.cur_len, &mut st.alt_len);
-            self.log.swapped.push(d as u32);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.set_bundles_logged(d);
-        }
+        // Re-derive the contexts the differing tasks left or joined
+        // (a task whose context index merely shifted counts as dirty).
+        self.ctx.dirty.clear();
+        self.ctx.dirty.extend_from_slice(&self.diff_tasks);
+        self.sync_contexts(cand);
     }
 
     /// Shared tail of every delta: capacity check from the mirrors (in
@@ -1403,23 +1818,14 @@ impl<'a> Evaluator<'a> {
     /// reference), order and label repair, summary. Reverts the delta
     /// on error.
     fn finish_delta(&mut self) -> Result<EvalSummary, MappingError> {
-        let mut clb_area = Clbs::new(0);
-        for d in 0..self.drlcs.len() {
-            let cap = self.arch.drlcs()[d].n_clbs();
-            let st = &self.drlcs[d];
-            for c in 0..st.cur_len {
-                let used = Clbs::new(st.cur[c].clbs);
-                if used > cap {
-                    self.rollback_delta_state();
-                    self.delta_active = false;
-                    return Err(MappingError::CapacityExceeded {
-                        drlc: d,
-                        context: c,
-                    });
-                }
-                clb_area = clb_area.max(used);
+        let totals = match self.context_totals() {
+            Ok(t) => t,
+            Err(e) => {
+                self.rollback_delta_state();
+                self.delta_active = false;
+                return Err(e);
             }
-        }
+        };
         let repaired = {
             let overlay = Overlay {
                 dag: &self.dag,
@@ -1427,7 +1833,7 @@ impl<'a> Evaluator<'a> {
                 next_sw: &self.next_sw,
                 in_bundle: &self.in_bundle,
                 out_bundle: &self.out_bundle,
-                drlcs: &self.drlcs,
+                ctx: &self.ctx,
                 n: self.n,
             };
             // Every edge the delta added or removed has its head in
@@ -1470,7 +1876,7 @@ impl<'a> Evaluator<'a> {
             self.delta_active = false;
             return Err(MappingError::CyclicSchedule);
         }
-        Ok(self.summarize(clb_area))
+        Ok(self.summarize(&totals))
     }
 
     /// Replays the undo log in reverse and rolls back the label
@@ -1486,7 +1892,7 @@ impl<'a> Evaluator<'a> {
             out_bundle,
             kind,
             drlc_of,
-            drlcs,
+            ctx,
             ..
         } = self;
         for &(i, w) in log.node_w.iter().rev() {
@@ -1513,42 +1919,77 @@ impl<'a> Evaluator<'a> {
         for &(i, v) in log.drlc_of.iter().rev() {
             drlc_of[i as usize] = v;
         }
-        for &d in log.swapped.iter().rev() {
-            let st = &mut drlcs[d as usize];
-            std::mem::swap(&mut st.cur, &mut st.alt);
-            std::mem::swap(&mut st.cur_len, &mut st.alt_len);
+        for &(i, v) in log.ctx_prev.iter().rev() {
+            ctx.meta[i as usize].prev = v;
         }
+        for &(i, v) in log.ctx_next.iter().rev() {
+            ctx.meta[i as usize].next = v;
+        }
+        for &(i, v) in log.ctx_head.iter().rev() {
+            ctx.head[i as usize] = v;
+        }
+        for &(i, v) in log.ctx_of.iter().rev() {
+            ctx.of[i as usize] = v;
+        }
+        ctx.rollback();
         self.hw_count = self.log.hw_count;
         self.log.clear();
     }
 
-    /// Assembles the summary from the mirrors and the live labels.
-    /// Value-identical to the reference: the breakdown sums the same
-    /// `f64` reconfiguration latencies in the same `(device, context)`
-    /// order, and the makespan is the label max (order-free).
-    fn summarize(&self, clb_area: Clbs) -> EvalSummary {
-        let makespan = self.lp.makespan();
-        let mut initial_reconfig = Micros::ZERO;
-        let mut dynamic_reconfig = Micros::ZERO;
-        let mut n_contexts = 0usize;
-        for st in &self.drlcs {
-            n_contexts += st.cur_len;
-            for k in 0..st.cur_len {
-                let r = Micros::new(st.cur[k].reconfig);
-                if k == 0 {
-                    initial_reconfig += r;
-                } else {
-                    dynamic_reconfig += r;
+    /// Walks the context mirror in `(device, context)` order: the
+    /// first context over its device's capacity is the reference's
+    /// [`MappingError::CapacityExceeded`]; otherwise the peak
+    /// occupancy, the context count and the reconfiguration sums (added
+    /// in the reference's order, so the `f64` sums are bit-identical).
+    fn context_totals(&self) -> Result<CtxTotals, MappingError> {
+        let mut totals = CtxTotals {
+            clb_area: Clbs::new(0),
+            n_contexts: 0,
+            initial_reconfig: Micros::ZERO,
+            dynamic_reconfig: Micros::ZERO,
+        };
+        for (d, spec) in self.arch.drlcs().iter().enumerate() {
+            let cap = spec.n_clbs();
+            let mut s = self.ctx.head[d];
+            let mut k = 0usize;
+            while s != NONE {
+                let st = &self.ctx.slots[s as usize];
+                let used = Clbs::new(st.clbs);
+                if used > cap {
+                    return Err(MappingError::CapacityExceeded {
+                        drlc: d,
+                        context: k,
+                    });
                 }
+                totals.clb_area = totals.clb_area.max(used);
+                let r = Micros::new(st.reconfig);
+                if k == 0 {
+                    totals.initial_reconfig += r;
+                } else {
+                    totals.dynamic_reconfig += r;
+                }
+                k += 1;
+                s = self.ctx.meta[s as usize].next;
             }
+            totals.n_contexts += k;
         }
+        Ok(totals)
+    }
+
+    /// Assembles the summary from the context totals and the live
+    /// labels. Value-identical to the reference: the makespan is the
+    /// label max (order-free).
+    fn summarize(&self, totals: &CtxTotals) -> EvalSummary {
+        let makespan = self.lp.makespan();
+        let initial_reconfig = totals.initial_reconfig;
+        let dynamic_reconfig = totals.dynamic_reconfig;
         let comp_comm =
             Micros::new((makespan - initial_reconfig.value() - dynamic_reconfig.value()).max(0.0));
         EvalSummary {
             makespan: Micros::new(makespan),
-            n_contexts,
+            n_contexts: totals.n_contexts,
             n_hw_tasks: self.hw_count as usize,
-            clb_area,
+            clb_area: totals.clb_area,
             breakdown: EvalBreakdown {
                 initial_reconfig,
                 dynamic_reconfig,
@@ -1557,24 +1998,19 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Total capacity across growable arenas, compared before/after an
-    /// evaluation to detect allocator traffic.
+    /// Total capacity across the growable arenas, compared before and
+    /// after an evaluation to detect allocator traffic. O(1): context
+    /// buffers report their own growth through `CtxMirror::grew`.
     fn arena_capacity(&self) -> usize {
-        let mut cap = self.seeds.capacity()
+        self.seeds.capacity()
+            + self.struct_seeds.capacity()
             + self.eid_scratch.capacity()
             + self.batch_out.capacity()
             + self.diff_tasks.capacity()
             + self.diff_procs.capacity()
-            + self.diff_drlcs.capacity()
             + self.lp.scratch_capacity()
-            + self.log.capacity();
-        for st in &self.drlcs {
-            cap += st.cur.capacity() + st.alt.capacity();
-            for c in st.cur.iter().chain(&st.alt) {
-                cap += c.initials.capacity() + c.terminals.capacity();
-            }
-        }
-        cap
+            + self.log.capacity()
+            + self.ctx.capacity()
     }
 }
 
@@ -1817,6 +2253,242 @@ mod tests {
         assert!(resorts.cyclic > 0, "{resorts:?}");
     }
 
+    /// One context as a mirror holds it: member tasks, initials,
+    /// terminals, CLBs and reconfiguration-weight bits.
+    type CtxView = (Vec<u32>, Vec<u32>, Vec<u32>, u32, u64);
+
+    /// Where a task's `in_bundle`, `out_bundle` and context-slot
+    /// entries point, as `(device, context)` positions.
+    type TaskView = [Option<(usize, usize)>; 3];
+
+    /// The evaluator's context mirror in positional form, so two
+    /// evaluators compare regardless of which slot ids they use: every
+    /// device's contexts in order, and per task the positions its
+    /// markers and its slot name. Panics on a broken link or a marker
+    /// naming a slot that holds no live context.
+    fn mirror_view(e: &Evaluator) -> (Vec<Vec<CtxView>>, Vec<TaskView>) {
+        let mut pos = std::collections::HashMap::new();
+        let mut devices = Vec::new();
+        for d in 0..e.ctx.head.len() {
+            let mut ctxs = Vec::new();
+            let (mut s, mut prev) = (e.ctx.head[d], NONE);
+            while s != NONE {
+                assert_eq!(
+                    e.ctx.meta[s as usize].prev, prev,
+                    "broken back link at slot {s}"
+                );
+                let st = &e.ctx.slots[s as usize];
+                assert_eq!(st.dev as usize, d, "slot {s} on the wrong device");
+                pos.insert(s, (d, ctxs.len()));
+                ctxs.push((
+                    st.tasks.clone(),
+                    st.initials.clone(),
+                    st.terminals.clone(),
+                    st.clbs,
+                    st.reconfig.to_bits(),
+                ));
+                (prev, s) = (s, e.ctx.meta[s as usize].next);
+            }
+            devices.push(ctxs);
+        }
+        let at = |s: u32| {
+            (s != NONE).then(|| {
+                *pos.get(&s)
+                    .unwrap_or_else(|| panic!("marker names dead slot {s}"))
+            })
+        };
+        let tasks = (0..e.n)
+            .map(|t| [at(e.in_bundle[t]), at(e.out_bundle[t]), at(e.ctx.of[t])])
+            .collect();
+        (devices, tasks)
+    }
+
+    /// Asserts `e`'s context mirror equals the one a fresh evaluator
+    /// synchronizes from `mapping`.
+    fn assert_mirror_fresh(e: &Evaluator, mapping: &Mapping, what: &str) {
+        let mut fresh = Evaluator::new(e.app, e.arch);
+        let _ = fresh.evaluate(mapping);
+        let (got, want) = (mirror_view(e), mirror_view(&fresh));
+        assert_eq!(got.0, want.0, "context mirror diverged after {what}");
+        assert_eq!(got.1, want.1, "bundle markers diverged after {what}");
+    }
+
+    /// Drives deltas with the real move mix and compares the context
+    /// mirror structurally with a fresh synchronization after every
+    /// successful delta, every revert and every failed delta. Returns
+    /// how many accepted deltas changed the context count and how many
+    /// deltas moved a task between two devices.
+    fn mirror_walk(app: &TaskGraph, arch: &Architecture, seed: u64, steps: usize) -> (u32, u32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mapping = random_initial(app, arch, &mut rng);
+        // `random_initial` fills only the first device and the moves
+        // only join occupied devices: seed the second one with every
+        // other software task that fits it, in processor order (one
+        // context each, so every order agrees with the processor's).
+        if let Some(spec) = arch.drlcs().get(1) {
+            let order = mapping.proc_order(0).to_vec();
+            for t in order.into_iter().step_by(2) {
+                let impls = app.task(t).unwrap().hw_impls();
+                if let Some(j) = impls.iter().position(|h| h.clbs() <= spec.n_clbs()) {
+                    mapping.detach(t);
+                    let k = mapping.contexts(1).len();
+                    mapping.insert_new_context(t, 1, k, j);
+                }
+            }
+        }
+        let mut evaluator = Evaluator::new(app, arch);
+        evaluator.evaluate(&mapping).unwrap();
+        let mut scratch = MoveScratch::default();
+        let (mut resized, mut crossed) = (0, 0);
+        for step in 0..steps {
+            let before = mapping.clone();
+            let outcome = if step % 3 == 0 {
+                propose_impl_move(app, arch, &mut mapping, &mut rng, &mut scratch)
+            } else {
+                propose_pair_move(app, arch, &mut mapping, &mut rng, &mut scratch)
+            };
+            let Some(outcome) = outcome else { continue };
+            let task = outcome.delta.task();
+            let stats = evaluator.stats();
+            let delta = evaluator.evaluate_delta(&mapping, task);
+            let after = evaluator.stats();
+            // A move leaves one context and joins one: at most two are
+            // ever re-derived.
+            assert!(
+                after.contexts_recomputed - stats.contexts_recomputed <= 2,
+                "step {step}: {after:?}"
+            );
+            if let (Placement::Hardware { drlc: a, .. }, Placement::Hardware { drlc: b, .. }) =
+                (before.placement(task), mapping.placement(task))
+            {
+                crossed += u32::from(a != b);
+            }
+            match delta {
+                Ok(_) => {
+                    assert_mirror_fresh(&evaluator, &mapping, &format!("delta at step {step}"));
+                    resized += u32::from(mapping.n_contexts() != before.n_contexts());
+                    if rng.random::<bool>() {
+                        evaluator.revert_delta();
+                        outcome.delta.undo(&mut mapping);
+                        assert_mirror_fresh(
+                            &evaluator,
+                            &mapping,
+                            &format!("revert at step {step}"),
+                        );
+                    }
+                }
+                Err(_) => {
+                    outcome.delta.undo(&mut mapping);
+                    assert_mirror_fresh(
+                        &evaluator,
+                        &mapping,
+                        &format!("failed delta at step {step}"),
+                    );
+                }
+            }
+        }
+        (resized, crossed)
+    }
+
+    #[test]
+    fn context_mirror_matches_fresh_sync_after_every_delta() {
+        let layered = rdse_workloads::layered_dag(
+            &rdse_workloads::LayeredDagConfig {
+                layers: 6,
+                width: 5,
+                edge_percent: 40,
+                hw_percent: 80,
+            },
+            7,
+        );
+        // The corpus's `small-fpga` and `dual-fpga` platform templates:
+        // a tiny device forces new contexts and removes emptied ones,
+        // two devices let tasks cross between them.
+        let small_fpga = Architecture::builder("small-fpga")
+            .processor("cpu", 5.0)
+            .drlc("tiny", Clbs::new(350), us(5.0), 8.0)
+            .bus_rate(25.0)
+            .build()
+            .unwrap();
+        let dual_fpga = Architecture::builder("dual-fpga")
+            .processor("cpu", 10.0)
+            .drlc("big", Clbs::new(800), us(10.0), 20.0)
+            .drlc("small", Clbs::new(300), us(2.0), 8.0)
+            .bus_rate(50.0)
+            .build()
+            .unwrap();
+        let (resized, _) = mirror_walk(&layered, &small_fpga, 3, 400);
+        assert!(resized > 0, "no delta changed the context count");
+        let (resized, crossed) = mirror_walk(&layered, &dual_fpga, 5, 400);
+        assert!(
+            resized > 0 && crossed > 0,
+            "resized {resized}, crossed {crossed}"
+        );
+        let motion = rdse_workloads::motion_detection_app();
+        let epicure = rdse_workloads::epicure_architecture(2000);
+        let (resized, _) = mirror_walk(&motion, &epicure, 11, 300);
+        assert!(resized > 0, "no delta changed the context count");
+    }
+
+    #[test]
+    fn delta_growing_a_context_buffer_counts_as_arena_growth() {
+        let mut app = TaskGraph::new("grow");
+        let a = app
+            .add_task(
+                "a",
+                "F",
+                us(10.0),
+                vec![
+                    HwImpl::new(Clbs::new(100), us(2.0)),
+                    HwImpl::new(Clbs::new(60), us(4.0)),
+                ],
+            )
+            .unwrap();
+        let b = app
+            .add_task(
+                "b",
+                "G",
+                us(20.0),
+                vec![HwImpl::new(Clbs::new(150), us(3.0))],
+            )
+            .unwrap();
+        let c = app.add_task("c", "H", us(5.0), vec![]).unwrap();
+        app.add_data_edge(a, b, Bytes::new(1000)).unwrap();
+        app.add_data_edge(b, c, Bytes::new(2000)).unwrap();
+        let arch = Architecture::builder("soc")
+            .processor("cpu", 1.0)
+            .drlc("fpga", Clbs::new(1000), us(0.1), 1.0)
+            .bus_rate(100.0)
+            .build()
+            .unwrap();
+        let mut base = Mapping::all_software(&app, &arch, topo(&app));
+        base.detach(a);
+        base.insert_new_context(a, 0, 0, 0);
+        let mut evaluator = Evaluator::new(&app, &arch);
+        evaluator.evaluate(&base).unwrap();
+        let mut reimpl = base.clone();
+        reimpl.select_impl(a, 1);
+        // Warm the recycled one-task context buffers: the second
+        // re-implementation of `a` must not grow anything.
+        for _ in 0..2 {
+            evaluator.evaluate_delta(&reimpl, a).unwrap();
+            evaluator.revert_delta();
+        }
+        let warm = evaluator.stats();
+        evaluator.evaluate_delta(&reimpl, a).unwrap();
+        evaluator.revert_delta();
+        assert_eq!(evaluator.stats().arena_growths, warm.arena_growths);
+        // `b` joining `a`'s context needs a two-task member list.
+        let mut joined = base.clone();
+        joined.detach(b);
+        joined.insert_hardware(b, 0, 0, 0);
+        evaluator.evaluate_delta(&joined, b).unwrap();
+        let grown = evaluator.stats();
+        assert_eq!(grown.arena_growths, warm.arena_growths + 1, "{grown:?}");
+        assert_eq!(grown.last_growth_eval, grown.evaluations, "{grown:?}");
+        assert!(!grown.arenas_warm());
+    }
+
     #[test]
     fn delta_stats_count_sweeps_and_window_resorts() {
         let (app, arch) = fixture();
@@ -1896,6 +2568,57 @@ mod tests {
         assert!(evaluator.is_synced());
         let base_again = evaluator.evaluate(&base).unwrap();
         assert_eq!(base_again, evaluate(&app, &arch, &base).unwrap().summary());
+    }
+
+    #[test]
+    fn batch_rescans_a_context_whose_clean_members_changed_order() {
+        // A batch candidate may take a task out of its context and put
+        // it back at another slot: its placement compares equal (it is
+        // clean) but the context's member order changed. A dirty task
+        // joining the same context must still yield exactly the
+        // reference's initials.
+        let mut app = TaskGraph::new("reorder");
+        let hw = || vec![HwImpl::new(Clbs::new(50), us(2.0))];
+        let p = app.add_task("p", "F", us(10.0), hw()).unwrap();
+        let q = app.add_task("q", "F", us(10.0), hw()).unwrap();
+        // r is the critical task: a lost initial marker on it shows.
+        let r = app
+            .add_task(
+                "r",
+                "F",
+                us(90.0),
+                vec![HwImpl::new(Clbs::new(50), us(20.0))],
+            )
+            .unwrap();
+        let s = app.add_task("s", "F", us(10.0), hw()).unwrap();
+        app.add_data_edge(p, q, Bytes::new(1000)).unwrap();
+        let arch = Architecture::builder("soc")
+            .processor("cpu", 1.0)
+            .drlc("fpga", Clbs::new(1000), us(0.1), 1.0)
+            .bus_rate(100.0)
+            .build()
+            .unwrap();
+        let mut base = Mapping::all_software(&app, &arch, topo(&app));
+        for (slot, t) in [p, q, r].into_iter().enumerate() {
+            base.detach(t);
+            if slot == 0 {
+                base.insert_new_context(t, 0, 0, 0);
+            } else {
+                base.insert_hardware(t, 0, 0, 0);
+            }
+        }
+        // [p, q, r] becomes [q, r, p, s]: p moved behind r (still clean),
+        // s joined (dirty). The initials go from [p, r] to [r, p, s].
+        let mut cand = base.clone();
+        cand.detach(p);
+        cand.insert_hardware_at(p, 0, 0, 0, 2);
+        cand.detach(s);
+        cand.insert_hardware(s, 0, 0, 0);
+        assert_eq!(base.placement(p), cand.placement(p));
+        let mut evaluator = Evaluator::new(&app, &arch);
+        let want = evaluate(&app, &arch, &cand).unwrap().summary();
+        let got = evaluator.evaluate_batch(&base, &[cand]).unwrap();
+        assert_eq!(got, [Ok(want)]);
     }
 
     #[test]

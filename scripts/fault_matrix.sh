@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Fault matrix: proves the test suite catches deliberately planted bugs.
+#
+# Each fault below sits in the source behind
+# `#[cfg(rdse_fault = "<name>")]` (or `cfg!(...)`), so normal builds
+# never contain it. For every fault this script builds the crate with
+# RUSTFLAGS='--cfg rdse_fault="<name>"' and runs the tests named for it.
+# A fault is *killed* when at least one named test fails; the script
+# fails if any fault survives, does not build, or names a test that does
+# not exist.
+#
+# Usage: scripts/fault_matrix.sh [fault...]   (default: every fault)
+#
+# Faulty builds go to target/fault-matrix so the normal target/ stays
+# warm; the first build there compiles the workspace from scratch.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# fault name -> "<package> <test name>..." (names as `cargo test` prints them)
+declare -A FAULTS=(
+    # A context kept across a delta keeps its old area (and
+    # reconfiguration weight) after an implementation move.
+    [ctx_stale_area]="rdse-mapping
+        evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # When the context count changes, the last context's terminals are
+    # not re-marked (a stale or missing out-bundle marker).
+    [ctx_tail_marker]="rdse-mapping
+        evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+)
+
+if [ "$#" -gt 0 ]; then
+    selected=("$@")
+else
+    mapfile -t selected < <(printf '%s\n' "${!FAULTS[@]}" | sort)
+fi
+
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target/fault-matrix}"
+survivors=0
+for fault in "${selected[@]}"; do
+    spec="${FAULTS[$fault]:-}"
+    if [ -z "$spec" ]; then
+        echo "unknown fault: $fault" >&2
+        exit 2
+    fi
+    read -r -a words <<<"$(echo $spec)"
+    package="${words[0]}"
+    tests=("${words[@]:1}")
+    echo "== fault $fault: ${#tests[@]} test(s) in $package"
+    log="$(mktemp)"
+    set +e
+    RUSTFLAGS="--cfg rdse_fault=\"$fault\"" \
+        cargo test -p "$package" --lib -- --exact "${tests[@]}" >"$log" 2>&1
+    set -e
+    ran=$(grep -cE '^test .* \.\.\. (ok|FAILED)$' "$log" || true)
+    if ! grep -q '^test result:' "$log" || [ "$ran" -ne "${#tests[@]}" ]; then
+        echo "   BROKEN: build failed or ran $ran of ${#tests[@]} named tests" >&2
+        tail -n 30 "$log" >&2
+        rm -f "$log"
+        exit 1
+    fi
+    killers=$(sed -n 's/^test \(.*\) \.\.\. FAILED$/\1/p' "$log")
+    rm -f "$log"
+    if [ -n "$killers" ]; then
+        echo "$killers" | sed 's/^/   killed by /'
+    else
+        echo "   SURVIVED: every named test passed" >&2
+        survivors=$((survivors + 1))
+    fi
+done
+
+if [ "$survivors" -gt 0 ]; then
+    echo "fault matrix: $survivors fault(s) survived" >&2
+    exit 1
+fi
+echo "fault matrix: all ${#selected[@]} fault(s) killed"

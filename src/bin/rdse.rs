@@ -451,8 +451,14 @@ fn print_profile<C>(
         steps_per_sec, run.iterations, run.elapsed, run.accepted, run.rejected, run.infeasible, alloc_free
     );
     println!(
-        "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | window re-sorts {}",
-        stats.repairs, mean_cone, stats.max_cone, stats.full_passes, stats.fallbacks
+        "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | window re-sorts {} | contexts re-derived {} kept {}",
+        stats.repairs,
+        mean_cone,
+        stats.max_cone,
+        stats.full_passes,
+        stats.fallbacks,
+        stats.contexts_recomputed,
+        stats.contexts_untouched
     );
 }
 

@@ -59,6 +59,15 @@ fn portfolio_is_bit_identical_across_thread_counts() {
         // matter how many workers host it.
         assert_eq!(x.eval_stats, y.eval_stats);
     }
+    // So are the context-mirror counters: the same deltas re-derive
+    // (and keep) the same contexts at every worker count.
+    for ((x, y), z) in a.chains.iter().zip(&b.chains).zip(&c.chains) {
+        let counts =
+            |s: &rdse::mapping::EvaluatorStats| (s.contexts_recomputed, s.contexts_untouched);
+        assert_eq!(counts(&x.eval_stats), counts(&y.eval_stats));
+        assert_eq!(counts(&y.eval_stats), counts(&z.eval_stats));
+        assert!(x.eval_stats.contexts_recomputed > 0, "{:?}", x.eval_stats);
+    }
 }
 
 #[test]
