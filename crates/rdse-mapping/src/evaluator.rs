@@ -569,6 +569,8 @@ impl RepairGraph for Overlay<'_> {
             if p == NONE {
                 f(self.n as u32, w);
             } else {
+                #[cfg(rdse_fault = "ctx_edge_no_reconfig")]
+                let w = 0.0;
                 for &t in &self.ctx.slots[p as usize].terminals {
                     f(t, w);
                 }
@@ -672,80 +674,6 @@ pub struct Evaluator<'a> {
     stats: EvaluatorStats,
 }
 
-/// A lifetime-free bundle of every arena an [`Evaluator`] owns,
-/// detached from the `app`/`arch` borrows so it can be cached across
-/// jobs (the serving layer keeps one per warm (app, arch) entry).
-///
-/// Produced by [`Evaluator::into_arenas`] and revived by
-/// [`Evaluator::with_arenas`]. Reviving performs a full shape check
-/// (task count, edge count *and endpoints*, device count) and falls
-/// back to a fresh build on any mismatch, and always recomputes the
-/// bus-rate-dependent transfer table and resets the delta machinery,
-/// so a revived evaluator is observationally identical to a freshly
-/// constructed one: the first full `evaluate` resynchronizes every
-/// mapping-dependent mirror. Only allocation capacities (and the
-/// lifetime stats counters) survive the round trip.
-#[derive(Debug, Clone)]
-pub struct EvaluatorArenas {
-    n: usize,
-    dag: DenseDag,
-    xfer: Vec<f64>,
-    prev_sw: Vec<u32>,
-    next_sw: Vec<u32>,
-    in_bundle: Vec<u32>,
-    out_bundle: Vec<u32>,
-    kind: Vec<u8>,
-    drlc_of: Vec<u32>,
-    ctx: CtxMirror,
-    membership: Vec<u64>,
-    generation: u64,
-    lp: IncrementalLongestPath,
-    seeds: Vec<u32>,
-    struct_seeds: Vec<u32>,
-    eid_scratch: Vec<(u32, u32)>,
-    log: DeltaLog,
-    batch_out: Vec<Result<EvalSummary, MappingError>>,
-    diff_tasks: Vec<u32>,
-    diff_procs: Vec<u32>,
-    stats: EvaluatorStats,
-}
-
-impl EvaluatorArenas {
-    /// `true` if these arenas were sized for exactly this `app` ×
-    /// `arch` pair: same task count, same data edges (count and
-    /// endpoints) and same device count. Weight-like content (exec
-    /// times, bus rate) is *not* checked — it is rewritten wholesale
-    /// on revival.
-    pub fn fits(&self, app: &TaskGraph, arch: &Architecture) -> bool {
-        let n = app.n_tasks();
-        let m = app.edges().len();
-        self.n == n
-            && self.xfer.len() == m
-            && self.dag.n_nodes() == n + 1
-            && self.dag.n_edges() == m
-            && self.ctx.head.len() == arch.drlcs().len()
-            && app
-                .edges()
-                .iter()
-                .enumerate()
-                .all(|(eid, e)| self.dag.edge_endpoints(eid as u32) == (e.from.0, e.to.0))
-    }
-
-    /// Lifetime evaluation counters carried inside the arenas (they
-    /// survive [`Evaluator::into_arenas`] round trips).
-    pub fn stats(&self) -> EvaluatorStats {
-        let r = self.lp.stats();
-        EvaluatorStats {
-            repairs: r.repairs,
-            full_passes: r.full_passes,
-            fallbacks: r.fallbacks,
-            max_cone: r.max_cone,
-            cone_nodes: r.cone_nodes,
-            ..self.stats
-        }
-    }
-}
-
 impl<'a> Evaluator<'a> {
     /// Prepares mirrors and arenas for `app` × `arch`. All per-task
     /// buffers are pre-sized; list capacities warm up over the first
@@ -792,146 +720,6 @@ impl<'a> Evaluator<'a> {
             diff_tasks: Vec::new(),
             diff_procs: Vec::new(),
             stats: EvaluatorStats::default(),
-        }
-    }
-
-    /// Revives a cached [`EvaluatorArenas`] bundle for `app` × `arch`,
-    /// recycling every allocation instead of going through the
-    /// allocator again. Falls back to [`Evaluator::new`] when the
-    /// arenas do not [fit](EvaluatorArenas::fits) this pair.
-    ///
-    /// The revived evaluator starts unsynchronized (like a fresh one):
-    /// the first full [`evaluate`](Evaluator::evaluate) rewrites every
-    /// mapping-dependent mirror and the transfer table is recomputed
-    /// here from `arch`'s bus, so results are bit-identical to a
-    /// cold-started evaluator regardless of what the arenas last held.
-    pub fn with_arenas(
-        app: &'a TaskGraph,
-        arch: &'a Architecture,
-        arenas: EvaluatorArenas,
-    ) -> Self {
-        if !arenas.fits(app, arch) {
-            return Evaluator::new(app, arch);
-        }
-        let EvaluatorArenas {
-            n,
-            dag,
-            mut xfer,
-            prev_sw,
-            next_sw,
-            in_bundle,
-            out_bundle,
-            kind,
-            drlc_of,
-            mut ctx,
-            membership,
-            generation,
-            lp,
-            mut seeds,
-            mut struct_seeds,
-            mut eid_scratch,
-            mut log,
-            mut batch_out,
-            diff_tasks,
-            diff_procs,
-            stats,
-        } = arenas;
-        let bus = arch.bus();
-        for (slot, e) in xfer.iter_mut().zip(app.edges()) {
-            *slot = bus.transfer_time(e.bytes).value();
-        }
-        log.clear();
-        ctx.commit();
-        seeds.clear();
-        struct_seeds.clear();
-        eid_scratch.clear();
-        batch_out.clear();
-        Evaluator {
-            app,
-            arch,
-            n,
-            dag,
-            xfer,
-            prev_sw,
-            next_sw,
-            in_bundle,
-            out_bundle,
-            kind,
-            drlc_of,
-            hw_count: 0,
-            ctx,
-            membership,
-            generation,
-            lp,
-            seeds,
-            struct_seeds,
-            eid_scratch,
-            log,
-            delta_active: false,
-            synced: false,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            stats,
-        }
-    }
-
-    /// Detaches the arenas from the `app`/`arch` borrows so they can
-    /// outlive the models (e.g. in a warm-evaluator cache). The
-    /// exhaustive destructuring here is deliberate: adding a field to
-    /// [`Evaluator`] will not compile until a decision is made about
-    /// whether it rides along.
-    pub fn into_arenas(self) -> EvaluatorArenas {
-        let Evaluator {
-            app: _,
-            arch: _,
-            n,
-            dag,
-            xfer,
-            prev_sw,
-            next_sw,
-            in_bundle,
-            out_bundle,
-            kind,
-            drlc_of,
-            hw_count: _,
-            ctx,
-            membership,
-            generation,
-            lp,
-            seeds,
-            struct_seeds,
-            eid_scratch,
-            log,
-            delta_active: _,
-            synced: _,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            stats,
-        } = self;
-        EvaluatorArenas {
-            n,
-            dag,
-            xfer,
-            prev_sw,
-            next_sw,
-            in_bundle,
-            out_bundle,
-            kind,
-            drlc_of,
-            ctx,
-            membership,
-            generation,
-            lp,
-            seeds,
-            struct_seeds,
-            eid_scratch,
-            log,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            stats,
         }
     }
 

@@ -22,7 +22,7 @@
 use crate::cost::{CostVector, ObjectiveKey};
 use crate::error::MappingError;
 use crate::eval::{EvalSummary, Evaluation};
-use crate::evaluator::{Evaluator, EvaluatorArenas, EvaluatorStats};
+use crate::evaluator::{Evaluator, EvaluatorStats};
 use crate::init::random_initial;
 use crate::moves::{propose_impl_move, propose_pair_move, MoveDelta, MoveScratch};
 use crate::solution::Mapping;
@@ -330,29 +330,8 @@ impl<'a> MappingProblem<'a> {
         arch: &'a Architecture,
         mapping: Mapping,
     ) -> Result<Self, MappingError> {
-        Self::with_arenas(app, arch, mapping, None)
-    }
-
-    /// Like [`MappingProblem::new`], but revives a cached
-    /// [`EvaluatorArenas`] bundle instead of allocating fresh arenas.
-    /// Revival is observationally invisible (see
-    /// [`Evaluator::with_arenas`]): results are bit-identical either
-    /// way; only the allocator traffic differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the evaluation error if `mapping` is infeasible.
-    pub fn with_arenas(
-        app: &'a TaskGraph,
-        arch: &'a Architecture,
-        mapping: Mapping,
-        arenas: Option<EvaluatorArenas>,
-    ) -> Result<Self, MappingError> {
         mapping.validate(app, arch)?;
-        let mut evaluator = match arenas {
-            Some(a) => Evaluator::with_arenas(app, arch, a),
-            None => Evaluator::new(app, arch),
-        };
+        let mut evaluator = Evaluator::new(app, arch);
         let current = evaluator.evaluate(&mapping)?;
         Ok(MappingProblem {
             app,
@@ -395,19 +374,11 @@ impl<'a> MappingProblem<'a> {
     /// evaluation (per-task trace included), computed once on the cold
     /// path.
     pub fn into_parts(self) -> (Mapping, Evaluation) {
-        let (mapping, evaluation, _) = self.into_parts_with_arenas();
-        (mapping, evaluation)
-    }
-
-    /// [`MappingProblem::into_parts`], additionally detaching the
-    /// evaluator's arenas for reuse by a later problem over the same
-    /// `app` × `arch` pair.
-    pub fn into_parts_with_arenas(self) -> (Mapping, Evaluation, EvaluatorArenas) {
         let evaluation = self
             .evaluator
             .evaluate_full(&self.mapping)
             .expect("resident mapping is feasible by invariant");
-        (self.mapping, evaluation, self.evaluator.into_arenas())
+        (self.mapping, evaluation)
     }
 }
 
@@ -664,38 +635,17 @@ impl<'a> Explorer<'a> {
         arch: &'a Architecture,
         opts: &ExploreOptions,
     ) -> Result<Self, MappingError> {
-        Self::with_arenas(app, arch, opts, None)
+        Self::with_initial(app, arch, opts, None)
     }
 
-    /// Like [`Explorer::new`], but revives a cached
-    /// [`EvaluatorArenas`] bundle (see
-    /// [`MappingProblem::with_arenas`]); recover it afterwards with
-    /// [`Explorer::into_outcome_with_arenas`]. The walk is
-    /// bit-identical to a cold-started chain.
+    /// Like [`Explorer::new`], but an explicit `initial` mapping
+    /// replaces the seed-drawn random initial solution — the warm-start
+    /// primitive used by [`explore_parallel`] (see [`WarmStart`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError`] if no feasible initial solution can be
-    /// constructed (e.g. the models are inconsistent).
-    pub fn with_arenas(
-        app: &'a TaskGraph,
-        arch: &'a Architecture,
-        opts: &ExploreOptions,
-        arenas: Option<EvaluatorArenas>,
-    ) -> Result<Self, MappingError> {
-        Self::with_initial(app, arch, opts, arenas, None)
-    }
-
-    /// Like [`Explorer::with_arenas`], but an explicit `initial`
-    /// mapping replaces the seed-drawn random initial solution — the
-    /// warm-start primitive used by [`explore_parallel`] (see
-    /// [`WarmStart`]).
-    ///
-    /// Only the starting point changes: with `initial: None` this *is*
-    /// [`Explorer::with_arenas`], and with `Some(_)` the annealer's
-    /// walk RNG stream (seeded independently of the initial-solution
-    /// draw) is identical to the cold chain's, so a warm chain is a
-    /// pure function of `(options, initial)`.
+    /// Only the starting point changes: the annealer's walk RNG stream
+    /// (seeded independently of the initial-solution draw) is identical
+    /// to the cold chain's, so a warm chain is a pure function of
+    /// `(options, initial)`.
     ///
     /// # Errors
     ///
@@ -705,20 +655,12 @@ impl<'a> Explorer<'a> {
         app: &'a TaskGraph,
         arch: &'a Architecture,
         opts: &ExploreOptions,
-        arenas: Option<EvaluatorArenas>,
         initial: Option<Mapping>,
     ) -> Result<Self, MappingError> {
-        let initial = match initial {
-            Some(mapping) => {
-                mapping.validate(app, arch)?;
-                mapping
-            }
-            None => {
-                let mut rng = StdRng::seed_from_u64(opts.seed);
-                random_initial(app, arch, &mut rng)
-            }
-        };
-        let problem = MappingProblem::with_arenas(app, arch, initial, arenas)?;
+        // `MappingProblem::new` validates a provided mapping.
+        let initial = initial
+            .unwrap_or_else(|| random_initial(app, arch, &mut StdRng::seed_from_u64(opts.seed)));
+        let problem = MappingProblem::new(app, arch, initial)?;
         let schedule = LamSchedule::new(opts.lambda);
         let mut annealer = Annealer::with_scalarizer(
             problem,
@@ -818,25 +760,15 @@ impl<'a> Explorer<'a> {
     /// packed into an [`ExploreOutcome`] (the full per-task evaluation
     /// is computed once here, on the cold path).
     pub fn into_outcome(self) -> ExploreOutcome {
-        self.into_outcome_with_arenas().0
-    }
-
-    /// [`Explorer::into_outcome`], additionally detaching the chain's
-    /// evaluator arenas for reuse by a later chain over the same
-    /// `app` × `arch` pair.
-    pub fn into_outcome_with_arenas(self) -> (ExploreOutcome, EvaluatorArenas) {
         let (problem, _schedule, run) = self.annealer.finish();
         let eval_stats = problem.evaluator_stats();
-        let (mapping, evaluation, arenas) = problem.into_parts_with_arenas();
-        (
-            ExploreOutcome {
-                mapping,
-                evaluation,
-                run,
-                eval_stats,
-            },
-            arenas,
-        )
+        let (mapping, evaluation) = problem.into_parts();
+        ExploreOutcome {
+            mapping,
+            evaluation,
+            run,
+            eval_stats,
+        }
     }
 }
 
@@ -1015,7 +947,7 @@ pub fn explore_parallel(
     arch: &Architecture,
     opts: &ParallelOptions,
 ) -> Result<ParallelOutcome, MappingError> {
-    explore_parallel_observed(app, arch, opts, &mut Vec::new(), |_| true)
+    explore_parallel_observed(app, arch, opts, |_| true)
 }
 
 /// A progress snapshot delivered to the observer of
@@ -1038,20 +970,16 @@ pub struct SegmentUpdate<'u> {
     pub finished: bool,
 }
 
-/// [`explore_parallel`] with two additions for long-lived callers (the
-/// serving layer): cached [`EvaluatorArenas`] are revived into the
-/// chains (`arenas` is drained on entry and refilled with the chains'
-/// arenas on exit, ready for the next job over the same pair), and an
+/// [`explore_parallel`] for long-lived callers (the serving layer): an
 /// `observer` is called at every exchange barrier with a
 /// [`SegmentUpdate`] so progress can be streamed while the portfolio
 /// converges.
 ///
-/// Observation is read-only and arena revival is observationally
-/// invisible, so for any observer that keeps returning `true` the
-/// outcome is **bit-identical to [`explore_parallel`]** with equal
-/// options. An observer returning `false` aborts the portfolio at the
-/// barrier: the outcome then reflects the best solutions found so far
-/// (and is naturally *not* comparable to a full run).
+/// Observation is read-only, so for any observer that keeps returning
+/// `true` the outcome is **bit-identical to [`explore_parallel`]** with
+/// equal options. An observer returning `false` aborts the portfolio at
+/// the barrier: the outcome then reflects the best solutions found so
+/// far (and is naturally *not* comparable to a full run).
 ///
 /// # Errors
 ///
@@ -1061,7 +989,6 @@ pub fn explore_parallel_observed(
     app: &TaskGraph,
     arch: &Architecture,
     opts: &ParallelOptions,
-    arenas: &mut Vec<EvaluatorArenas>,
     mut observer: impl FnMut(&SegmentUpdate<'_>) -> bool,
 ) -> Result<ParallelOutcome, MappingError> {
     let start = Instant::now();
@@ -1091,13 +1018,7 @@ pub fn explore_parallel_observed(
         } else {
             None
         };
-        explorers.push(Explorer::with_initial(
-            app,
-            arch,
-            &chain_opts,
-            arenas.pop(),
-            initial,
-        )?);
+        explorers.push(Explorer::with_initial(app, arch, &chain_opts, initial)?);
     }
 
     let threads = if opts.threads == 0 {
@@ -1197,8 +1118,7 @@ pub fn explore_parallel_observed(
     let mut front = ParetoFront::new();
     for (i, chain) in explorers.into_iter().enumerate() {
         let seed = chain.seed();
-        let (outcome, chain_arenas) = chain.into_outcome_with_arenas();
-        arenas.push(chain_arenas);
+        let outcome = chain.into_outcome();
         if i == winner {
             winner_solution = Some((outcome.mapping.clone(), outcome.evaluation.clone()));
         }

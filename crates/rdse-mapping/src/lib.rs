@@ -95,7 +95,7 @@ pub use arch_explore::{
 pub use cost::{CostVector, ObjectiveKey};
 pub use error::MappingError;
 pub use eval::{evaluate, EvalBreakdown, EvalSummary, Evaluation};
-pub use evaluator::{Evaluator, EvaluatorArenas, EvaluatorStats};
+pub use evaluator::{Evaluator, EvaluatorStats};
 pub use explorer::{
     chain_seed, explore, explore_parallel, explore_parallel_observed, lexi_min, ChainStats,
     ExploreOptions, ExploreOutcome, Explorer, MappingMove, MappingProblem, Objective,

@@ -106,7 +106,11 @@ impl MoveDelta {
                 mapping.detach(task);
                 prev.reinstate(mapping, task);
             }
-            DeltaKind::Reimplement { task, prev_impl } => mapping.select_impl(task, prev_impl),
+            DeltaKind::Reimplement { task, prev_impl } => {
+                if !cfg!(rdse_fault = "undo_wrong_impl") {
+                    mapping.select_impl(task, prev_impl);
+                }
+            }
         }
     }
 
@@ -558,9 +562,12 @@ mod tests {
             };
             match res {
                 None => assert_eq!(m, before, "None must leave mapping unchanged"),
-                Some(_) => {
+                Some(out) => {
                     applied += 1;
                     m.validate(&app, &arch).unwrap();
+                    let mut undone = m.clone();
+                    out.delta.undo(&mut undone);
+                    assert_eq!(undone, before, "undo of {:?} must restore it", out.kind);
                     // Infeasible orders are allowed here (cycle check is
                     // the evaluator's job); roll back if cyclic so the
                     // walk continues from a feasible point.

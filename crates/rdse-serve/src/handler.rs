@@ -8,8 +8,8 @@ use crate::protocol::{obj, AppSpec, ArchSpec, ErrorCode, JobSpec, ServeError};
 use crate::transport::FrameSink;
 use rdse_corpus::{ArchFamily, WorkloadFamily};
 use rdse_mapping::{
-    explore_parallel_observed, CostVector, EvaluatorArenas, ExploreOptions, Objective,
-    ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
+    explore_parallel_observed, CostVector, ExploreOptions, Objective, ParallelOptions,
+    ParallelOutcome, SegmentUpdate, WarmStart,
 };
 use rdse_model::{Architecture, TaskGraph};
 use rdse_store::{
@@ -152,8 +152,8 @@ pub fn cache_key(spec: &JobSpec) -> String {
 }
 
 /// FNV-1a over the cache key — the worker-shard selector. Jobs over
-/// the same `(app, arch)` land on the same worker, maximizing warm
-/// arena reuse.
+/// the same `(app, arch)` land on the same worker, maximizing model
+/// cache reuse.
 pub fn shard_hash(key: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.as_bytes() {
@@ -364,14 +364,12 @@ pub fn stored_result_value(
 }
 
 /// Runs a validated job to completion, streaming a
-/// [`SegmentUpdate`] through `sink` at every exchange barrier.
-/// `arenas` follows the [`explore_parallel_observed`] contract
-/// (drained on entry, refilled on exit), so the caller's warm cache
-/// keeps paying off across jobs — while results stay bit-identical to
-/// the offline `explore`/`explore_parallel` path for the same
-/// `(seed, chains)`. A `warm` mapping (from the result store) seeds
-/// chain 0; `None` is the bit-identical cold path. Returns the result
-/// frame alongside the raw outcome so the caller can archive it.
+/// [`SegmentUpdate`] through `sink` at every exchange barrier. Results
+/// are bit-identical to the offline `explore`/`explore_parallel` path
+/// for the same `(seed, chains)`. A `warm` mapping (from the result
+/// store) seeds chain 0; `None` is the bit-identical cold path. Returns
+/// the result frame alongside the raw outcome so the caller can archive
+/// it.
 #[allow(clippy::too_many_arguments)]
 pub fn execute(
     job: u64,
@@ -379,7 +377,6 @@ pub fn execute(
     objective: Objective,
     app: &TaskGraph,
     arch: &Architecture,
-    arenas: &mut Vec<EvaluatorArenas>,
     cache_hit: bool,
     warm: Option<WarmStart>,
     store: &str,
@@ -402,7 +399,7 @@ pub fn execute(
         front_exchange: false,
     };
     let mut aborted = false;
-    let outcome = explore_parallel_observed(app, arch, &popts, arenas, |u| {
+    let outcome = explore_parallel_observed(app, arch, &popts, |u| {
         let keep = sink.send_update(&update_value(job, u));
         if !keep {
             aborted = true;

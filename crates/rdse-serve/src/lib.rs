@@ -18,9 +18,9 @@
 //!   connection is classified by peeking its first four bytes.
 //! - [`Server`] shards jobs across a fixed worker pool by hashing the
 //!   job's `(app, arch)` content key. Each worker keeps those models
-//!   and their warm [`rdse_mapping::EvaluatorArenas`] cached, so
-//!   repeat submissions skip model building and arena allocation —
-//!   observable as `evaluator_cache_hits` in the health report.
+//!   cached, so repeat submissions skip model building — observable as
+//!   `evaluator_cache_hits` in the health report. Every chain of every
+//!   job builds its own evaluator.
 //! - With a result store, a job's read path is memo → exact →
 //!   dominated → resolve → warm or miss. Each worker memoises the
 //!   store-key [`rdse_store::PairPrefix`] of every `(app, arch)` spec
@@ -39,8 +39,7 @@
 //!
 //! Results are **bit-identical** to the offline `rdse explore` for
 //! the same `(seed, chains)`: jobs run the same deterministic
-//! portfolio with in-job `threads: 1`, and warm-arena revival fully
-//! resynchronizes evaluator state.
+//! portfolio with in-job `threads: 1`.
 //!
 //! # Example
 //!

@@ -24,7 +24,7 @@ pub struct ServeConfig {
     /// Port to bind; `0` asks the OS for a free port — read the real
     /// one back from [`Server::local_addr`].
     pub port: u16,
-    /// Worker pool lanes (each with its own warm model/arena cache).
+    /// Worker pool lanes (each with its own model cache).
     pub workers: usize,
     /// Per-request resource limits.
     pub limits: Limits,
@@ -56,8 +56,8 @@ pub struct ServeStats {
     pub jobs_served: AtomicU64,
     /// Jobs rejected or failed after admission.
     pub jobs_failed: AtomicU64,
-    /// Jobs that found their `(app, arch)` models and evaluator arenas
-    /// already warm on their worker.
+    /// Jobs that found their `(app, arch)` models already cached on
+    /// their worker (reported as `evaluator_cache_hits`).
     pub cache_hits: AtomicU64,
     /// Jobs that had to resolve models from scratch.
     pub cache_misses: AtomicU64,

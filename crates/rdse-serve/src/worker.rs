@@ -1,12 +1,11 @@
 //! The sharded worker layer, running on pinned [`rdse_mapping::Pool`]
 //! lanes.
 //!
-//! Each shard owns a private warm cache of resolved `(app, arch)`
-//! models plus their [`EvaluatorArenas`]. Jobs are routed to a lane by
-//! hashing the cache key, so repeat submissions of the same pair
-//! always land where the warm arenas live; pinned jobs of one lane run
-//! serially in submission order on that lane's worker, so the shard
-//! mutex below is uncontended on the hot path — it exists to satisfy
+//! Each shard owns a private cache of resolved `(app, arch)` models.
+//! Jobs are routed to a lane by hashing the cache key, so repeat
+//! submissions of the same pair always land where their models are
+//! cached; pinned jobs of one lane run serially in submission order on
+//! that lane's worker, so the shard mutex below is uncontended on the hot path — it exists to satisfy
 //! the pool's `'static + Send` job bounds, not to arbitrate.
 //!
 //! With a result store, each shard also memoises the store-key
@@ -19,7 +18,7 @@ use crate::handler;
 use crate::protocol::{ErrorCode, JobSpec, ServeError};
 use crate::server::{Core, JobState, ServeStats, SessionPermit};
 use crate::transport::FrameSink;
-use rdse_mapping::{CostVector, EvaluatorArenas, Mapping, Objective, Scalarizer, WarmStart};
+use rdse_mapping::{CostVector, Mapping, Objective, Scalarizer, WarmStart};
 use rdse_model::{Architecture, TaskGraph};
 use rdse_store::{fnv1a128, ArchivedRecord, PairKey, PairPrefix, ResultStore, StoreKey};
 use serde::{Deserialize, Value};
@@ -51,11 +50,10 @@ pub(crate) struct JobRequest {
 struct CacheEntry {
     app: TaskGraph,
     arch: Architecture,
-    arenas: Vec<EvaluatorArenas>,
     last_used: u64,
 }
 
-/// One shard's warm state: the model/arena cache and its LRU clock,
+/// One shard's warm state: the model cache and its LRU clock,
 /// and the pair-prefix memo.
 #[derive(Default)]
 pub(crate) struct ShardState {
@@ -106,7 +104,7 @@ pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<
             }
             let e = ServeError::new(
                 ErrorCode::Internal,
-                "job panicked; its evaluator cache entry was dropped",
+                "job panicked; its model cache entry was dropped",
             );
             core.registry.set_state(req.id, JobState::Failed(e.clone()));
             core.stats.jobs_failed.fetch_add(1, Relaxed);
@@ -184,7 +182,6 @@ fn run_one(
             CacheEntry {
                 app,
                 arch,
-                arenas: Vec::new(),
                 last_used: 0,
             },
         );
@@ -238,21 +235,17 @@ fn run_one(
         keys = Some((skey, pkey));
     }
 
-    let mut arenas = std::mem::take(&mut entry.arenas);
-    let result = handler::execute(
+    let (value, outcome) = handler::execute(
         req.id,
         &req.spec,
         req.objective,
         &entry.app,
         &entry.arch,
-        &mut arenas,
         hit,
         warm,
         store_label,
         req.sink.as_mut(),
-    );
-    entry.arenas = arenas;
-    let (value, outcome) = result?;
+    )?;
 
     // Archive the finished run. A failed append costs persistence of
     // this one result, never the job.

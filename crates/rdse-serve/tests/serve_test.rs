@@ -3,9 +3,9 @@
 //! 1. A served job's result is **bit-identical** to the offline
 //!    `explore_parallel` for the same `(seed, chains)` — makespan and
 //!    every Pareto-front member, compared via `f64::to_bits`.
-//! 2. Submitting the same job twice (warm-arena path) and against a
+//! 2. Submitting the same job twice (model-cache path) and against a
 //!    restarted server changes nothing.
-//! 3. Warm-arena reuse is observable: the health report's
+//! 3. Model-cache reuse is observable: the health report's
 //!    `evaluator_cache_hits` goes above zero on the second submission.
 
 use rdse_corpus::{ArchFamily, WorkloadFamily};
@@ -181,8 +181,8 @@ fn resubmission_and_restart_are_deterministic_and_hit_the_warm_cache() {
     let first = client::submit(&addr, &spec, &opts, |_| {}).expect("first run");
     assert_eq!(as_str(&first, "cache"), "miss");
 
-    // Same (app, arch) again: lands on the same worker shard, revives
-    // the warm evaluator arenas, and must not perturb a single bit.
+    // Same (app, arch) again: lands on the same worker shard, reuses
+    // its cached models, and must not perturb a single bit.
     let second = client::submit(&addr, &spec, &opts, |_| {}).expect("second run");
     assert_eq!(as_str(&second, "cache"), "hit");
     assert_eq!(served_bits(&first), served_bits(&second));
@@ -190,7 +190,7 @@ fn resubmission_and_restart_are_deterministic_and_hit_the_warm_cache() {
     let health = client::health(&addr, &opts).expect("health");
     assert!(
         as_u64(&health, "evaluator_cache_hits") > 0,
-        "warm-arena reuse not observable in healthz: {health:?}"
+        "model-cache reuse not observable in healthz: {health:?}"
     );
     assert_eq!(as_u64(&health, "jobs_served"), 2);
 

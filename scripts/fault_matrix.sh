@@ -30,6 +30,18 @@ declare -A FAULTS=(
         evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
         evaluator::tests::delta_walk_matches_reference_on_paper_workload
         evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # A context edge from the previous context's terminals to this
+    # context's initials weighs 0 instead of the reconfiguration time.
+    [ctx_edge_no_reconfig]="rdse-mapping
+        evaluator::tests::matches_reference_on_random_mappings
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # Undoing an implementation move leaves the new implementation in
+    # place instead of restoring the previous one.
+    [undo_wrong_impl]="rdse-mapping
+        moves::tests::proposals_keep_mapping_structurally_valid
+        evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload"
 )
 
 if [ "$#" -gt 0 ]; then

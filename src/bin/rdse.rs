@@ -57,8 +57,27 @@ use rdse::workloads::{
     LayeredDagConfig,
 };
 use serde::Serialize;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Mutex;
+
+/// Shadows `std::println!` in this binary: once stdout is closed
+/// (`rdse explore ... | head -1`), the command ends quietly with exit
+/// code 0 instead of panicking on the failed write.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+fn print_line(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{args}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -1120,7 +1139,6 @@ fn run_serve(args: &[String]) -> ExitCode {
             // CI and scripts parse this line for the bound port, so it
             // must reach the pipe before the accept loop blocks.
             println!("rdse serve listening on {addr} ({workers} workers)");
-            use std::io::Write as _;
             let _ = std::io::stdout().flush();
         }
         Err(e) => {
@@ -1312,7 +1330,7 @@ fn print_submit_result(v: &serde::Value) {
         println!("portfolio     : {chains} chains, winner {winner}");
     }
     if let Some(cache) = value_str(v, "cache") {
-        println!("evaluator     : warm-arena cache {cache}");
+        println!("model cache   : {cache}");
     }
     if let Some(store) = value_str(v, "store") {
         if store != "off" {

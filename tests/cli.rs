@@ -1,11 +1,12 @@
 //! CLI smoke tests for the multi-objective flags: malformed
 //! `--objective` specs are rejected with exit code 2 and an actionable
 //! message; well-formed specs run and report a Pareto front. Also covers
-//! `rdse space`, the serve/submit surface and the store subcommands.
+//! `rdse space`, the serve/submit surface, the store subcommands and a
+//! stdout that closes early.
 
 use rdse::model::{Bytes, Micros, TaskGraph};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
 fn rdse(args: &[&str]) -> Output {
@@ -54,6 +55,29 @@ fn explore_with_objective(objective: &str) -> Output {
         "--objective",
         objective,
     ])
+}
+
+#[test]
+fn closed_stdout_ends_explore_quietly() {
+    // `rdse explore ... | head -1` with the reader already gone: the
+    // first result line hits a closed pipe.
+    let (app, arch) = models();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rdse"))
+        .args([
+            "explore", "--app", app, "--arch", arch, "--iters", "500", "--seed", "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("rdse binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("rdse exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "panic on closed stdout: {stderr}"
+    );
+    assert_ne!(out.status.code(), Some(101), "exit status {:?}", out.status);
 }
 
 #[test]
