@@ -287,11 +287,24 @@ impl Server {
         let store = match &config.store {
             Some(path) => {
                 let store = ResultStore::open(path, config.store_sync)?;
-                if let Some(tail) = &store.replay_report().tail {
+                let replay = store.replay_report();
+                for span in &replay.skipped {
                     eprintln!(
-                        "rdse serve: store {}: torn tail skipped {tail}; {} record(s) replayed",
+                        "rdse serve: store {}: damaged span skipped ({span})",
+                        path.display()
+                    );
+                }
+                if let Some(tail) = &replay.tail {
+                    eprintln!(
+                        "rdse serve: store {}: torn tail skipped {tail}",
+                        path.display()
+                    );
+                }
+                if !replay.is_clean() {
+                    eprintln!(
+                        "rdse serve: store {}: {} record(s) replayed",
                         path.display(),
-                        store.replay_report().records
+                        replay.records
                     );
                 }
                 Some(Mutex::new(store))

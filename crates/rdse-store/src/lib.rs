@@ -24,11 +24,13 @@
 //! - [`record`] — the persisted form of one run ([`StoreRecord`]): every
 //!   `f64` as raw bits, the winning mapping as index-only JSON. The
 //!   archive keeps each one as an [`ArchivedRecord`], the mapping held as
-//!   its compact JSON text (about an eighth of its `Value` tree's heap)
-//!   and parsed only when a warm start seeds from it.
+//!   JSON text (about an eighth of its `Value` tree's heap) and parsed
+//!   only when a warm start seeds from it.
 //! - [`log`] — the append-only file format: length-prefixed,
 //!   checksummed frames in the serve protocol's framing discipline,
-//!   replayed by [`log::scan`] with torn-tail tolerance.
+//!   replayed by [`log::scan`], which slices each mapping's text out of
+//!   its body as written, resyncs past mid-log damage and tolerates a
+//!   torn tail.
 //! - [`archive`] — the in-memory [`Archive`] replay rebuilds, with the
 //!   three deterministic queries above.
 //! - [`store`] — [`ResultStore`]: open/replay, append under a
@@ -39,7 +41,10 @@
 //!
 //! Appends are length-prefixed and checksummed, so a crash mid-write
 //! leaves a tail that replay detects, reports and skips — never a
-//! panic, never a poisoned archive. The [`SyncPolicy`] knob trades
+//! panic, never a poisoned archive. Damage in the middle of a log costs
+//! only the damaged bytes: replay resyncs to the next intact frame,
+//! reports the skipped span, and no intact record is truncated away
+//! (compaction drops the span). The [`SyncPolicy`] knob trades
 //! fsync cost for the window of appends an OS crash could lose; the
 //! `store_sync` bench measures the trade.
 //!
@@ -83,6 +88,6 @@ pub mod store;
 
 pub use archive::Archive;
 pub use key::{fnv1a128, KeySpec, PairKey, PairPrefix, SearchKnobs, StoreKey};
-pub use log::{ReplayReport, TailIssue};
+pub use log::{ReplayReport, SkippedSpan, TailIssue};
 pub use record::{ArchivedRecord, CostBits, StoreRecord};
 pub use store::{verify, CompactReport, ResultStore, SyncPolicy};

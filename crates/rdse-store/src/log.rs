@@ -16,13 +16,24 @@
 //! 20      n     body: one UTF-8 JSON record
 //! ```
 //!
-//! [`scan`] replays a log byte slice and **never panics**: a truncated
-//! or corrupt tail — short header, bad magic, short body, checksum
-//! mismatch, malformed JSON — ends the replay at the last good record
-//! and is reported as a [`TailIssue`] naming the offset and cause.
+//! [`scan`] replays a log byte slice and **never panics**. A frame that
+//! cannot be replayed — short header, bad magic, short body, checksum
+//! mismatch, malformed JSON — is handled by what follows it:
+//!
+//! - **Mid-log damage.** Replay resyncs to the next `RDSA` magic whose
+//!   frame checksums and decodes, and reports the bytes it passed over
+//!   as a [`SkippedSpan`] (offset, length, cause). No intact record
+//!   after the damage is lost.
+//! - **Damaged tail.** When no intact frame follows — typically a torn
+//!   final frame left by a crash mid-append — replay ends at the last
+//!   intact record and reports a [`TailIssue`]. That is the only part of
+//!   a log [`ResultStore::open`](crate::ResultStore::open) truncates.
+//!
+//! Bodies are decoded by [`ArchivedRecord::from_body`], which leaves the
+//! mapping as the text it was written as instead of building its tree.
 
 use crate::record::{ArchivedRecord, StoreRecord};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The log's magic bytes ("RDSE Archive").
 pub const MAGIC: [u8; 4] = *b"RDSA";
@@ -35,6 +46,8 @@ pub const RECORD_HEADER_LEN: usize = 20;
 
 /// FNV-1a 64 over `bytes` — the body checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    #[cfg(rdse_fault = "store_checksum_skips_last")]
+    let bytes = &bytes[..bytes.len().saturating_sub(1)];
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
@@ -84,95 +97,223 @@ impl std::fmt::Display for TailIssue {
     }
 }
 
+/// Damaged bytes between two replayable frames, passed over by a resync.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SkippedSpan {
+    /// Byte offset of the first frame that could not be replayed.
+    pub offset: u64,
+    /// Bytes skipped, up to the frame the replay resumed at.
+    pub len: u64,
+    /// Why the frame at `offset` could not be replayed.
+    pub reason: String,
+}
+
+impl std::fmt::Display for SkippedSpan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bytes {}..{} ({} bytes): {}",
+            self.offset,
+            self.offset + self.len,
+            self.len,
+            self.reason
+        )
+    }
+}
+
 /// The outcome of replaying a log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Records replayed successfully.
     pub records: usize,
-    /// Bytes of intact log consumed (the safe truncation point).
+    /// End of the last intact record: the point a damaged tail is
+    /// truncated back to.
     pub bytes: u64,
-    /// The torn/corrupt tail that ended the replay early, if any.
+    /// Damaged spans between intact records, in log order.
+    pub skipped: Vec<SkippedSpan>,
+    /// The damaged tail after the last intact record, if any.
     pub tail: Option<TailIssue>,
-    /// Set when the replay stopped on a record written by a newer log
-    /// format: the bytes from `tail.offset` on are not damage, and
-    /// must not be truncated away.
-    pub newer_version: Option<u16>,
+    /// Offset and version of the first record written by a newer log
+    /// format. Such a record is not damage: a log holding one must not
+    /// be truncated or compacted by this writer.
+    pub newer_version: Option<(u64, u16)>,
+}
+
+impl ReplayReport {
+    /// `true` when every byte replayed: no skipped span, no tail.
+    pub fn is_clean(&self) -> bool {
+        self.skipped.is_empty() && self.tail.is_none()
+    }
+}
+
+/// Why one frame could not be replayed.
+struct BadFrame {
+    reason: String,
+    /// The frame's version, when it is newer than [`LOG_VERSION`].
+    newer_version: Option<u16>,
+}
+
+impl From<String> for BadFrame {
+    fn from(reason: String) -> Self {
+        BadFrame {
+            reason,
+            newer_version: None,
+        }
+    }
+}
+
+/// Decodes the frame at the start of `rest` into its record and the
+/// frame's length in bytes.
+fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize), BadFrame> {
+    if rest.len() < RECORD_HEADER_LEN {
+        return Err(format!(
+            "truncated header ({} of {RECORD_HEADER_LEN} bytes)",
+            rest.len()
+        )
+        .into());
+    }
+    if rest[0..4] != MAGIC {
+        return Err(String::from("bad record magic").into());
+    }
+    let version = u16::from_be_bytes([rest[4], rest[5]]);
+    if version != LOG_VERSION {
+        return Err(BadFrame {
+            reason: format!("unsupported log version {version} (expected {LOG_VERSION})"),
+            newer_version: (version > LOG_VERSION).then_some(version),
+        });
+    }
+    let kind = u16::from_be_bytes([rest[6], rest[7]]);
+    if kind != KIND_RESULT {
+        return Err(format!("unknown record kind {kind}").into());
+    }
+    let body_len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
+    let checksum = u64::from_be_bytes(rest[12..20].try_into().expect("8 header bytes"));
+    let Some(body) = rest.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + body_len) else {
+        return Err(format!(
+            "truncated body ({} of {body_len} bytes)",
+            rest.len() - RECORD_HEADER_LEN
+        )
+        .into());
+    };
+    let actual = fnv1a64(body);
+    if actual != checksum {
+        return Err(format!(
+            "body checksum mismatch (stored {checksum:016x}, computed {actual:016x})"
+        )
+        .into());
+    }
+    let record = std::str::from_utf8(body)
+        .ok()
+        .and_then(|text| ArchivedRecord::from_body(text).ok())
+        .ok_or_else(|| String::from("checksummed body is not a valid record"))?;
+    Ok((record, RECORD_HEADER_LEN + body_len))
+}
+
+/// The offset of the first frame after `from` that replay can resume
+/// at: one that decodes, or one from a newer format (which must be
+/// seen, not skipped). `None` when the damage runs to the end.
+fn resync(bytes: &[u8], from: usize) -> Option<usize> {
+    let resumable = |at: &usize| match read_frame(&bytes[*at..]) {
+        Ok(_) => true,
+        Err(bad) => bad.newer_version.is_some(),
+    };
+    let mut candidates = (from + 1..bytes.len().saturating_sub(3))
+        .filter(|&at| bytes[at..at + 4] == MAGIC)
+        .filter(resumable);
+    #[cfg(rdse_fault = "store_resync_skips_one")]
+    candidates.next();
+    candidates.next()
 }
 
 /// Replays every intact record in `bytes`, invoking `on_record` per
-/// record in append order. Replay tolerates a damaged tail (reported,
-/// never a panic): whatever follows the last intact record is skipped.
-pub fn scan(bytes: &[u8], mut on_record: impl FnMut(StoreRecord)) -> ReplayReport {
+/// record in append order, and reports what it could not replay:
+/// damaged spans it resynced past and a damaged tail. Never panics.
+pub fn scan(bytes: &[u8], mut on_record: impl FnMut(ArchivedRecord)) -> ReplayReport {
     let mut report = ReplayReport::default();
     let mut pos = 0usize;
-    let stop = |pos: usize, reason: String| TailIssue {
-        offset: pos as u64,
-        reason,
-    };
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < RECORD_HEADER_LEN {
-            report.tail = Some(stop(
-                pos,
-                format!(
-                    "truncated header ({} of {RECORD_HEADER_LEN} bytes)",
-                    rest.len()
-                ),
-            ));
-            break;
-        }
-        if rest[0..4] != MAGIC {
-            report.tail = Some(stop(pos, "bad record magic".into()));
-            break;
-        }
-        let version = u16::from_be_bytes([rest[4], rest[5]]);
-        if version != LOG_VERSION {
-            if version > LOG_VERSION {
-                report.newer_version = Some(version);
+        let bad = match read_frame(&bytes[pos..]) {
+            Ok((record, len)) => {
+                on_record(record);
+                report.records += 1;
+                pos += len;
+                report.bytes = pos as u64;
+                continue;
             }
-            report.tail = Some(stop(
-                pos,
-                format!("unsupported log version {version} (expected {LOG_VERSION})"),
-            ));
-            break;
+            Err(bad) => bad,
+        };
+        if let Some(version) = bad.newer_version {
+            report.newer_version.get_or_insert((pos as u64, version));
         }
-        let kind = u16::from_be_bytes([rest[6], rest[7]]);
-        if kind != KIND_RESULT {
-            report.tail = Some(stop(pos, format!("unknown record kind {kind}")));
-            break;
-        }
-        let body_len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-        let checksum = u64::from_be_bytes(rest[12..20].try_into().expect("8 header bytes"));
-        let Some(body) = rest.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + body_len) else {
-            report.tail = Some(stop(
-                pos,
-                format!(
-                    "truncated body ({} of {body_len} bytes)",
-                    rest.len() - RECORD_HEADER_LEN
-                ),
-            ));
+        let Some(next) = resync(bytes, pos) else {
+            report.tail = Some(TailIssue {
+                offset: pos as u64,
+                reason: bad.reason,
+            });
             break;
         };
-        let actual = fnv1a64(body);
-        if actual != checksum {
-            report.tail = Some(stop(
-                pos,
-                format!("body checksum mismatch (stored {checksum:016x}, computed {actual:016x})"),
-            ));
-            break;
-        }
-        let record = std::str::from_utf8(body)
-            .ok()
-            .and_then(|text| serde_json::from_str::<serde::Value>(text).ok())
-            .and_then(|value| StoreRecord::from_value(&value).ok());
-        let Some(record) = record else {
-            report.tail = Some(stop(pos, "checksummed body is not a valid record".into()));
-            break;
-        };
-        on_record(record);
-        report.records += 1;
-        pos += RECORD_HEADER_LEN + body_len;
-        report.bytes = pos as u64;
+        report.skipped.push(SkippedSpan {
+            offset: pos as u64,
+            len: (next - pos) as u64,
+            reason: bad.reason,
+        });
+        pos = next;
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::key::{PairKey, StoreKey};
+    use crate::record::CostBits;
+    use serde::Value;
+
+    #[test]
+    fn checksum_and_frame_bytes_are_pinned() {
+        // FNV-1a 64 reference vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+
+        let record = StoreRecord {
+            key: StoreKey([0x11; 16]),
+            pair: PairKey([0x22; 16]),
+            objective: "makespan".into(),
+            seed: 7,
+            chains: 2,
+            iters: 100,
+            warmup: 20,
+            exchange_every: 50,
+            winner: 1,
+            iterations: 100,
+            contexts: 1,
+            hw_tasks: 2,
+            clb_area: 300,
+            makespan_bits: 12.5f64.to_bits(),
+            best: CostBits::from_values(12.5, 300.0, 4.0, 1.0),
+            front: vec![],
+            mapping: Value::Seq(vec![Value::I64(0), Value::I64(1)]),
+        };
+        let body = concat!(
+            r#"{"key":"11111111111111111111111111111111","#,
+            r#""pair":"22222222222222222222222222222222","objective":"makespan","#,
+            r#""seed":7,"chains":2,"iters":100,"warmup":20,"exchange_every":50,"#,
+            r#""winner":1,"iterations":100,"contexts":1,"hw_tasks":2,"clb_area":300,"#,
+            r#""makespan_bits":4623226492472524800,"best":{"makespan":4623226492472524800,"#,
+            r#""clb_area":4643985272004935680,"reconfig":4616189618054758400,"#,
+            r#""contexts":4607182418800017408},"front":[],"mapping":[0,1]}"#
+        );
+        let mut expected = b"RDSA\x00\x01\x00\x01".to_vec();
+        expected.extend_from_slice(&436u32.to_be_bytes());
+        expected.extend_from_slice(&0x1a84_f1f3_ebc3_0809u64.to_be_bytes());
+        expected.extend_from_slice(body.as_bytes());
+        let frame = encode_record(&record);
+        assert!(frame == expected, "{:?}", String::from_utf8_lossy(&frame));
+
+        let mut replayed = Vec::new();
+        let report = scan(&frame, |r| replayed.push(r));
+        assert!(report.is_clean());
+        assert_eq!(replayed, vec![ArchivedRecord::from(record)]);
+    }
 }

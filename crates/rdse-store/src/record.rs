@@ -9,12 +9,13 @@
 //! and is stored as its plain JSON value.
 //!
 //! The archive holds each record as an [`ArchivedRecord`]: the same
-//! fields, but the mapping kept as the compact JSON text
-//! `serde_json::to_string` writes for it. A mapping's `Value` tree costs
-//! about 8x its text in heap (7.4 KB against 879 B for a 20-task layered
-//! mapping, 62 KB against 7.7 KB for 200 tasks, counting allocator chunk
-//! overhead), and only a warm start ever reads it, so the tree is built
-//! on demand by [`ArchivedRecord::mapping`].
+//! fields, but the mapping kept as JSON text. A mapping's `Value` tree
+//! costs about 8x its text in heap (7.4 KB against 879 B for a 20-task
+//! layered mapping, 62 KB against 7.7 KB for 200 tasks, counting
+//! allocator chunk overhead), and only a warm start ever reads it, so
+//! the tree is built on demand by [`ArchivedRecord::mapping`]. Replay
+//! never builds it at all: [`ArchivedRecord::from_body`] slices the
+//! mapping's text out of the log body as written.
 
 use crate::key::{PairKey, StoreKey};
 use serde::{Deserialize, Serialize, Value};
@@ -114,10 +115,13 @@ impl StoreRecord {
 }
 
 /// The archive's form of a [`StoreRecord`]: identical fields, with the
-/// winning mapping held as its compact JSON text instead of a `Value`
-/// tree. Built only from a [`StoreRecord`], so the text is always
-/// exactly what `serde_json::to_string` writes for that mapping, and
-/// [`to_record`](Self::to_record) gives the original record back.
+/// winning mapping held as JSON text instead of a `Value` tree.
+///
+/// Built from a [`StoreRecord`] (the text is what `serde_json::to_string`
+/// writes for its mapping) or replayed from a log body by
+/// [`from_body`](Self::from_body) (the text is the body's mapping bytes
+/// as written). For logs this crate wrote, the two are the same bytes.
+/// Either way [`to_record`](Self::to_record) gives the record back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchivedRecord {
     /// Full content key (see [`crate::KeySpec::key`]).
@@ -168,7 +172,7 @@ impl ArchivedRecord {
 
     /// Parses the winning mapping's JSON value.
     pub fn mapping(&self) -> Value {
-        serde_json::from_str(&self.mapping_json).expect("archived mapping text is writer output")
+        serde_json::from_str(&self.mapping_json).expect("archived mapping text is checked JSON")
     }
 
     /// The full record, mapping parsed back into its `Value` tree.
@@ -218,6 +222,31 @@ impl From<StoreRecord> for ArchivedRecord {
         let mapping_json = serde_json::to_string(&r.mapping)
             .expect("Value serialization is infallible")
             .into_boxed_str();
+        ArchivedRecord::with_mapping_text(r, mapping_json)
+    }
+}
+
+impl ArchivedRecord {
+    /// Decodes one log body (a JSON record as [`crate::log`] frames it)
+    /// without building the mapping's `Value` tree: every other field is
+    /// decoded as usual, and the mapping's text is checked by the JSON
+    /// parser's rules and kept as the body's exact bytes.
+    ///
+    /// # Errors
+    ///
+    /// Whatever decoding the body as a [`StoreRecord`] rejects: malformed
+    /// JSON anywhere in it (the mapping included), a missing or
+    /// ill-typed field.
+    pub fn from_body(body: &str) -> Result<Self, serde_json::Error> {
+        let (head, mapping_json) = serde_json::from_str_raw_field::<StoreRecord>(body, "mapping")?;
+        #[cfg(rdse_fault = "store_raw_span_short")]
+        let mapping_json = &mapping_json[..mapping_json.len() - 1];
+        Ok(ArchivedRecord::with_mapping_text(head, mapping_json.into()))
+    }
+
+    /// `r`'s fields with `mapping_json` for its mapping (`r.mapping` is
+    /// dropped unread).
+    fn with_mapping_text(r: StoreRecord, mapping_json: Box<str>) -> Self {
         ArchivedRecord {
             key: r.key,
             pair: r.pair,

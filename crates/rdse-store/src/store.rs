@@ -1,12 +1,14 @@
 //! The store itself: an AOF on disk plus the replayed [`Archive`].
 //!
-//! [`ResultStore::open`] replays the log (tolerating a torn tail),
-//! rebuilds the archive and positions the file at the end of the last
-//! intact record, so the next append overwrites any damaged tail
-//! instead of burying it. [`append`](ResultStore::append) writes one
-//! frame and applies the [`SyncPolicy`]; [`compact`](ResultStore::compact)
-//! rewrites the log keeping only the latest record per key, atomically
-//! (temp file + rename).
+//! [`ResultStore::open`] replays the log (resyncing past mid-log damage,
+//! tolerating a torn tail), rebuilds the archive and positions the file
+//! at the end of the last intact record, so the next append overwrites
+//! any damaged tail instead of burying it. Damaged spans between intact
+//! records stay in the file until compaction drops them.
+//! [`append`](ResultStore::append) writes one frame and applies the
+//! [`SyncPolicy`]; [`compact`](ResultStore::compact) rewrites the log
+//! keeping only the latest record per key, atomically (temp file +
+//! rename).
 
 use crate::archive::Archive;
 use crate::log::{encode_archived, scan, ReplayReport, LOG_VERSION};
@@ -64,7 +66,7 @@ impl SyncPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReport {
     /// Records in the log before compaction (including superseded
-    /// duplicates; a damaged tail counts zero).
+    /// duplicates; damaged spans and a damaged tail count zero).
     pub records_before: usize,
     /// Records after (one per unique key).
     pub records_after: usize,
@@ -72,6 +74,9 @@ pub struct CompactReport {
     pub bytes_before: u64,
     /// Log bytes after.
     pub bytes_after: u64,
+    /// Damaged spans between intact records that the old log still
+    /// carried (see [`ReplayReport::skipped`]) and the rewrite dropped.
+    pub spans_dropped: usize,
 }
 
 /// A result store: the replayed in-memory [`Archive`] plus (unless
@@ -87,14 +92,18 @@ pub struct ResultStore {
     /// Records in the log file, duplicates included: those replayed
     /// (or rewritten by the last compaction) plus those appended since.
     logged: usize,
+    /// Damaged spans still in the log file: those replay skipped, until
+    /// a compaction drops them.
+    spans: usize,
 }
 
 impl ResultStore {
     /// Opens (creating if absent) the log at `path`, replays it and
-    /// rebuilds the archive. A torn or corrupt tail is skipped and
-    /// reported via [`replay_report`](Self::replay_report); the file
-    /// cursor is positioned after the last intact record so the next
-    /// append reclaims the damaged bytes.
+    /// rebuilds the archive. Damage is skipped and reported via
+    /// [`replay_report`](Self::replay_report): spans between intact
+    /// records are left in place (never an intact record truncated
+    /// away), and the file is cut back to the end of the last intact
+    /// record so the next append reclaims a damaged tail.
     ///
     /// # Errors
     ///
@@ -116,15 +125,14 @@ impl ResultStore {
         };
         let mut archive = Archive::new();
         let replay = scan(&bytes, |record| archive.insert(record));
-        if let Some(version) = replay.newer_version {
+        if let Some((offset, version)) = replay.newer_version {
             // A downgrade, not damage: truncating would delete every
             // record from the newer writer onwards.
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "record at byte {} has log version {version}, newer than the \
-                     supported {LOG_VERSION}; refusing to open",
-                    replay.bytes
+                    "record at byte {offset} has log version {version}, newer than the \
+                     supported {LOG_VERSION}; refusing to open"
                 ),
             ));
         }
@@ -137,6 +145,7 @@ impl ResultStore {
             unsynced: 0,
             archive,
             logged: replay.records,
+            spans: replay.skipped.len(),
             replay,
         })
     }
@@ -152,6 +161,7 @@ impl ResultStore {
             archive: Archive::new(),
             replay: ReplayReport::default(),
             logged: 0,
+            spans: 0,
         }
     }
 
@@ -166,7 +176,7 @@ impl ResultStore {
     }
 
     /// What [`open`](Self::open) found (record count, intact bytes,
-    /// torn tail if any).
+    /// skipped spans, damaged tail).
     pub fn replay_report(&self) -> &ReplayReport {
         &self.replay
     }
@@ -217,7 +227,8 @@ impl ResultStore {
     /// Rewrites the log keeping exactly one (the latest) record per
     /// key, in ascending key order, via a temp file renamed over the
     /// original — a crash mid-compaction leaves either the old or the
-    /// new log, never a mix.
+    /// new log, never a mix. Damaged spans replay skipped are not
+    /// rewritten; the report counts them.
     ///
     /// # Errors
     ///
@@ -230,6 +241,7 @@ impl ResultStore {
                 records_after: n,
                 bytes_before: 0,
                 bytes_after: 0,
+                spans_dropped: 0,
             });
         };
         let bytes_before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -255,6 +267,7 @@ impl ResultStore {
             records_after: self.archive.len(),
             bytes_before,
             bytes_after,
+            spans_dropped: std::mem::take(&mut self.spans),
         })
     }
 }
@@ -269,7 +282,7 @@ impl Drop for ResultStore {
 
 /// Read-only integrity scan of a log file: replays without building an
 /// archive and reports `(replay, file_len)` — a clean log has
-/// `replay.bytes == file_len` and no tail issue.
+/// `replay.bytes == file_len`, no skipped span and no tail issue.
 ///
 /// # Errors
 ///

@@ -2,6 +2,7 @@
 //! (replayed and appended) without re-reading the log, the rewritten
 //! file is exactly one `encode_record` frame per surviving original
 //! record in key order, and reopening it rebuilds the same archive.
+//! Damaged spans replay skipped are dropped by the rewrite and counted.
 
 use rdse_store::log::encode_record;
 use rdse_store::{ArchivedRecord, CostBits, KeySpec, ResultStore, StoreRecord, SyncPolicy};
@@ -168,5 +169,40 @@ fn compacting_right_after_open_counts_the_replayed_records() {
 
     let reopened = ResultStore::open(&path, SyncPolicy::Never).expect("reopen");
     assert_eq!(archived(&reopened), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn compaction_drops_a_damaged_span_and_counts_it() {
+    let dir = std::env::temp_dir().join(format!("rdse_store_span_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("results.aof");
+    let records = [record(1, 90.0), record(2, 85.0), record(3, 80.0)];
+    let mut log: Vec<u8> = records.iter().flat_map(encode_record).collect();
+    // Damage the middle record's body: records 1 and 3 stay intact.
+    let first_len = encode_record(&records[0]).len();
+    log[first_len + 40] ^= 0x5a;
+    std::fs::write(&path, &log).expect("write log");
+
+    let mut store = ResultStore::open(&path, SyncPolicy::Never).expect("open");
+    assert_eq!(store.archive().len(), 2);
+    assert_eq!(store.replay_report().skipped.len(), 1);
+    assert_eq!(store.replay_report().skipped[0].offset, first_len as u64);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), log.len() as u64);
+    let report = store.compact().expect("compact");
+    assert_eq!(report.spans_dropped, 1);
+    assert_eq!((report.records_before, report.records_after), (2, 2));
+    // A second pass has nothing left to drop.
+    assert_eq!(store.compact().expect("compact again").spans_dropped, 0);
+    drop(store);
+
+    let reopened = ResultStore::open(&path, SyncPolicy::Never).expect("reopen");
+    assert!(reopened.replay_report().is_clean());
+    let expected: Vec<u8> = {
+        let mut kept = [&records[0], &records[2]];
+        kept.sort_by_key(|r| r.key);
+        kept.into_iter().flat_map(encode_record).collect()
+    };
+    assert!(std::fs::read(&path).unwrap() == expected);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,11 +9,19 @@
 //! 3. **Frame bytes** — holding a record's mapping as text changes no
 //!    byte of its log frame, and a log written from plain
 //!    [`StoreRecord`]s replays to the very same records.
+//! 4. **Replay decode** — [`ArchivedRecord::from_body`], which slices
+//!    the mapping's text out of the body, accepts and rejects exactly the
+//!    bodies the tree decode (`Value` → [`StoreRecord`] →
+//!    [`ArchivedRecord`]) does, and agrees with it on every accepted one:
+//!    writer bodies, and the same bodies flipped, truncated, spliced or
+//!    with whitespace inserted into the mapping.
 
 use proptest::prelude::*;
-use rdse_store::log::{encode_archived, encode_record, scan};
+use rdse_store::log::{
+    encode_archived, encode_record, fnv1a64, scan, KIND_RESULT, LOG_VERSION, MAGIC,
+};
 use rdse_store::{Archive, ArchivedRecord, CostBits, KeySpec, StoreRecord};
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::collections::HashMap;
 
 /// The owned form of a [`KeySpec`], easy to generate and perturb.
@@ -134,6 +142,121 @@ fn mapping_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
+/// The decode `scan` used before bodies were decoded with a raw
+/// mapping field: the whole body as a `Value` tree, then a
+/// [`StoreRecord`], then the archive's form.
+fn tree_decode(body: &[u8]) -> Option<ArchivedRecord> {
+    let text = std::str::from_utf8(body).ok()?;
+    let value = serde_json::from_str::<Value>(text).ok()?;
+    StoreRecord::from_value(&value)
+        .ok()
+        .map(ArchivedRecord::from)
+}
+
+/// The decode `scan` uses now.
+fn raw_decode(body: &[u8]) -> Option<ArchivedRecord> {
+    ArchivedRecord::from_body(std::str::from_utf8(body).ok()?).ok()
+}
+
+/// One log frame around arbitrary body bytes, checksummed correctly.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&LOG_VERSION.to_be_bytes());
+    out.extend_from_slice(&KIND_RESULT.to_be_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    out.extend_from_slice(&fnv1a64(body).to_be_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
+/// How a writer body is damaged before both decodes see it.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    None,
+    /// XOR the byte at `at` with `mask`.
+    Flip {
+        at: usize,
+        mask: u8,
+    },
+    /// Keep only the first `at` bytes.
+    Truncate {
+        at: usize,
+    },
+    /// Copy `len` bytes from `from` in at `at`.
+    Splice {
+        from: usize,
+        len: usize,
+        at: usize,
+    },
+    /// This body up to `at`, then the other body from `from`.
+    Graft {
+        at: usize,
+        from: usize,
+    },
+    /// Insert `ws` (a JSON whitespace byte) at `at` inside the mapping.
+    Whitespace {
+        at: usize,
+        ws: u8,
+    },
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    (
+        0u32..6,
+        (0usize..1 << 20, 0usize..1 << 20, 0usize..1 << 20),
+        1u8..=255,
+    )
+        .prop_map(|(kind, (a, b, c), mask)| match kind {
+            0 => Mutation::None,
+            1 => Mutation::Flip { at: a, mask },
+            2 => Mutation::Truncate { at: a },
+            3 => Mutation::Splice {
+                from: a,
+                len: b % 64,
+                at: c,
+            },
+            4 => Mutation::Graft { at: a, from: b },
+            _ => Mutation::Whitespace {
+                at: a,
+                ws: b" \t\n\r"[mask as usize % 4],
+            },
+        })
+}
+
+fn mutate(body: &[u8], other: &[u8], m: Mutation) -> Vec<u8> {
+    let n = body.len();
+    match m {
+        Mutation::None => body.to_vec(),
+        Mutation::Flip { at, mask } => {
+            let mut out = body.to_vec();
+            out[at % n] ^= mask;
+            out
+        }
+        Mutation::Truncate { at } => body[..at % n].to_vec(),
+        Mutation::Splice { from, len, at } => {
+            let from = from % n;
+            let chunk = &body[from..(from + len).min(n)];
+            let at = at % (n + 1);
+            [&body[..at], chunk, &body[at..]].concat()
+        }
+        Mutation::Graft { at, from } => {
+            [&body[..at % (n + 1)], &other[from % (other.len() + 1)..]].concat()
+        }
+        Mutation::Whitespace { at, ws } => {
+            // The mapping is the body's last field: from after its key
+            // to before the body's closing brace.
+            let key = b"\"mapping\":";
+            let start = body
+                .windows(key.len())
+                .rposition(|w| w == key)
+                .expect("writer bodies carry a mapping")
+                + key.len();
+            let at = start + at % (n - start);
+            [&body[..at], &[ws], &body[at..]].concat()
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -230,6 +353,58 @@ proptest! {
         for (key, original) in &originals {
             let got = replayed.exact(key).map(ArchivedRecord::to_record);
             prop_assert_eq!(got.as_ref(), Some(original));
+        }
+    }
+
+    #[test]
+    fn raw_field_decode_agrees_with_the_tree_decode(
+        parts in collection::vec(
+            (spec_strategy(), 1u64..u64::MAX / 2, 0usize..4, mapping_strategy()),
+            2..=2,
+        ),
+        mutations in collection::vec(mutation_strategy(), 1..8),
+    ) {
+        let bodies: Vec<Vec<u8>> = parts
+            .iter()
+            .map(|(spec, raw_bits, front_len, mapping)| {
+                let record = StoreRecord {
+                    mapping: mapping.clone(),
+                    ..record_for(spec, *raw_bits, *front_len)
+                };
+                encode_record(&record)[rdse_store::log::RECORD_HEADER_LEN..].to_vec()
+            })
+            .collect();
+
+        // Writer bodies: both decodes accept, and the archived record
+        // re-encodes to the very frame it was read from.
+        for body in &bodies {
+            let decoded = raw_decode(body);
+            prop_assert!(decoded.is_some(), "writer body rejected");
+            let decoded = decoded.unwrap();
+            prop_assert_eq!(Some(decoded.clone()), tree_decode(body));
+            prop_assert_eq!(encode_archived(&decoded), frame(body));
+        }
+
+        for m in &mutations {
+            let body = mutate(&bodies[0], &bodies[1], *m);
+            let old = tree_decode(&body);
+            let new = raw_decode(&body);
+            prop_assert_eq!(
+                old.is_some(),
+                new.is_some(),
+                "{:?} on {:?}",
+                m,
+                String::from_utf8_lossy(&body)
+            );
+            prop_assert_eq!(
+                old.as_ref().map(ArchivedRecord::to_record),
+                new.as_ref().map(ArchivedRecord::to_record)
+            );
+            // `scan` decodes the checksummed frame the same way.
+            let mut replayed = Vec::new();
+            let report = scan(&frame(&body), |r| replayed.push(r));
+            prop_assert_eq!(replayed.first(), new.as_ref());
+            prop_assert_eq!(report.tail.is_some(), new.is_none());
         }
     }
 }

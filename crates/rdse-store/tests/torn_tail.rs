@@ -1,9 +1,11 @@
 //! Torn-write recovery: a log truncated at **every** byte offset of
 //! its last record — header, checksum, body — replays the intact
 //! prefix, reports the tail, and never panics. Same for a checksum
-//! flip at every byte of the last record. A record from a newer log
-//! version is not a tear: opening such a log fails and truncates
-//! nothing.
+//! flip at every byte of the last record. Damage to the *first* record
+//! loses nothing after it: replay resyncs to the next intact frame,
+//! reports the skipped span, and opening the log truncates nothing. A
+//! record from a newer log version is not a tear: opening such a log
+//! fails and truncates nothing.
 
 use rdse_store::log::{encode_record, scan, RECORD_HEADER_LEN};
 use rdse_store::{CostBits, KeySpec, ResultStore, StoreRecord, SyncPolicy};
@@ -103,6 +105,60 @@ fn corruption_at_every_byte_of_the_last_record_replays_the_prefix() {
         assert_eq!(report.records, 1, "flip at {flip}");
         assert!(report.tail.is_some(), "flip at {flip}: tail not reported");
     }
+}
+
+#[test]
+fn corruption_at_every_byte_of_the_first_record_keeps_every_later_record() {
+    let mut log = encode_record(&record(1));
+    let first_len = log.len();
+    log.extend_from_slice(&encode_record(&record(2)));
+    log.extend_from_slice(&encode_record(&record(3)));
+
+    let dir = std::env::temp_dir().join(format!("rdse_store_resync_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("results.aof");
+
+    for flip in 0..first_len {
+        let mut corrupt = log.clone();
+        corrupt[flip] ^= 0x5a;
+        let mut replayed = Vec::new();
+        let report = scan(&corrupt, |r| replayed.push(r.seed));
+        assert_eq!(replayed, vec![2, 3], "flip at {flip}: intact records lost");
+        assert_eq!(report.records, 2, "flip at {flip}");
+        assert_eq!(report.bytes, log.len() as u64, "flip at {flip}");
+        assert!(report.tail.is_none(), "flip at {flip}: {:?}", report.tail);
+        let [span] = report.skipped.as_slice() else {
+            panic!("flip at {flip}: expected one skipped span, got {report:?}");
+        };
+        assert_eq!(
+            (span.offset, span.len),
+            (0, first_len as u64),
+            "flip at {flip}: wrong span {span}"
+        );
+        assert!(
+            !span.reason.is_empty(),
+            "flip at {flip}: span without a cause"
+        );
+
+        // Opening the damaged log keeps both intact records and cuts no
+        // byte. A flipped version field reads as a newer format, which
+        // `open` refuses without touching the file.
+        std::fs::write(&path, &corrupt).expect("write damaged log");
+        match ResultStore::open(&path, SyncPolicy::Never) {
+            Ok(store) => {
+                assert_eq!(store.archive().len(), 2, "flip at {flip}");
+                assert_eq!(store.replay_report(), &report, "flip at {flip}");
+            }
+            Err(e) => {
+                assert!(report.newer_version.is_some(), "flip at {flip}: {e}");
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "flip at {flip}");
+            }
+        }
+        let after = std::fs::read(&path).expect("read log");
+        assert!(after == corrupt, "flip at {flip}: open modified the log");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,7 +4,9 @@
 # Each fault below sits in the source behind
 # `#[cfg(rdse_fault = "<name>")]` (or `cfg!(...)`), so normal builds
 # never contain it. For every fault this script builds the crate with
-# RUSTFLAGS='--cfg rdse_fault="<name>"' and runs the tests named for it.
+# RUSTFLAGS='--cfg rdse_fault="<name>"' and runs the tests named for it:
+# the crate's unit tests, or with `<package>:<target>` the integration
+# test file `tests/<target>.rs`.
 # A fault is *killed* when at least one named test fails; the script
 # fails if any fault survives, does not build, or names a test that does
 # not exist.
@@ -16,7 +18,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# fault name -> "<package> <test name>..." (names as `cargo test` prints them)
+# fault name -> "<package>[:<test target>] <test name>..." (names as
+# `cargo test` prints them)
 declare -A FAULTS=(
     # A context kept across a delta keeps its old area (and
     # reconfiguration weight) after an implementation move.
@@ -42,6 +45,19 @@ declare -A FAULTS=(
         moves::tests::proposals_keep_mapping_structurally_valid
         evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
         evaluator::tests::delta_walk_matches_reference_on_paper_workload"
+    # The body checksum ignores the body's last byte. Writer and reader
+    # agree, and a flipped final `}` still fails decoding, so only the
+    # pinned reference vectors and frame bytes notice.
+    [store_checksum_skips_last]="rdse-store
+        log::tests::checksum_and_frame_bytes_are_pinned"
+    # Replay keeps the archived mapping text one byte short.
+    [store_raw_span_short]="rdse-store:proptests
+        raw_field_decode_agrees_with_the_tree_decode
+        text_held_mappings_keep_frames_byte_identical"
+    # After mid-log damage, replay resyncs past the first intact frame
+    # instead of resuming at it.
+    [store_resync_skips_one]="rdse-store:torn_tail
+        corruption_at_every_byte_of_the_first_record_keeps_every_later_record"
 )
 
 if [ "$#" -gt 0 ]; then
@@ -59,13 +75,17 @@ for fault in "${selected[@]}"; do
         exit 2
     fi
     read -r -a words <<<"$(echo $spec)"
-    package="${words[0]}"
+    package="${words[0]%%:*}"
+    target=(--lib)
+    if [[ "${words[0]}" == *:* ]]; then
+        target=(--test "${words[0]#*:}")
+    fi
     tests=("${words[@]:1}")
-    echo "== fault $fault: ${#tests[@]} test(s) in $package"
+    echo "== fault $fault: ${#tests[@]} test(s) in ${words[0]}"
     log="$(mktemp)"
     set +e
     RUSTFLAGS="--cfg rdse_fault=\"$fault\"" \
-        cargo test -p "$package" --lib -- --exact "${tests[@]}" >"$log" 2>&1
+        cargo test -p "$package" "${target[@]}" -- --exact "${tests[@]}" >"$log" 2>&1
     set -e
     ran=$(grep -cE '^test .* \.\.\. (ok|FAILED)$' "$log" || true)
     if ! grep -q '^test result:' "$log" || [ "$ran" -ne "${#tests[@]}" ]; then

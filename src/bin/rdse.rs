@@ -1166,11 +1166,12 @@ fn run_store(args: &[String]) -> ExitCode {
             "usage: rdse store <stats|compact|verify> --path F.aof\n\
              \n\
              stats    replay the log read-only and report record, pair and byte\n\
-             \x20        counts (a torn tail is reported, not repaired)\n\
+             \x20        counts (damaged spans and a torn tail are reported, not\n\
+             \x20        repaired)\n\
              compact  atomically rewrite the log keeping the latest record per\n\
-             \x20        key (temp file + rename; also repairs a torn tail)\n\
-             verify   replay the log read-only; exit 0 if every record is intact,\n\
-             \x20        1 naming the byte offset of the first damaged record"
+             \x20        key (temp file + rename; drops damaged spans and a torn tail)\n\
+             verify   replay the log read-only; exit 0 if every byte is intact,\n\
+             \x20        1 naming every damaged span and the damaged tail"
         );
         return ExitCode::SUCCESS;
     }
@@ -1210,6 +1211,9 @@ fn run_store(args: &[String]) -> ExitCode {
                 archive.len(),
                 archive.pairs()
             );
+            for span in &report.skipped {
+                println!("skipped       : {span}");
+            }
             match &report.tail {
                 Some(tail) => println!("tail          : torn ({tail})"),
                 None => println!("tail          : clean"),
@@ -1224,17 +1228,21 @@ fn run_store(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            for span in &store.replay_report().skipped {
+                eprintln!("warning: damaged span skipped ({span}); compaction drops it");
+            }
             if let Some(tail) = &store.replay_report().tail {
                 eprintln!("warning: torn tail skipped ({tail})");
             }
             match store.compact() {
                 Ok(report) => {
                     println!(
-                        "compacted     : {} -> {} record(s), {} -> {} bytes",
+                        "compacted     : {} -> {} record(s), {} -> {} bytes, {} damaged span(s) dropped",
                         report.records_before,
                         report.records_after,
                         report.bytes_before,
-                        report.bytes_after
+                        report.bytes_after,
+                        report.spans_dropped
                     );
                     ExitCode::SUCCESS
                 }
@@ -1245,22 +1253,28 @@ fn run_store(args: &[String]) -> ExitCode {
             }
         }
         _ => match rdse::store::verify(&path) {
-            Ok((report, file_len)) => match report.tail {
-                Some(tail) => {
-                    eprintln!(
-                        "error: {path}: damaged record {tail} ({} intact record(s), {} of {file_len} bytes verified)",
-                        report.records, report.bytes
-                    );
-                    ExitCode::FAILURE
-                }
-                None => {
+            Ok((report, file_len)) => {
+                if report.is_clean() {
                     println!(
                         "verified      : {} record(s), {} bytes, all checksums intact",
                         report.records, report.bytes
                     );
-                    ExitCode::SUCCESS
+                    return ExitCode::SUCCESS;
                 }
-            },
+                for span in &report.skipped {
+                    eprintln!("error: {path}: damaged span {span}");
+                }
+                if let Some(tail) = &report.tail {
+                    eprintln!("error: {path}: damaged record {tail}");
+                }
+                let damaged: u64 = report.skipped.iter().map(|s| s.len).sum::<u64>()
+                    + report.tail.as_ref().map_or(0, |t| file_len - t.offset);
+                eprintln!(
+                    "error: {path}: {} intact record(s); {damaged} of {file_len} bytes damaged",
+                    report.records
+                );
+                ExitCode::FAILURE
+            }
             Err(e) => {
                 eprintln!("error: {path}: {e}");
                 ExitCode::FAILURE

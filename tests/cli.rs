@@ -204,6 +204,78 @@ fn store_stats_compact_and_verify_roundtrip_on_a_real_log() {
 }
 
 #[test]
+fn store_verify_names_a_damaged_span_and_stats_keeps_every_intact_record() {
+    use rdse::store::{ResultStore, StoreKey, SyncPolicy};
+
+    let dir: PathBuf = std::env::temp_dir().join(format!("rdse_cli_span_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("span.aof");
+    let path_s = path.to_str().unwrap();
+
+    // A copy of a server-written log, grown to three records by
+    // re-archiving its record under two more keys.
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/rdse-serve/tests/fixtures/forkjoin_dualfpga_s3.aof");
+    std::fs::copy(&fixture, &path).expect("copy fixture log");
+    let first_len = std::fs::metadata(&path).expect("fixture").len();
+    {
+        let mut store = ResultStore::open(&path, SyncPolicy::Never).expect("open copy");
+        let record = store
+            .archive()
+            .records()
+            .next()
+            .expect("one record")
+            .to_record();
+        for tag in [1u8, 2] {
+            let mut copy = record.clone();
+            copy.key = StoreKey([tag; 16]);
+            store.append(copy).expect("append");
+        }
+    }
+
+    // One flipped byte in the first record's body.
+    let mut bytes = std::fs::read(&path).expect("read log");
+    bytes[40] ^= 0x5a;
+    std::fs::write(&path, &bytes).expect("write damaged log");
+
+    let verify = rdse(&["store", "verify", "--path", path_s]);
+    assert_eq!(verify.status.code(), Some(1), "{verify:?}");
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    assert!(
+        stderr.contains(&format!("damaged span bytes 0..{first_len}")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("2 intact record(s)"), "{stderr}");
+
+    let stats = rdse(&["store", "stats", "--path", path_s]);
+    assert!(stats.status.success(), "{stats:?}");
+    let stdout = String::from_utf8_lossy(&stats.stdout);
+    assert!(stdout.contains("raw records   : 2"), "{stdout}");
+    assert!(stdout.contains("live records  : 2"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("skipped       : bytes 0..{first_len}")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("tail          : clean"), "{stdout}");
+
+    // Compaction drops the span and keeps both intact records.
+    let compact = rdse(&["store", "compact", "--path", path_s]);
+    assert!(compact.status.success(), "{compact:?}");
+    assert!(
+        String::from_utf8_lossy(&compact.stderr).contains("damaged span skipped"),
+        "{compact:?}"
+    );
+    assert!(
+        String::from_utf8_lossy(&compact.stdout).contains("2 -> 2 record(s)"),
+        "{compact:?}"
+    );
+    let verify = rdse(&["store", "verify", "--path", path_s]);
+    assert!(verify.status.success(), "{verify:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn submit_usage_errors_exit_with_code_2_and_a_named_cause() {
     // None of these reach the network: the address below never
     // answers, and every case is rejected client-side first.
