@@ -26,7 +26,9 @@ use crate::list_sched::{realize_partition, SpatialPartition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdse_anneal::{crowding_distance, non_dominated_rank, ParetoFront};
-use rdse_mapping::{evaluate, CostVector, Evaluation, Evaluator, Mapping, MappingError};
+use rdse_mapping::{
+    evaluate, require_processor, CostVector, Evaluation, Evaluator, Mapping, MappingError,
+};
 use rdse_model::{Architecture, TaskGraph};
 use std::time::{Duration, Instant};
 
@@ -194,9 +196,12 @@ impl<'a> GeneticExplorer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`MappingError`] only if the final best mapping fails
-    /// re-evaluation, which would indicate an internal inconsistency.
+    /// Returns [`MappingError::NoProcessor`] if the architecture has no
+    /// processor, and otherwise a [`MappingError`] only if the final best
+    /// mapping fails re-evaluation, which would indicate an internal
+    /// inconsistency.
     pub fn run(&self) -> Result<GaOutcome, MappingError> {
+        require_processor(self.arch)?;
         if self.opts.nsga2 {
             return self.run_nsga2();
         }
@@ -305,9 +310,9 @@ impl<'a> GeneticExplorer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`MappingError`] only if the final best mapping fails
-    /// re-evaluation, which would indicate an internal inconsistency.
+    /// As [`run`](Self::run).
     pub fn run_nsga2(&self) -> Result<GaOutcome, MappingError> {
+        require_processor(self.arch)?;
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
         let mut evaluator = Evaluator::new(self.app, self.arch);

@@ -5,7 +5,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdse_anneal::{Cost, Problem};
-use rdse_mapping::{random_initial, Evaluation, Mapping, MappingError, MappingProblem};
+use rdse_mapping::{
+    random_initial, require_processor, Evaluation, Mapping, MappingError, MappingProblem,
+};
 use rdse_model::{Architecture, TaskGraph};
 
 /// Hill-climbing parameters.
@@ -34,12 +36,14 @@ impl Default for HillClimbOptions {
 ///
 /// # Errors
 ///
-/// Returns a [`MappingError`] if no feasible initial solution exists.
+/// Returns a [`MappingError`] if no feasible initial solution exists
+/// ([`MappingError::NoProcessor`] when `arch` has no processor).
 pub fn hill_climb(
     app: &TaskGraph,
     arch: &Architecture,
     opts: &HillClimbOptions,
 ) -> Result<(Mapping, Evaluation), MappingError> {
+    require_processor(arch)?;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut best: Option<(Mapping, Evaluation)> = None;
     for _ in 0..opts.restarts.max(1) {

@@ -1,7 +1,9 @@
 //! Pure random sampling — the weakest baseline, calibrating how much
 //! structure the annealer and the GA actually exploit.
 
-use rdse_mapping::{random_initial, Evaluation, Evaluator, Mapping, MappingError};
+use rdse_mapping::{
+    random_initial, require_processor, Evaluation, Evaluator, Mapping, MappingError,
+};
 use rdse_model::{Architecture, TaskGraph};
 
 use rand::rngs::StdRng;
@@ -16,14 +18,17 @@ use rand::SeedableRng;
 ///
 /// # Errors
 ///
-/// Returns a [`MappingError`] if a generated solution fails evaluation,
-/// which the generator's feasibility-by-construction should prevent.
+/// Returns [`MappingError::NoProcessor`] if `arch` has no processor,
+/// and otherwise a [`MappingError`] only if a generated solution fails
+/// evaluation, which the generator's feasibility-by-construction should
+/// prevent.
 pub fn random_search(
     app: &TaskGraph,
     arch: &Architecture,
     samples: u64,
     seed: u64,
 ) -> Result<(Mapping, Evaluation), MappingError> {
+    require_processor(arch)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evaluator = Evaluator::new(app, arch);
     let mut best: Option<(Mapping, rdse_mapping::EvalSummary)> = None;

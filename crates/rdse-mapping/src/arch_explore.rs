@@ -16,7 +16,7 @@
 
 use crate::error::MappingError;
 use crate::eval::{evaluate, Evaluation};
-use crate::init::random_initial;
+use crate::init::{random_initial, require_processor};
 use crate::moves::{propose_impl_move, propose_pair_move, MoveScratch};
 use crate::placement::Placement;
 use crate::solution::Mapping;
@@ -165,6 +165,7 @@ impl<'a> ArchProblem<'a> {
         catalog: &'a ResourceCatalog,
         opts: ArchExploreOptions,
     ) -> Result<Self, MappingError> {
+        require_processor(&initial_arch)?;
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xA5C4);
         let mapping = random_initial(app, &initial_arch, &mut rng);
         let current = evaluate(app, &initial_arch, &mapping)?;

@@ -25,6 +25,9 @@ pub enum MappingError {
     /// Structural invariant violated (task missing from its resource's
     /// order, duplicated, empty context, out-of-range implementation...).
     Inconsistent(String),
+    /// The architecture has no processor: a search cannot start, since
+    /// every initial solution runs its software tasks on processor 0.
+    NoProcessor,
 }
 
 impl fmt::Display for MappingError {
@@ -41,6 +44,11 @@ impl fmt::Display for MappingError {
             }
             MappingError::UnknownResource(r) => write!(f, "unknown resource {r}"),
             MappingError::Inconsistent(msg) => write!(f, "inconsistent mapping: {msg}"),
+            MappingError::NoProcessor => write!(
+                f,
+                "the architecture has no processor, so no search can start \
+                 (initial solutions run software tasks on processor 0)"
+            ),
         }
     }
 }

@@ -23,7 +23,7 @@ use crate::cost::{CostVector, ObjectiveKey};
 use crate::error::MappingError;
 use crate::eval::{EvalSummary, Evaluation};
 use crate::evaluator::{Evaluator, EvaluatorStats};
-use crate::init::random_initial;
+use crate::init::{random_initial, require_processor};
 use crate::moves::{propose_impl_move, propose_pair_move, MoveDelta, MoveScratch};
 use crate::solution::Mapping;
 use rand::rngs::StdRng;
@@ -649,14 +649,16 @@ impl<'a> Explorer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`MappingError`] if the initial solution (provided or
-    /// drawn) is infeasible for `app` × `arch`.
+    /// Returns [`MappingError::NoProcessor`] if `arch` has no processor,
+    /// and [`MappingError`] if the initial solution (provided or drawn)
+    /// is infeasible for `app` × `arch`.
     pub fn with_initial(
         app: &'a TaskGraph,
         arch: &'a Architecture,
         opts: &ExploreOptions,
         initial: Option<Mapping>,
     ) -> Result<Self, MappingError> {
+        require_processor(arch)?;
         // `MappingProblem::new` validates a provided mapping.
         let initial = initial
             .unwrap_or_else(|| random_initial(app, arch, &mut StdRng::seed_from_u64(opts.seed)));

@@ -11,6 +11,7 @@
 //! the same order — every sequentialization edge then points forward in
 //! one linear order, so the initial search graph is acyclic.
 
+use crate::error::MappingError;
 use crate::solution::Mapping;
 use rand::{Rng, RngCore};
 use rdse_model::{Architecture, TaskGraph, TaskId};
@@ -42,6 +43,21 @@ pub fn random_topo_order(app: &TaskGraph, rng: &mut dyn RngCore) -> Vec<TaskId> 
     order
 }
 
+/// Checks that a search can start on `arch`: the random initial
+/// solution, the all-software mapping and every list-scheduled
+/// individual run software tasks on processor 0.
+///
+/// # Errors
+///
+/// [`MappingError::NoProcessor`] when `arch` has none.
+pub fn require_processor(arch: &Architecture) -> Result<(), MappingError> {
+    if arch.processors().is_empty() {
+        Err(MappingError::NoProcessor)
+    } else {
+        Ok(())
+    }
+}
+
 /// Generates the paper's random initial solution.
 ///
 /// A random subset of the hardware-capable tasks (uniform size between
@@ -53,7 +69,8 @@ pub fn random_topo_order(app: &TaskGraph, rng: &mut dyn RngCore) -> Vec<TaskId> 
 /// # Panics
 ///
 /// Panics if the architecture has no processor (the paper's target
-/// always has one).
+/// always has one); search entry points check [`require_processor`]
+/// first.
 pub fn random_initial(app: &TaskGraph, arch: &Architecture, rng: &mut dyn RngCore) -> Mapping {
     let order = random_topo_order(app, rng);
     let mut mapping = Mapping::all_software(app, arch, order.clone());

@@ -101,7 +101,7 @@ pub use explorer::{
     ExploreOptions, ExploreOutcome, Explorer, MappingMove, MappingProblem, Objective,
     ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
-pub use init::random_initial;
+pub use init::{random_initial, require_processor};
 pub use moves::{MoveDelta, MoveKind, MoveOutcome, MoveScratch};
 pub use placement::{Placement, ResourceRef};
 // The shared multi-objective vocabulary, re-exported so downstream

@@ -273,21 +273,43 @@ impl TaskGraph {
 
     /// Builds the underlying precedence [`Digraph`] (edge weights are
     /// the transferred byte counts as `f64`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an edge [`validate`](Self::validate) rejects, which
+    /// only a deserialized graph can hold.
     pub fn precedence_graph(&self) -> Digraph {
         let mut g = Digraph::new(self.tasks.len());
         for e in &self.edges {
             g.add_edge(e.from.node(), e.to.node(), e.bytes.value() as f64)
-                .expect("edges were validated on insertion");
+                .expect("edges are checked on insertion and by `validate`");
         }
         g
     }
 
-    /// Checks global invariants: the precedence graph must be acyclic.
+    /// Checks global invariants: every edge joins two distinct existing
+    /// tasks (a deserialized graph skips [`add_data_edge`]'s checks), and
+    /// the precedence graph is acyclic.
+    ///
+    /// [`add_data_edge`]: TaskGraph::add_data_edge
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::CyclicPrecedence`] when a cycle exists.
+    /// Returns [`ModelError::UnknownTask`] for an edge endpoint that
+    /// names no task, [`ModelError::SelfEdge`] for an edge from a task to
+    /// itself, and [`ModelError::CyclicPrecedence`] when a cycle exists.
     pub fn validate(&self) -> Result<(), ModelError> {
+        for e in &self.edges {
+            if let Some(t) = [e.from, e.to]
+                .into_iter()
+                .find(|t| t.index() >= self.tasks.len())
+            {
+                return Err(ModelError::UnknownTask(t));
+            }
+            if e.from == e.to {
+                return Err(ModelError::SelfEdge(e.from));
+            }
+        }
         match rdse_graph::topo_sort(&self.precedence_graph()) {
             Ok(_) => Ok(()),
             Err(rdse_graph::GraphError::Cycle { on_cycle }) => Err(ModelError::CyclicPrecedence {
@@ -417,6 +439,26 @@ mod tests {
             g.validate(),
             Err(ModelError::CyclicPrecedence { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_deserialized_edges_the_builder_would_refuse() {
+        let mut g = TaskGraph::new("app");
+        let a = g.add_task("a", "F", us(1.0), vec![]).unwrap();
+        let b = g.add_task("b", "F", us(1.0), vec![]).unwrap();
+        g.add_data_edge(a, b, Bytes::new(1)).unwrap();
+        let json = g.to_json().unwrap();
+        // The edge outlives its tasks, or loops on one task.
+        let no_tasks = json.replacen(r#""tasks": ["#, r#""tasks": [], "old": ["#, 1);
+        assert_eq!(
+            TaskGraph::from_json(&no_tasks).unwrap_err(),
+            ModelError::UnknownTask(a)
+        );
+        let self_edge = json.replacen(r#""to": 1"#, r#""to": 0"#, 1);
+        assert_eq!(
+            TaskGraph::from_json(&self_edge).unwrap_err(),
+            ModelError::SelfEdge(a)
+        );
     }
 
     #[test]

@@ -8,12 +8,12 @@ use crate::protocol::{obj, AppSpec, ArchSpec, ErrorCode, JobSpec, ServeError};
 use crate::transport::FrameSink;
 use rdse_corpus::{ArchFamily, WorkloadFamily};
 use rdse_mapping::{
-    explore_parallel_observed, CostVector, ExploreOptions, Objective, ParallelOptions,
-    ParallelOutcome, SegmentUpdate, WarmStart,
+    explore_parallel_observed, CostVector, ExploreOptions, MappingError, Objective,
+    ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
 use rdse_model::{Architecture, TaskGraph};
 use rdse_store::{
-    ArchivedRecord, CostBits, PairKey, PairPrefix, SearchKnobs, StoreKey, StoreRecord,
+    fnv1a128, ArchivedRecord, CostBits, PairKey, PairPrefix, SearchKnobs, StoreKey, StoreRecord,
 };
 use rdse_workloads::{epicure_architecture, figure1_app, motion_detection_app};
 use serde::{Deserialize, Serialize, Value};
@@ -128,25 +128,24 @@ pub fn resolve_models(
 
 /// Content key of a job's `(app, arch)` pair: two jobs share a warm
 /// cache entry iff their keys are byte-equal. Named specs key on name
-/// and seed; inline models key on their canonical JSON, so identical
-/// inline submissions hit the same entry while any model difference
-/// misses.
+/// and seed; an inline model keys on the 128-bit FNV-1a digest of its
+/// canonical JSON (the trust the store's content keys already rely
+/// on), so identical inline submissions hit the same entry, any model
+/// difference misses, and the key is short whatever the model's size.
 pub fn cache_key(spec: &JobSpec) -> String {
+    let inline = |model: &Value| {
+        let json = serde_json::to_string(model).expect("Value serialization is infallible");
+        format!("inline:{:032x}", fnv1a128(json.as_bytes()))
+    };
     let app = match &spec.app {
         AppSpec::Builtin(name) => format!("builtin:{name}"),
         AppSpec::Workload { family, seed } => format!("workload:{family}:s{seed}"),
-        AppSpec::Inline(model) => format!(
-            "inline:{}",
-            serde_json::to_string(model).expect("Value serialization is infallible")
-        ),
+        AppSpec::Inline(model) => inline(model),
     };
     let arch = match &spec.arch {
         ArchSpec::Clbs(n) => format!("clbs:{n}"),
         ArchSpec::Family { family, seed } => format!("family:{family}:s{seed}"),
-        ArchSpec::Inline(model) => format!(
-            "inline:{}",
-            serde_json::to_string(model).expect("Value serialization is infallible")
-        ),
+        ArchSpec::Inline(model) => inline(model),
     };
     format!("{app}|{arch}")
 }
@@ -406,7 +405,11 @@ pub fn execute(
         }
         keep
     })
-    .map_err(|e| ServeError::new(ErrorCode::Internal, format!("exploration failed: {e}")))?;
+    .map_err(|e| match e {
+        // A model no search can start on is the job's fault.
+        MappingError::NoProcessor => ServeError::new(ErrorCode::BadJob, e),
+        e => ServeError::new(ErrorCode::Internal, format!("exploration failed: {e}")),
+    })?;
     if aborted {
         return Err(ServeError::new(
             ErrorCode::Aborted,
@@ -415,4 +418,65 @@ pub fn execute(
     }
     let value = result_value(job, spec, &outcome, &objective, cache_hit, store);
     Ok((value, outcome))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdse_workloads::{layered_dag, LayeredDagConfig};
+
+    fn inline_spec(model: Value) -> JobSpec {
+        JobSpec {
+            app: AppSpec::Inline(model),
+            arch: ArchSpec::Clbs(2000),
+            objective: "makespan".into(),
+            iters: 100,
+            warmup: 20,
+            seed: 1,
+            chains: 1,
+            exchange_every: 50,
+        }
+    }
+
+    fn layered(layers: usize, seed: u64) -> Value {
+        let config = LayeredDagConfig {
+            layers,
+            width: 10,
+            edge_percent: 30,
+            hw_percent: 60,
+        };
+        layered_dag(&config, seed).to_value()
+    }
+
+    #[test]
+    fn identical_inline_specs_share_a_key_and_a_shard() {
+        // Two submissions of the same bytes, parsed apart.
+        let text = serde_json::to_string(&layered(4, 1)).unwrap();
+        let a = cache_key(&inline_spec(serde_json::from_str(&text).unwrap()));
+        let b = cache_key(&inline_spec(serde_json::from_str(&text).unwrap()));
+        assert_eq!(a, b);
+        assert_eq!(shard_hash(&a), shard_hash(&b));
+    }
+
+    #[test]
+    fn a_one_byte_model_change_changes_the_key() {
+        let text = serde_json::to_string(&layered(4, 1)).unwrap();
+        let at = text.find("\"name\":\"").expect("a named model") + 8;
+        let mut edited = text.clone().into_bytes();
+        edited[at] ^= 1;
+        let edited = String::from_utf8(edited).unwrap();
+        assert_ne!(
+            cache_key(&inline_spec(serde_json::from_str(&text).unwrap())),
+            cache_key(&inline_spec(serde_json::from_str(&edited).unwrap()))
+        );
+    }
+
+    #[test]
+    fn an_inline_key_is_as_long_whatever_the_model_size() {
+        let small = cache_key(&inline_spec(layered(2, 1)));
+        let large = cache_key(&inline_spec(layered(40, 1)));
+        assert_ne!(small, large);
+        assert_eq!(small.len(), large.len());
+        assert_eq!(small.len(), "inline:".len() + 32 + "|clbs:2000".len());
+    }
 }

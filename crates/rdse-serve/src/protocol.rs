@@ -430,21 +430,24 @@ impl JobSpec {
     /// Parses a `Job` frame body. Structural validation only — family
     /// names, objective grammar and limits are checked by the server's
     /// job validation, which produces more specific error codes.
-    pub fn from_value(v: &Value) -> Result<JobSpec, String> {
-        let app_v = v.get("app").ok_or("missing field 'app'")?;
+    ///
+    /// Takes the body by value so an inline model is moved out of it,
+    /// not copied.
+    pub fn from_value(mut v: Value) -> Result<JobSpec, String> {
+        let mut app_v = take(&mut v, "app").ok_or("missing field 'app'")?;
         let app = if let Some(name) = app_v.get("builtin") {
             AppSpec::Builtin(as_str(name, "app.builtin")?)
         } else if let Some(family) = app_v.get("workload") {
             AppSpec::Workload {
                 family: as_str(family, "app.workload")?,
-                seed: get_u64(app_v, "seed", 1)?,
+                seed: get_u64(&app_v, "seed", 1)?,
             }
-        } else if let Some(model) = app_v.get("inline") {
-            AppSpec::Inline(model.clone())
+        } else if let Some(model) = take(&mut app_v, "inline") {
+            AppSpec::Inline(model)
         } else {
             return Err("'app' must carry 'builtin', 'workload' or 'inline'".into());
         };
-        let arch_v = v.get("arch").ok_or("missing field 'arch'")?;
+        let mut arch_v = take(&mut v, "arch").ok_or("missing field 'arch'")?;
         let arch = if let Some(clbs) = arch_v.get("clbs") {
             ArchSpec::Clbs(
                 u32::try_from(as_u64(clbs, "arch.clbs")?)
@@ -453,10 +456,10 @@ impl JobSpec {
         } else if let Some(family) = arch_v.get("family") {
             ArchSpec::Family {
                 family: as_str(family, "arch.family")?,
-                seed: get_u64(arch_v, "seed", 1)?,
+                seed: get_u64(&arch_v, "seed", 1)?,
             }
-        } else if let Some(model) = arch_v.get("inline") {
-            ArchSpec::Inline(model.clone())
+        } else if let Some(model) = take(&mut arch_v, "inline") {
+            ArchSpec::Inline(model)
         } else {
             return Err("'arch' must carry 'clbs', 'family' or 'inline'".into());
         };
@@ -468,12 +471,12 @@ impl JobSpec {
             app,
             arch,
             objective,
-            iters: get_u64(v, "iters", 5_000)?,
-            warmup: get_u64(v, "warmup", 1_200)?,
-            seed: get_u64(v, "seed", 1)?,
-            chains: usize::try_from(get_u64(v, "chains", 1)?)
+            iters: get_u64(&v, "iters", 5_000)?,
+            warmup: get_u64(&v, "warmup", 1_200)?,
+            seed: get_u64(&v, "seed", 1)?,
+            chains: usize::try_from(get_u64(&v, "chains", 1)?)
                 .map_err(|_| "'chains' out of range".to_string())?,
-            exchange_every: get_u64(v, "exchange_every", 500)?,
+            exchange_every: get_u64(&v, "exchange_every", 500)?,
         })
     }
 }
@@ -491,6 +494,18 @@ pub fn obj(entries: Vec<(&str, Value)>) -> Value {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// Moves the value of `key` out of the object `v`, leaving `null`: the
+/// first occurrence, the one [`Value::get`] reads.
+fn take(v: &mut Value, key: &str) -> Option<Value> {
+    match v {
+        Value::Map(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, value)| std::mem::replace(value, Value::Null)),
+        _ => None,
+    }
 }
 
 fn as_str(v: &Value, field: &str) -> Result<String, String> {
@@ -586,7 +601,7 @@ mod tests {
             exchange_every: 250,
         };
         let v = spec.to_value();
-        assert_eq!(JobSpec::from_value(&v).unwrap(), spec);
+        assert_eq!(JobSpec::from_value(v.clone()).unwrap(), spec);
         // And through the actual wire bytes.
         let bytes = encode_frame(FrameType::Job, &v);
         let (_, back) = read_frame(&mut &bytes[..], 1 << 20).unwrap();

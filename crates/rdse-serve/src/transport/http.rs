@@ -230,7 +230,7 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
                     return;
                 }
             };
-            match admit_job(ctx, &body) {
+            match admit_job(ctx, body) {
                 Ok((id, spec, objective, key)) => {
                     let req = Box::new(JobRequest {
                         id,

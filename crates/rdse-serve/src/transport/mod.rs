@@ -130,7 +130,7 @@ pub(crate) fn reply_busy(stream: TcpStream, ctx: &Arc<Ctx>) {
 /// the sink.
 pub(crate) fn admit_job(
     ctx: &Ctx,
-    body: &Value,
+    body: Value,
 ) -> Result<(u64, JobSpec, Objective, String), ServeError> {
     let spec = JobSpec::from_value(body).map_err(|e| ServeError::new(ErrorCode::BadJob, e))?;
     let objective = handler::validate_spec(&spec, &ctx.core.limits)?;

@@ -81,7 +81,7 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
             },
             Err(e) => reply_error(&mut stream, &ServeError::new(ErrorCode::BadRequest, e)),
         },
-        FrameType::Job => match admit_job(ctx, &body) {
+        FrameType::Job => match admit_job(ctx, body) {
             Ok((id, spec, objective, key)) => {
                 let req = Box::new(JobRequest {
                     id,

@@ -7,7 +7,7 @@ use rdse_serve::protocol::{
     encode_frame, read_frame, AppSpec, ArchSpec, FrameType, JobSpec, MAGIC, VERSION,
 };
 use rdse_serve::{Limits, ServeConfig, Server, ServerHandle};
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -256,6 +256,57 @@ fn over_limit_jobs_are_rejected_with_specific_codes() {
         assert!(err.is_usage(), "{want} should map to a usage error");
     }
     shut_down(handle);
+}
+
+/// `model` with its top-level `field` replaced by `value`.
+fn with_field(model: Value, field: &str, value: Value) -> Value {
+    let Value::Map(mut entries) = model else {
+        panic!("a model is a JSON object");
+    };
+    entries
+        .iter_mut()
+        .find(|(k, _)| k == field)
+        .expect("field")
+        .1 = value;
+    Value::Map(entries)
+}
+
+/// Submits a figure1 job with `app` or `arch` swapped for an inline
+/// model the search cannot run on, and asserts a typed `bad-job` error
+/// naming `cause` (never a worker panic answered as `internal`), after
+/// which the same lane still serves.
+fn assert_bad_inline_model(app: Option<Value>, arch: Option<Value>, cause: &str) {
+    let handle = spawn_with(Limits::default());
+    let addr = handle.addr().to_string();
+    let opts = ClientOptions::default();
+    let figure1 = JobSpec {
+        app: AppSpec::Builtin("figure1".into()),
+        ..motion_spec()
+    };
+    let spec = JobSpec {
+        app: app.map_or(figure1.app.clone(), AppSpec::Inline),
+        arch: arch.map_or(figure1.arch.clone(), ArchSpec::Inline),
+        ..figure1.clone()
+    };
+    let err = client::submit(&addr, &spec, &opts, |_| {}).expect_err(cause);
+    assert_eq!(err.code.as_deref(), Some("bad-job"), "{}", err.message);
+    assert!(err.message.contains(cause), "{}", err.message);
+    client::submit(&addr, &figure1, &opts, |_| {}).expect("a valid job runs");
+    shut_down(handle);
+}
+
+#[test]
+fn an_inline_architecture_without_a_processor_gets_bad_job() {
+    let arch = rdse_workloads::epicure_architecture(2000).to_value();
+    let arch = with_field(arch, "processors", Value::Seq(vec![]));
+    assert_bad_inline_model(None, Some(arch), "no processor");
+}
+
+#[test]
+fn an_inline_app_whose_edges_name_missing_tasks_gets_bad_job() {
+    let app = rdse_workloads::figure1_app().to_value();
+    let app = with_field(app, "tasks", Value::Seq(vec![]));
+    assert_bad_inline_model(Some(app), None, "unknown task");
 }
 
 #[test]

@@ -97,7 +97,7 @@ proptest! {
             .expect("well-formed frame");
         prop_assert_eq!(frame_type, FrameType::Job);
         prop_assert_eq!(&decoded, &body);
-        let back = JobSpec::from_value(&decoded).expect("canonical shape");
+        let back = JobSpec::from_value(decoded).expect("canonical shape");
         prop_assert_eq!(back, spec);
     }
 

@@ -29,8 +29,9 @@
 //!   intact record and reports a [`TailIssue`]. That is the only part of
 //!   a log [`ResultStore::open`](crate::ResultStore::open) truncates.
 //!
-//! Bodies are decoded by [`ArchivedRecord::from_body`], which leaves the
-//! mapping as the text it was written as instead of building its tree.
+//! Bodies are decoded by [`ArchivedRecord::from_body`] in one pass that
+//! builds no `Value` tree: head fields go straight into the record, and
+//! the mapping stays the text it was written as.
 
 use crate::record::{ArchivedRecord, StoreRecord};
 use serde::Serialize;

@@ -13,12 +13,16 @@
 //! costs about 8x its text in heap (7.4 KB against 879 B for a 20-task
 //! layered mapping, 62 KB against 7.7 KB for 200 tasks, counting
 //! allocator chunk overhead), and only a warm start ever reads it, so
-//! the tree is built on demand by [`ArchivedRecord::mapping`]. Replay
-//! never builds it at all: [`ArchivedRecord::from_body`] slices the
-//! mapping's text out of the log body as written.
+//! the tree is built on demand by [`ArchivedRecord::mapping`].
+//!
+//! Replay builds no tree at all: [`ArchivedRecord::from_body`] walks a
+//! log body once with a [`serde_json::Reader`], decodes each head field
+//! (keys, knobs, winner, `best` and the Pareto `front`) straight into
+//! its slot and slices the mapping's text out of the body as written.
 
 use crate::key::{PairKey, StoreKey};
 use serde::{Deserialize, Serialize, Value};
+use serde_json::{Error as JsonError, Reader};
 
 /// One cost vector with every axis as raw `f64` bits — the lossless
 /// persisted form of a Pareto-front member or a winner's cost.
@@ -219,35 +223,10 @@ impl ArchivedRecord {
 
 impl From<StoreRecord> for ArchivedRecord {
     fn from(r: StoreRecord) -> Self {
-        let mapping_json = serde_json::to_string(&r.mapping)
-            .expect("Value serialization is infallible")
-            .into_boxed_str();
-        ArchivedRecord::with_mapping_text(r, mapping_json)
-    }
-}
-
-impl ArchivedRecord {
-    /// Decodes one log body (a JSON record as [`crate::log`] frames it)
-    /// without building the mapping's `Value` tree: every other field is
-    /// decoded as usual, and the mapping's text is checked by the JSON
-    /// parser's rules and kept as the body's exact bytes.
-    ///
-    /// # Errors
-    ///
-    /// Whatever decoding the body as a [`StoreRecord`] rejects: malformed
-    /// JSON anywhere in it (the mapping included), a missing or
-    /// ill-typed field.
-    pub fn from_body(body: &str) -> Result<Self, serde_json::Error> {
-        let (head, mapping_json) = serde_json::from_str_raw_field::<StoreRecord>(body, "mapping")?;
-        #[cfg(rdse_fault = "store_raw_span_short")]
-        let mapping_json = &mapping_json[..mapping_json.len() - 1];
-        Ok(ArchivedRecord::with_mapping_text(head, mapping_json.into()))
-    }
-
-    /// `r`'s fields with `mapping_json` for its mapping (`r.mapping` is
-    /// dropped unread).
-    fn with_mapping_text(r: StoreRecord, mapping_json: Box<str>) -> Self {
         ArchivedRecord {
+            mapping_json: serde_json::to_string(&r.mapping)
+                .expect("Value serialization is infallible")
+                .into_boxed_str(),
             key: r.key,
             pair: r.pair,
             objective: r.objective,
@@ -264,7 +243,215 @@ impl ArchivedRecord {
             makespan_bits: r.makespan_bits,
             best: r.best,
             front: r.front,
-            mapping_json,
+        }
+    }
+}
+
+impl ArchivedRecord {
+    /// Decodes one log body (a JSON record as [`crate::log`] frames it)
+    /// in one pass, straight into the record's fields: no `Value` tree
+    /// is built for any part of it. Scalars decode through their
+    /// [`Deserialize`] impls as [`StoreRecord`]'s would, and the
+    /// mapping's text is checked by the JSON parser's rules and kept as
+    /// the body's exact bytes.
+    ///
+    /// Fields follow [`Value::get`]'s rules: the first occurrence of a
+    /// key counts, and repeated and unknown keys are checked, then
+    /// ignored.
+    ///
+    /// # Errors
+    ///
+    /// Whatever decoding the body as a [`StoreRecord`] rejects: malformed
+    /// JSON anywhere in it (the mapping included), a missing or
+    /// ill-typed field.
+    pub fn from_body(body: &str) -> Result<Self, serde_json::Error> {
+        let mut r = Reader::new(body);
+        let mut head = Head::default();
+        r.object(|r, field| head.read(r, field))?;
+        r.end()?;
+        head.finish()
+    }
+}
+
+/// One slot per field of a log body, filled by the field's first
+/// occurrence.
+#[derive(Default)]
+struct Head<'b> {
+    key: Option<StoreKey>,
+    pair: Option<PairKey>,
+    objective: Option<String>,
+    seed: Option<u64>,
+    chains: Option<u64>,
+    iters: Option<u64>,
+    warmup: Option<u64>,
+    exchange_every: Option<u64>,
+    winner: Option<u64>,
+    iterations: Option<u64>,
+    contexts: Option<u64>,
+    hw_tasks: Option<u64>,
+    clb_area: Option<u64>,
+    makespan_bits: Option<u64>,
+    best: Option<CostBits>,
+    front: Option<Vec<CostBits>>,
+    mapping: Option<&'b str>,
+}
+
+impl<'b> Head<'b> {
+    fn read(&mut self, r: &mut Reader<'b>, field: &str) -> Result<(), JsonError> {
+        match field {
+            "key" => fill(&mut self.key, r, Reader::leaf),
+            "pair" => fill(&mut self.pair, r, Reader::leaf),
+            "objective" => fill(&mut self.objective, r, Reader::leaf),
+            "seed" => fill(&mut self.seed, r, Reader::leaf),
+            "chains" => fill(&mut self.chains, r, Reader::leaf),
+            "iters" => fill(&mut self.iters, r, Reader::leaf),
+            "warmup" => fill(&mut self.warmup, r, Reader::leaf),
+            "exchange_every" => fill(&mut self.exchange_every, r, Reader::leaf),
+            "winner" => fill(&mut self.winner, r, Reader::leaf),
+            "iterations" => fill(&mut self.iterations, r, Reader::leaf),
+            "contexts" => fill(&mut self.contexts, r, Reader::leaf),
+            "hw_tasks" => fill(&mut self.hw_tasks, r, Reader::leaf),
+            "clb_area" => fill(&mut self.clb_area, r, Reader::leaf),
+            "makespan_bits" => fill(&mut self.makespan_bits, r, Reader::leaf),
+            "best" => fill(&mut self.best, r, cost_bits),
+            "front" => fill(&mut self.front, r, |r| {
+                let mut front = Vec::new();
+                r.array(|r| {
+                    front.push(cost_bits(r)?);
+                    Ok(())
+                })?;
+                Ok(front)
+            }),
+            "mapping" => fill(&mut self.mapping, r, Reader::raw),
+            _ => r.skip(),
+        }
+    }
+
+    fn finish(self) -> Result<ArchivedRecord, JsonError> {
+        let mapping = required(self.mapping, "mapping")?;
+        #[cfg(rdse_fault = "store_raw_span_short")]
+        let mapping = &mapping[..mapping.len() - 1];
+        Ok(ArchivedRecord {
+            key: required(self.key, "key")?,
+            pair: required(self.pair, "pair")?,
+            objective: required(self.objective, "objective")?,
+            seed: required(self.seed, "seed")?,
+            chains: required(self.chains, "chains")?,
+            iters: required(self.iters, "iters")?,
+            warmup: required(self.warmup, "warmup")?,
+            exchange_every: required(self.exchange_every, "exchange_every")?,
+            winner: required(self.winner, "winner")?,
+            iterations: required(self.iterations, "iterations")?,
+            contexts: required(self.contexts, "contexts")?,
+            hw_tasks: required(self.hw_tasks, "hw_tasks")?,
+            clb_area: required(self.clb_area, "clb_area")?,
+            makespan_bits: required(self.makespan_bits, "makespan_bits")?,
+            best: required(self.best, "best")?,
+            front: required(self.front, "front")?,
+            mapping_json: mapping.into(),
+        })
+    }
+}
+
+/// Decodes a [`CostBits`] object by the same rules as a record's head.
+fn cost_bits(r: &mut Reader<'_>) -> Result<CostBits, JsonError> {
+    let [mut makespan, mut clb_area, mut reconfig, mut contexts] = [None; 4];
+    r.object(|r, field| match field {
+        "makespan" => fill(&mut makespan, r, Reader::leaf),
+        "clb_area" => fill(&mut clb_area, r, Reader::leaf),
+        "reconfig" => fill(&mut reconfig, r, Reader::leaf),
+        "contexts" => fill(&mut contexts, r, Reader::leaf),
+        _ => r.skip(),
+    })?;
+    Ok(CostBits {
+        makespan: required(makespan, "makespan")?,
+        clb_area: required(clb_area, "clb_area")?,
+        reconfig: required(reconfig, "reconfig")?,
+        contexts: required(contexts, "contexts")?,
+    })
+}
+
+/// Decodes a field's value into an empty `slot`; a repeat of a filled
+/// one is only checked.
+fn fill<'b, T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'b>,
+    decode: impl FnOnce(&mut Reader<'b>) -> Result<T, JsonError>,
+) -> Result<(), JsonError> {
+    if slot.is_some() && !cfg!(rdse_fault = "store_head_last_dup_wins") {
+        return r.skip();
+    }
+    *slot = Some(decode(r)?);
+    Ok(())
+}
+
+fn required<T>(slot: Option<T>, field: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError::custom(format!("missing field `{field}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tree decode: the body as a `Value`, then a [`StoreRecord`].
+    fn tree(body: &str) -> Option<StoreRecord> {
+        StoreRecord::from_value(&serde_json::from_str(body).ok()?).ok()
+    }
+
+    #[test]
+    fn repeated_and_unknown_head_keys_follow_value_get() {
+        let record = StoreRecord {
+            key: StoreKey([0xab; 16]),
+            pair: PairKey([0xcd; 16]),
+            objective: "makespan".into(),
+            seed: 7,
+            chains: 2,
+            iters: 100,
+            warmup: 20,
+            exchange_every: 50,
+            winner: 1,
+            iterations: 100,
+            contexts: 1,
+            hw_tasks: 2,
+            clb_area: 300,
+            makespan_bits: 12.5f64.to_bits(),
+            best: CostBits::from_values(12.5, 300.0, 4.0, 1.0),
+            front: vec![CostBits::from_values(12.5, 300.0, 4.0, 1.0)],
+            mapping: Value::Seq(vec![Value::I64(0)]),
+        };
+        let body = serde_json::to_string(&record.to_value()).unwrap();
+        let edited = [
+            // A repeat after the first occurrence, valid or not, is
+            // ignored; so is an unknown field.
+            body.replacen(r#""seed":7,"#, r#""seed":7,"seed":8,"zz":[1,{}],"#, 1),
+            body.replacen(r#""seed":7,"#, r#""seed":7,"seed":"x","#, 1),
+            body.replacen(r#""best":{"#, r#""best":{"makespan":1,"#, 1),
+            body.replacen(r#","mapping""#, r#","mapping":[9],"mapping""#, 1),
+            // An escaped key names the same field.
+            body.replacen(r#""seed":7,"#, r#""seed":7,"s\u0065ed":9,"#, 1),
+            // A repeat before it takes its place, or fails the body.
+            body.replacen(r#""seed":7,"#, r#""seed":9,"seed":7,"#, 1),
+            body.replacen(r#""seed":7,"#, r#""seed":-1,"seed":7,"#, 1),
+            // Unchecked text is rejected wherever it sits.
+            body.replacen(r#""seed":7,"#, r#""seed":7,"seed":[1,],"#, 1),
+        ];
+        for text in &edited {
+            let decoded = ArchivedRecord::from_body(text).ok();
+            assert_eq!(
+                decoded.as_ref().map(ArchivedRecord::to_record),
+                tree(text),
+                "{text}"
+            );
+        }
+        let first = ArchivedRecord::from_body(&edited[0]).unwrap();
+        assert_eq!((first.seed, first.to_record()), (7, record.clone()));
+        assert_eq!(ArchivedRecord::from_body(&edited[5]).unwrap().seed, 9);
+        assert!(ArchivedRecord::from_body(&edited[6]).is_err());
+        // Every field is required.
+        for field in ["\"key\"", "\"best\"", "\"front\"", "\"mapping\""] {
+            let renamed = body.replacen(field, "\"other\"", 1);
+            assert!(ArchivedRecord::from_body(&renamed).is_err(), "{renamed}");
+            assert!(tree(&renamed).is_none());
         }
     }
 }

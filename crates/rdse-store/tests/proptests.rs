@@ -9,12 +9,14 @@
 //! 3. **Frame bytes** — holding a record's mapping as text changes no
 //!    byte of its log frame, and a log written from plain
 //!    [`StoreRecord`]s replays to the very same records.
-//! 4. **Replay decode** — [`ArchivedRecord::from_body`], which slices
-//!    the mapping's text out of the body, accepts and rejects exactly the
-//!    bodies the tree decode (`Value` → [`StoreRecord`] →
-//!    [`ArchivedRecord`]) does, and agrees with it on every accepted one:
-//!    writer bodies, and the same bodies flipped, truncated, spliced or
-//!    with whitespace inserted into the mapping.
+//! 4. **Replay decode** — [`ArchivedRecord::from_body`], which decodes
+//!    a body in one pass without building any `Value` tree, accepts and
+//!    rejects exactly the bodies the tree decode (`Value` →
+//!    [`StoreRecord`] → [`ArchivedRecord`]) does, and agrees with it on
+//!    every accepted one: writer bodies; the same bodies with their
+//!    fields permuted, repeated, dropped, respelled or joined by unknown
+//!    ones; and all of these flipped, truncated, spliced or with
+//!    whitespace inserted.
 
 use proptest::prelude::*;
 use rdse_store::log::{
@@ -142,9 +144,9 @@ fn mapping_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
-/// The decode `scan` used before bodies were decoded with a raw
-/// mapping field: the whole body as a `Value` tree, then a
-/// [`StoreRecord`], then the archive's form.
+/// The reference decode, `scan`'s before bodies were decoded in one
+/// pass: the whole body as a `Value` tree, then a [`StoreRecord`], then
+/// the archive's form.
 fn tree_decode(body: &[u8]) -> Option<ArchivedRecord> {
     let text = std::str::from_utf8(body).ok()?;
     let value = serde_json::from_str::<Value>(text).ok()?;
@@ -153,8 +155,8 @@ fn tree_decode(body: &[u8]) -> Option<ArchivedRecord> {
         .map(ArchivedRecord::from)
 }
 
-/// The decode `scan` uses now.
-fn raw_decode(body: &[u8]) -> Option<ArchivedRecord> {
+/// The decode `scan` uses.
+fn body_decode(body: &[u8]) -> Option<ArchivedRecord> {
     ArchivedRecord::from_body(std::str::from_utf8(body).ok()?).ok()
 }
 
@@ -243,18 +245,240 @@ fn mutate(body: &[u8], other: &[u8], m: Mutation) -> Vec<u8> {
             [&body[..at % (n + 1)], &other[from % (other.len() + 1)..]].concat()
         }
         Mutation::Whitespace { at, ws } => {
-            // The mapping is the body's last field: from after its key
-            // to before the body's closing brace.
-            let key = b"\"mapping\":";
-            let start = body
-                .windows(key.len())
-                .rposition(|w| w == key)
-                .expect("writer bodies carry a mapping")
-                + key.len();
-            let at = start + at % (n - start);
+            let at = at % (n + 1);
             [&body[..at], &[ws], &body[at..]].concat()
         }
     }
+}
+
+/// A body as its top-level `(key, value text)` entries.
+type Entries = Vec<(String, String)>;
+
+fn entries_of(body: &[u8]) -> Entries {
+    let value: Value = serde_json::from_str(std::str::from_utf8(body).unwrap()).unwrap();
+    let Value::Map(entries) = value else {
+        panic!("a writer body is an object");
+    };
+    entries
+        .into_iter()
+        .map(|(k, v)| (k, serde_json::to_string(&v).unwrap()))
+        .collect()
+}
+
+fn render(entries: &Entries) -> Vec<u8> {
+    let fields: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", serde_json::to_string(k).unwrap()))
+        .collect();
+    format!("{{{}}}", fields.join(",")).into_bytes()
+}
+
+/// Spellings of a `u64` field: every form the tree decode accepts
+/// (`1e3`, `1000.0`, `-0`, leading zeros, `u64::MAX`) and near misses it
+/// rejects (2^64, negatives, fractions, other types).
+const SPELLINGS: [&str; 22] = [
+    "1e3",
+    "1E+3",
+    "1000.0",
+    "1000",
+    "-0",
+    "-0.0",
+    "0",
+    "00042",
+    "4.2e1",
+    "9223372036854775807",
+    "9223372036854775808",
+    "18446744073709551615",
+    "0018446744073709551615",
+    "1.8446744073709550e19",
+    "18446744073709551616",
+    "1e20",
+    "-1",
+    "-9223372036854775808",
+    "0.5",
+    "null",
+    "\"7\"",
+    "[7]",
+];
+
+/// Values for unknown fields and repeated keys: valid JSON of every
+/// kind, and text the JSON rules reject.
+const EXTRAS: [&str; 8] = [
+    "{\"a\":[1,2.5e3,null,true]}",
+    "\"\\u00e9\"",
+    "[]",
+    "-12",
+    "1e400",
+    "[1,]",
+    "\"\\uD800\"",
+    "{\"k\" 1}",
+];
+
+/// The `CostBits` axes.
+const AXES: [&str; 4] = ["makespan", "clb_area", "reconfig", "contexts"];
+
+/// An edit of a body's fields, made before any byte mutation.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// Shuffle the fields, and the axes of `best` and of every front
+    /// member.
+    Permute { seed: u64 },
+    /// Repeat field `field` before or after itself, with another value:
+    /// the other body's, a spelling or an extra.
+    Repeat {
+        field: usize,
+        pick: usize,
+        before: bool,
+    },
+    /// Add an unknown field at `at`.
+    Unknown { at: usize, pick: usize },
+    /// Spell field `field` another way; for `best` and `front`, one
+    /// axis of theirs.
+    Respell {
+        field: usize,
+        axis: usize,
+        pick: usize,
+    },
+    /// Write the first character of field `field`'s key as a `\u`
+    /// escape.
+    EscapeKey { field: usize },
+    /// Drop field `field`.
+    Drop { field: usize },
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    (0u32..6, (0usize..64, 0usize..64, any::<u64>())).prop_map(|(kind, (a, b, seed))| match kind {
+        0 => Edit::Permute { seed },
+        1 => Edit::Repeat {
+            field: a,
+            pick: b,
+            before: seed % 2 == 0,
+        },
+        2 => Edit::Unknown { at: a, pick: b },
+        3 => Edit::Respell {
+            field: a,
+            axis: seed as usize,
+            pick: b,
+        },
+        4 => Edit::EscapeKey { field: a },
+        _ => Edit::Drop { field: a },
+    })
+}
+
+/// Fisher–Yates over `items`, driven by a SplitMix64 stream from `seed`.
+fn shuffle<T>(items: &mut [T], seed: &mut u64) {
+    for i in (1..items.len()).rev() {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        items.swap(i, (z ^ (z >> 31)) as usize % (i + 1));
+    }
+}
+
+/// `text` (a `CostBits` object or an array of them) with its axes in
+/// shuffled order.
+fn shuffle_axes(text: &str, seed: &mut u64) -> String {
+    let mut shuffle_member = |v: Value| match v {
+        Value::Map(mut axes) => {
+            shuffle(&mut axes, seed);
+            Value::Map(axes)
+        }
+        other => other,
+    };
+    let value = match serde_json::from_str::<Value>(text) {
+        Ok(Value::Seq(members)) => {
+            Value::Seq(members.into_iter().map(&mut shuffle_member).collect())
+        }
+        Ok(member) => shuffle_member(member),
+        Err(_) => return text.to_string(),
+    };
+    serde_json::to_string(&value).unwrap()
+}
+
+/// `text` with the number after the first `"axis":` replaced by
+/// `spelling`.
+fn respell_axis(text: &str, axis: &str, spelling: &str) -> String {
+    let key = format!("\"{axis}\":");
+    let Some(at) = text.find(&key).map(|i| i + key.len()) else {
+        return text.to_string();
+    };
+    let end = at
+        + text[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(text.len() - at);
+    [&text[..at], spelling, &text[end..]].concat()
+}
+
+fn edit(entries: &mut Entries, other: &Entries, e: Edit) {
+    let n = entries.len();
+    if n == 0 {
+        return;
+    }
+    match e {
+        Edit::Permute { mut seed } => {
+            shuffle(entries, &mut seed);
+            for (k, v) in entries.iter_mut() {
+                if k == "best" || k == "front" {
+                    *v = shuffle_axes(v, &mut seed);
+                }
+            }
+        }
+        Edit::Repeat {
+            field,
+            pick,
+            before,
+        } => {
+            let i = field % n;
+            let key = entries[i].0.clone();
+            let value = match pick % 3 {
+                0 => other
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .map_or_else(|| EXTRAS[0].to_string(), |(_, v)| v.clone()),
+                1 => SPELLINGS[pick % SPELLINGS.len()].to_string(),
+                _ => EXTRAS[pick % EXTRAS.len()].to_string(),
+            };
+            entries.insert(if before { i } else { i + 1 }, (key, value));
+        }
+        Edit::Unknown { at, pick } => {
+            let extra = EXTRAS[pick % EXTRAS.len()].to_string();
+            entries.insert(at % (n + 1), ("zz_unknown".into(), extra));
+        }
+        Edit::Respell { field, axis, pick } => {
+            let spelling = SPELLINGS[pick % SPELLINGS.len()];
+            let (key, value) = &mut entries[field % n];
+            *value = match key.as_str() {
+                "best" | "front" => respell_axis(value, AXES[axis % AXES.len()], spelling),
+                _ => spelling.to_string(),
+            };
+        }
+        Edit::EscapeKey { field } => {
+            let key = &mut entries[field % n].0;
+            // Keys stay plain in `render`; mark this one for escaping.
+            key.insert(0, '\u{0}');
+        }
+        Edit::Drop { field } => {
+            entries.remove(field % n);
+        }
+    }
+}
+
+/// [`render`], but keys marked by [`Edit::EscapeKey`] have their first
+/// character written as a `\u` escape.
+fn render_escaped(entries: &Entries) -> Vec<u8> {
+    let fields: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| match k.strip_prefix('\u{0}') {
+            Some(plain) => {
+                let mut chars = plain.chars();
+                let first = chars.next().map_or(0, u32::from);
+                format!("\"\\u{first:04x}{}\":{v}", chars.as_str())
+            }
+            None => format!("{}:{v}", serde_json::to_string(k).unwrap()),
+        })
+        .collect();
+    format!("{{{}}}", fields.join(",")).into_bytes()
 }
 
 proptest! {
@@ -357,11 +581,12 @@ proptest! {
     }
 
     #[test]
-    fn raw_field_decode_agrees_with_the_tree_decode(
+    fn body_decode_agrees_with_the_tree_decode(
         parts in collection::vec(
             (spec_strategy(), 1u64..u64::MAX / 2, 0usize..4, mapping_strategy()),
             2..=2,
         ),
+        edits in collection::vec(collection::vec(edit_strategy(), 0..5), 1..6),
         mutations in collection::vec(mutation_strategy(), 1..8),
     ) {
         let bodies: Vec<Vec<u8>> = parts
@@ -378,31 +603,50 @@ proptest! {
         // Writer bodies: both decodes accept, and the archived record
         // re-encodes to the very frame it was read from.
         for body in &bodies {
-            let decoded = raw_decode(body);
+            let decoded = body_decode(body);
             prop_assert!(decoded.is_some(), "writer body rejected");
             let decoded = decoded.unwrap();
             prop_assert_eq!(Some(decoded.clone()), tree_decode(body));
             prop_assert_eq!(encode_archived(&decoded), frame(body));
+            prop_assert_eq!(render(&entries_of(body)), body.clone());
         }
 
-        for m in &mutations {
-            let body = mutate(&bodies[0], &bodies[1], *m);
-            let old = tree_decode(&body);
-            let new = raw_decode(&body);
+        // Field edits, each list applied to a fresh copy of the first
+        // body, then byte mutations on top of the edited bodies.
+        let other = entries_of(&bodies[1]);
+        let mut cases = Vec::new();
+        for list in &edits {
+            let mut entries = entries_of(&bodies[0]);
+            for e in list {
+                edit(&mut entries, &other, *e);
+            }
+            cases.push((format!("{list:?}"), render_escaped(&entries)));
+        }
+        for (i, m) in mutations.iter().enumerate() {
+            let (label, base) = &cases[i % cases.len()];
+            let body = mutate(base, &bodies[1], *m);
+            cases.push((format!("{label} then {m:?}"), body));
+        }
+        for (label, body) in &cases {
+            let old = tree_decode(body);
+            let new = body_decode(body);
             prop_assert_eq!(
                 old.is_some(),
                 new.is_some(),
-                "{:?} on {:?}",
-                m,
-                String::from_utf8_lossy(&body)
+                "{} on {:?}",
+                label,
+                String::from_utf8_lossy(body)
             );
             prop_assert_eq!(
                 old.as_ref().map(ArchivedRecord::to_record),
-                new.as_ref().map(ArchivedRecord::to_record)
+                new.as_ref().map(ArchivedRecord::to_record),
+                "{} on {:?}",
+                label,
+                String::from_utf8_lossy(body)
             );
             // `scan` decodes the checksummed frame the same way.
             let mut replayed = Vec::new();
-            let report = scan(&frame(&body), |r| replayed.push(r));
+            let report = scan(&frame(body), |r| replayed.push(r));
             prop_assert_eq!(replayed.first(), new.as_ref());
             prop_assert_eq!(report.tail.is_some(), new.is_none());
         }

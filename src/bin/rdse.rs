@@ -86,10 +86,18 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The value of `flag` parsed as a `T`, or `default` when the flag is
+/// absent. A value that does not parse ends the command with
+/// [`EXIT_USAGE`], naming the flag and the value: running on the default
+/// instead would hide the mistake.
 fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(value) = arg_value(args, flag) else {
+        return default;
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} expects a number, got '{value}'");
+        std::process::exit(i32::from(EXIT_USAGE))
+    })
 }
 
 fn usage() -> ExitCode {
@@ -567,9 +575,9 @@ struct SweepReport {
     points: Vec<SweepPoint>,
 }
 
-/// Parses a comma-separated `--flag a,b,c` list. Unlike the scalar
-/// [`arg_num`] fallback, a malformed entry is an error — silently
-/// dropping it would shrink the sweep grid behind the user's back.
+/// Parses a comma-separated `--flag a,b,c` list. As with [`arg_num`], a
+/// malformed entry is an error — silently dropping it would shrink the
+/// sweep grid behind the user's back.
 fn parse_list<T: std::str::FromStr + Copy>(
     args: &[String],
     flag: &str,

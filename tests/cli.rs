@@ -1,8 +1,9 @@
 //! CLI smoke tests for the multi-objective flags: malformed
 //! `--objective` specs are rejected with exit code 2 and an actionable
 //! message; well-formed specs run and report a Pareto front. Also covers
-//! `rdse space`, the serve/submit surface, the store subcommands and a
-//! stdout that closes early.
+//! `rdse space`, the serve/submit surface, the store subcommands, a
+//! stdout that closes early, and models and numeric flags that must be
+//! rejected by name rather than panic or fall back to defaults.
 
 use rdse::model::{Bytes, Micros, TaskGraph};
 use std::path::PathBuf;
@@ -444,4 +445,79 @@ fn space_counts_motion_and_names_a_count_too_large_to_compute() {
         stderr.contains("64 tasks, total-order count too large to compute exactly"),
         "{stderr}"
     );
+}
+
+/// The motion models with one top-level field of one of them replaced
+/// by `value` (JSON text), written next to the originals as `name`.
+fn edited_model(app_side: bool, field: &str, value: &str, name: &str) -> String {
+    let (app, arch) = models();
+    let source = if app_side { app } else { arch };
+    let text = std::fs::read_to_string(source).expect("generated model");
+    let serde_json::Value::Map(mut entries) = serde_json::from_str(&text).expect("model JSON")
+    else {
+        panic!("a model is a JSON object");
+    };
+    let slot = entries
+        .iter_mut()
+        .find(|(k, _)| k == field)
+        .expect("field present");
+    slot.1 = serde_json::from_str(value).expect("replacement JSON");
+    let path = std::path::Path::new(source).with_file_name(name);
+    let edited = serde_json::to_string(&serde_json::Value::Map(entries)).unwrap();
+    std::fs::write(&path, edited).expect("write edited model");
+    path.to_str().unwrap().to_owned()
+}
+
+/// Asserts a run failed without a panic and named `cause` on stderr.
+fn assert_named_failure(out: &Output, cause: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{out:?}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains(cause), "{stderr}");
+}
+
+#[test]
+fn an_architecture_without_a_processor_fails_with_a_named_cause() {
+    let (app, _) = models();
+    let arch = edited_model(false, "processors", "[]", "no-processor-arch.json");
+    let explore = ["explore", "--app", app, "--arch", &arch, "--iters", "100"];
+    assert_named_failure(&rdse(&explore), "no processor");
+    let portfolio = [&explore[..], &["--chains", "2"]].concat();
+    assert_named_failure(&rdse(&portfolio), "no processor");
+    let ga = ["ga", "--app", app, "--arch", &arch, "--generations", "2"];
+    assert_named_failure(&rdse(&ga), "no processor");
+}
+
+#[test]
+fn an_app_whose_edges_name_missing_tasks_fails_with_a_named_cause() {
+    let (_, arch) = models();
+    let app = edited_model(true, "tasks", "[]", "no-tasks-app.json");
+    let explore = ["explore", "--app", &app, "--arch", arch, "--iters", "100"];
+    assert_named_failure(&rdse(&explore), "unknown task");
+    // The submit client loads the model before it connects.
+    let submit = [
+        "submit",
+        "--addr",
+        "127.0.0.1:9",
+        "--app",
+        &app,
+        "--clbs",
+        "2000",
+    ];
+    assert_named_failure(&rdse(&submit), "unknown task");
+}
+
+#[test]
+fn malformed_numeric_flags_exit_with_code_2() {
+    let (app, arch) = models();
+    for (flag, value) in [("--iters", "abc"), ("--seed", "-1"), ("--lambda", "x")] {
+        let out = rdse(&["explore", "--app", app, "--arch", arch, flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "{flag} {value}:\n{stderr}"
+        );
+    }
 }
