@@ -1,6 +1,6 @@
-//! The batch runner: fans scenarios across a worker pool, explores
-//! each with the portfolio engine, gates every result behind the
-//! four-way differential oracle and emits an NDJSON result matrix.
+//! The batch runner: fans scenarios across scoped worker threads,
+//! explores each with the portfolio engine, gates every result behind
+//! the four-way differential oracle and emits an NDJSON result matrix.
 //!
 //! Determinism: each scenario's exploration is a pure function of its
 //! spec (the portfolio engine is thread-count invariant), scenarios are
@@ -13,7 +13,7 @@
 use crate::oracle::{differential_check, front_check};
 use crate::scenario::ScenarioSpec;
 use rdse_mapping::{
-    explore_parallel, hypervolume, Cost, CostVector, ExploreOptions, ParallelOptions, Pool,
+    explore_parallel, hypervolume, Cost, CostVector, ExploreOptions, ParallelOptions,
 };
 use rdse_model::units::Micros;
 use std::sync::Mutex;
@@ -379,9 +379,8 @@ pub fn run_corpus(
     let results: Mutex<Vec<ScenarioRecord>> = Mutex::new(Vec::with_capacity(specs.len()));
     let failure: Mutex<Option<CorpusError>> = Mutex::new(None);
 
-    // Fan out on the persistent process-wide pool (the same drainer
-    // closure per worker as the historical per-batch thread spawn; the
-    // sort below keeps the report thread-count invariant).
+    // Each worker drains the shared queue; the sort below keeps the
+    // report thread-count invariant.
     let drainer = || loop {
         // A failure anywhere aborts the remaining corpus: a
         // matrix with a diverging scenario is worthless.
@@ -402,11 +401,11 @@ pub fn run_corpus(
     if threads == 1 {
         drainer();
     } else {
-        Pool::global().run(
-            (0..threads)
-                .map(|_| Box::new(drainer) as Box<dyn FnOnce() + Send + '_>)
-                .collect(),
-        );
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(drainer);
+            }
+        });
     }
 
     if let Some(e) = failure.into_inner().expect("failure lock") {

@@ -34,7 +34,7 @@ use rdse_anneal::{
 };
 use rdse_model::units::Micros;
 use rdse_model::{Architecture, TaskGraph};
-use rdse_pool::Pool;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// What the annealer minimizes — a [`Scalarizer`] over the mapping
@@ -1037,82 +1037,68 @@ pub fn explore_parallel_observed(
         opts.exchange_every
     };
 
+    // Chains are data-parallel within a segment; splitting them into
+    // contiguous per-worker chunks (a pure function of chains and
+    // threads) keeps the result independent of the thread count.
     let mut segments = 0u64;
-    loop {
-        // One lock-step segment. Chains are data-parallel within a
-        // segment; splitting them into contiguous per-worker chunks
-        // keeps the result independent of the thread count.
-        if threads == 1 {
-            for chain in &mut explorers {
-                chain.run_segment(segment);
-            }
-        } else {
-            // Fan out on the persistent process-wide pool (no
-            // per-segment thread spawning). The chunking is a pure
-            // function of (chains, threads), so the result is
-            // independent of the pool's actual worker count.
-            let chunk = explorers.len().div_ceil(threads);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = explorers
-                .chunks_mut(chunk)
-                .map(|part| {
-                    Box::new(move || {
-                        for chain in part {
-                            chain.run_segment(segment);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
+    fan_out(
+        &mut explorers,
+        threads,
+        |chain| {
+            chain.run_segment(segment);
+        },
+        |explorers| {
+            segments += 1;
+            let target_hit = opts
+                .base
+                .target_cost
+                .is_some_and(|t| explorers.iter().any(|c| c.best_cost() <= t));
+            let done = target_hit || explorers.iter().all(Explorer::is_finished);
+
+            // Observe at the barrier: a read-only snapshot of the
+            // portfolio state, never part of the walk.
+            let keep_going = {
+                let incumbent = portfolio_winner(explorers);
+                let mut snapshot = ParetoFront::new();
+                for chain in explorers.iter() {
+                    snapshot.merge(chain.front());
+                }
+                observer(&SegmentUpdate {
+                    segment: segments,
+                    iterations: explorers.iter().map(Explorer::iterations).sum(),
+                    best_cost: explorers[incumbent].best_cost(),
+                    best: *explorers[incumbent].best_objectives(),
+                    front: &snapshot,
+                    finished: done,
                 })
-                .collect();
-            Pool::global().run(tasks);
-        }
-        segments += 1;
-
-        let target_hit = opts
-            .base
-            .target_cost
-            .is_some_and(|t| explorers.iter().any(|c| c.best_cost() <= t));
-        let done = target_hit || explorers.iter().all(Explorer::is_finished);
-
-        // Observe at the barrier: a read-only snapshot of the
-        // portfolio state, never part of the walk.
-        let keep_going = {
-            let incumbent = portfolio_winner(&explorers);
-            let mut snapshot = ParetoFront::new();
-            for chain in &explorers {
-                snapshot.merge(chain.front());
-            }
-            observer(&SegmentUpdate {
-                segment: segments,
-                iterations: explorers.iter().map(Explorer::iterations).sum(),
-                best_cost: explorers[incumbent].best_cost(),
-                best: *explorers[incumbent].best_objectives(),
-                front: &snapshot,
-                finished: done,
-            })
-        };
-        if done || !keep_going {
-            break;
-        }
-
-        if opts.front_exchange {
-            exchange_front_members(&mut explorers);
-        } else {
-            // Exchange at the barrier: strictly worse chains adopt the
-            // portfolio winner (ties keep their own solution — and the
-            // winner is picked by lowest chain id, so the exchange is a
-            // deterministic function of the chain states).
-            let winner = portfolio_winner(&explorers);
-            let winner_cost = explorers[winner].best_cost();
-            let (best_mapping, best_summary) = {
-                let (m, s) = explorers[winner].best();
-                (m.clone(), s)
             };
-            for (i, chain) in explorers.iter_mut().enumerate() {
-                if i != winner && chain.best_cost() > winner_cost && !chain.is_finished() {
-                    chain.adopt_best(best_mapping.clone(), best_summary);
+            if done || !keep_going {
+                return false;
+            }
+
+            if opts.front_exchange {
+                exchange_front_members(explorers);
+            } else {
+                // Exchange at the barrier: strictly worse chains adopt
+                // the portfolio winner (ties keep their own solution —
+                // and the winner is picked by lowest chain id, so the
+                // exchange is a deterministic function of the chain
+                // states).
+                let winner = portfolio_winner(explorers);
+                let winner_cost = explorers[winner].best_cost();
+                let (best_mapping, best_summary) = {
+                    let (m, s) = explorers[winner].best();
+                    (m.clone(), s)
+                };
+                for (i, chain) in explorers.iter_mut().enumerate() {
+                    if i != winner && chain.best_cost() > winner_cost && !chain.is_finished() {
+                        chain.adopt_best(best_mapping.clone(), best_summary);
+                    }
                 }
             }
-        }
-    }
+            true
+        },
+    );
 
     let winner = portfolio_winner(&explorers);
     let mut chain_stats = Vec::with_capacity(chains);
@@ -1145,6 +1131,58 @@ pub fn explore_parallel_observed(
         front,
         elapsed: start.elapsed(),
     })
+}
+
+/// Runs rounds of `work` over every item until `barrier` returns
+/// `false`. Each round splits `items` into contiguous `div_ceil`
+/// chunks, one per thread (`threads` in `1..=items.len()`): the calling
+/// thread takes chunk 0, and each later chunk travels over `mpsc` to a
+/// worker spawned once for all rounds and back. `barrier` then sees
+/// the items in their original order on the calling thread, so it
+/// need not be `Send`. A panicking worker closes its return channel,
+/// so the caller panics instead of waiting.
+fn fan_out<T: Send>(
+    items: &mut Vec<T>,
+    threads: usize,
+    work: impl Fn(&mut T) + Sync,
+    mut barrier: impl FnMut(&mut [T]) -> bool,
+) {
+    let chunk = items.len().div_ceil(threads);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..items.len().div_ceil(chunk))
+            .map(|_| {
+                let (to_worker, inbox) = mpsc::channel::<Vec<T>>();
+                let (outbox, from_worker) = mpsc::channel();
+                scope.spawn(move || {
+                    for mut part in inbox {
+                        part.iter_mut().for_each(work);
+                        if outbox.send(part).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (to_worker, from_worker)
+            })
+            .collect();
+        loop {
+            let mut rest = items.split_off(chunk).into_iter();
+            for (to_worker, _) in &workers {
+                let part = rest.by_ref().take(chunk).collect();
+                to_worker.send(part).expect("a fan-out worker panicked");
+            }
+            items.iter_mut().for_each(work);
+            let parts = workers.iter().map(|(_, from_worker)| from_worker.recv());
+            #[cfg(rdse_fault = "fanout_chunks_reversed")]
+            let parts = parts.collect::<Vec<_>>().into_iter().rev();
+            for part in parts {
+                items.extend(part.expect("a fan-out worker panicked"));
+            }
+            if !barrier(items) {
+                break;
+            }
+        }
+    });
 }
 
 /// A retrievable solution in the front-exchange pool: the cost vector
@@ -1496,6 +1534,19 @@ mod tests {
         for (x, y) in a.chains.iter().zip(&c.chains) {
             assert_eq!(x.run.best_cost.to_bits(), y.run.best_cost.to_bits());
             assert_eq!(x.run.accepted, y.run.accepted);
+        }
+    }
+
+    #[test]
+    fn fan_out_panics_its_caller_when_a_chunk_panics() {
+        // Item 0 is in the calling thread's chunk, item 7 in the last
+        // worker's: either way the caller must panic, not wait.
+        for (planted, threads) in [(0, 2), (7, 2), (7, 4)] {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut items: Vec<u32> = (0..8).collect();
+                fan_out(&mut items, threads, |x| assert_ne!(*x, planted), |_| false);
+            });
+            assert!(outcome.is_err(), "item {planted}, threads = {threads}");
         }
     }
 

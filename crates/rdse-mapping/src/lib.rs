@@ -109,10 +109,6 @@ pub use placement::{Placement, ResourceRef};
 pub use rdse_anneal::{
     crowding_distance, hypervolume, non_dominated_rank, Cost, Dominance, ParetoFront, Scalarizer,
 };
-// The persistent pool (a shared injector plus pinned lanes) behind the
-// portfolio and corpus fan-outs and the serve shards, re-exported so
-// those layers share one pool type.
-pub use rdse_pool::Pool;
 pub use schedule::{BusTransfer, GanttChart, ReconfigSlot, TaskSlot};
 pub use searchgraph::SearchGraph;
 pub use solution::{Context, Mapping};

@@ -180,23 +180,7 @@ impl TaskGraph {
         if name.is_empty() {
             return Err(ModelError::EmptyName);
         }
-        if !sw_time.is_valid() {
-            return Err(ModelError::InvalidTime {
-                task: id,
-                what: "software time",
-            });
-        }
-        for imp in &hw_impls {
-            if !imp.time().is_valid() {
-                return Err(ModelError::InvalidTime {
-                    task: id,
-                    what: "hardware time",
-                });
-            }
-            if imp.clbs() == Clbs::ZERO {
-                return Err(ModelError::EmptyImplementation(id));
-            }
-        }
+        check_estimates(id, sw_time, &hw_impls)?;
         let mut front: Vec<HwImpl> = Vec::with_capacity(hw_impls.len());
         for imp in hw_impls {
             if front.iter().any(|f| imp.is_dominated_by(f)) {
@@ -287,18 +271,25 @@ impl TaskGraph {
         g
     }
 
-    /// Checks global invariants: every edge joins two distinct existing
-    /// tasks (a deserialized graph skips [`add_data_edge`]'s checks), and
-    /// the precedence graph is acyclic.
+    /// Checks global invariants: every task's estimates pass
+    /// [`add_task`]'s checks and every edge joins two distinct existing
+    /// tasks (a deserialized graph skips [`add_task`] and
+    /// [`add_data_edge`]), and the precedence graph is acyclic.
     ///
+    /// [`add_task`]: TaskGraph::add_task
     /// [`add_data_edge`]: TaskGraph::add_data_edge
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownTask`] for an edge endpoint that
+    /// Returns [`ModelError::InvalidTime`] or
+    /// [`ModelError::EmptyImplementation`] for a task `add_task` would
+    /// refuse, [`ModelError::UnknownTask`] for an edge endpoint that
     /// names no task, [`ModelError::SelfEdge`] for an edge from a task to
     /// itself, and [`ModelError::CyclicPrecedence`] when a cycle exists.
     pub fn validate(&self) -> Result<(), ModelError> {
+        for (id, t) in self.tasks() {
+            check_estimates(id, t.sw_time, &t.hw_impls)?;
+        }
         for e in &self.edges {
             if let Some(t) = [e.from, e.to]
                 .into_iter()
@@ -324,6 +315,25 @@ impl TaskGraph {
     pub fn total_sw_time(&self) -> Micros {
         self.tasks.iter().map(|t| t.sw_time).sum()
     }
+}
+
+/// The per-task estimate checks of [`TaskGraph::add_task`], shared
+/// with [`TaskGraph::validate`]: every time is finite and non-negative,
+/// and no implementation has zero CLBs.
+fn check_estimates(id: TaskId, sw_time: Micros, hw_impls: &[HwImpl]) -> Result<(), ModelError> {
+    let invalid = |what| ModelError::InvalidTime { task: id, what };
+    if !sw_time.is_valid() {
+        return Err(invalid("software time"));
+    }
+    for imp in hw_impls {
+        if !imp.time().is_valid() {
+            return Err(invalid("hardware time"));
+        }
+        if imp.clbs() == Clbs::ZERO {
+            return Err(ModelError::EmptyImplementation(id));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -458,6 +468,27 @@ mod tests {
         assert_eq!(
             TaskGraph::from_json(&self_edge).unwrap_err(),
             ModelError::SelfEdge(a)
+        );
+    }
+
+    #[test]
+    fn validate_rejects_deserialized_estimates_the_builder_would_refuse() {
+        let mut g = TaskGraph::new("app");
+        let imp = HwImpl::new(Clbs::new(8), us(2.0));
+        let a = g.add_task("a", "F", us(4.0), vec![imp]).unwrap();
+        let json = g.to_json().unwrap();
+        for (from, to, what) in [
+            (r#""sw_time": 4.0"#, r#""sw_time": -4.0"#, "software time"),
+            (r#""sw_time": 4.0"#, r#""sw_time": 1e400"#, "software time"),
+            (r#""time": 2.0"#, r#""time": -2.0"#, "hardware time"),
+        ] {
+            let err = TaskGraph::from_json(&json.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err, ModelError::InvalidTime { task: a, what }, "{to}");
+        }
+        let zero = json.replacen(r#""clbs": 8"#, r#""clbs": 0"#, 1);
+        assert_eq!(
+            TaskGraph::from_json(&zero).unwrap_err(),
+            ModelError::EmptyImplementation(a)
         );
     }
 

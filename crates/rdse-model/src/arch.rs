@@ -202,6 +202,37 @@ impl Architecture {
             + self.drlcs.iter().map(DrlcSpec::cost).sum::<f64>()
             + self.asics.iter().map(AsicSpec::cost).sum::<f64>()
     }
+
+    /// Checks what the builder checks, for an architecture that skipped
+    /// it (a deserialized one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NoResources`] if there is no computing
+    /// resource, [`ModelError::ZeroCapacityDrlc`] for an empty FPGA,
+    /// [`ModelError::InvalidReconfigTime`] for an FPGA whose
+    /// reconfiguration time per CLB is negative, NaN or infinite, and
+    /// [`ModelError::InvalidBusRate`] for a bus rate that is not a
+    /// positive finite number.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        if self.processors.is_empty() && self.drlcs.is_empty() && self.asics.is_empty() {
+            return Err(ModelError::NoResources);
+        }
+        for d in &self.drlcs {
+            let name = d.name().to_owned();
+            if d.n_clbs() == Clbs::ZERO {
+                return Err(ModelError::ZeroCapacityDrlc { name });
+            }
+            if !d.reconfig_time_per_clb().is_valid() {
+                return Err(ModelError::InvalidReconfigTime { name });
+            }
+        }
+        let rate = self.bus.bytes_per_micro();
+        if rate <= 0.0 || !rate.is_finite() {
+            return Err(ModelError::InvalidBusRate(rate));
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`Architecture`] (C-BUILDER).
@@ -250,28 +281,17 @@ impl ArchitectureBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoResources`] if no computing resource was
-    /// added, [`ModelError::ZeroCapacityDrlc`] for an empty FPGA, and
-    /// [`ModelError::InvalidBusRate`] for a non-positive bus rate.
+    /// Any error of [`Architecture::validate`].
     pub fn build(self) -> Result<Architecture, ModelError> {
-        if self.processors.is_empty() && self.drlcs.is_empty() && self.asics.is_empty() {
-            return Err(ModelError::NoResources);
-        }
-        if let Some(d) = self.drlcs.iter().find(|d| d.n_clbs() == Clbs::ZERO) {
-            return Err(ModelError::ZeroCapacityDrlc {
-                name: d.name().to_owned(),
-            });
-        }
-        if self.bus.bytes_per_micro() <= 0.0 || !self.bus.bytes_per_micro().is_finite() {
-            return Err(ModelError::InvalidBusRate(self.bus.bytes_per_micro()));
-        }
-        Ok(Architecture {
+        let arch = Architecture {
             name: self.name,
             processors: self.processors,
             drlcs: self.drlcs,
             asics: self.asics,
             bus: self.bus,
-        })
+        };
+        arch.validate()?;
+        Ok(arch)
     }
 }
 
@@ -341,6 +361,37 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ModelError::InvalidBusRate(0.0));
+    }
+
+    #[test]
+    fn invalid_reconfiguration_time_rejected() {
+        for t in [-22.5, f64::NAN, f64::INFINITY] {
+            let err = Architecture::builder("x")
+                .drlc("d", Clbs::new(10), Micros::new(t), 0.0)
+                .build()
+                .unwrap_err();
+            let name = "d".to_owned();
+            assert_eq!(err, ModelError::InvalidReconfigTime { name });
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_what_the_builder_rejects() {
+        let json = reference_arch().to_json().unwrap();
+        for (from, to) in [
+            (r#""n_clbs": 2000"#, r#""n_clbs": 0"#),
+            (
+                r#""reconfig_time_per_clb": 22.5"#,
+                r#""reconfig_time_per_clb": -22.5"#,
+            ),
+            (r#""bytes_per_micro": 100.0"#, r#""bytes_per_micro": 0"#),
+            (r#""bytes_per_micro": 100.0"#, r#""bytes_per_micro": -3"#),
+        ] {
+            let edited = json.replacen(from, to, 1);
+            assert_ne!(edited, json, "{from}");
+            assert!(Architecture::from_json(&edited).is_err(), "{to}");
+        }
+        assert_eq!(Architecture::from_json(&json).unwrap(), reference_arch());
     }
 
     #[test]

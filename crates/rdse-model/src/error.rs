@@ -36,7 +36,13 @@ pub enum ModelError {
         /// Name of the offending device.
         name: String,
     },
-    /// The bus rate was non-positive.
+    /// A DRLC's reconfiguration time per CLB was negative, NaN or
+    /// infinite.
+    InvalidReconfigTime {
+        /// Name of the offending device.
+        name: String,
+    },
+    /// The bus rate was non-positive or not finite.
     InvalidBusRate(f64),
     /// A duplicate edge between the same pair of tasks.
     DuplicateEdge(TaskId, TaskId),
@@ -63,7 +69,13 @@ impl fmt::Display for ModelError {
             ModelError::ZeroCapacityDrlc { name } => {
                 write!(f, "reconfigurable device '{name}' has zero CLB capacity")
             }
-            ModelError::InvalidBusRate(r) => write!(f, "bus rate {r} is not positive"),
+            ModelError::InvalidReconfigTime { name } => write!(
+                f,
+                "reconfigurable device '{name}' has an invalid reconfiguration time per CLB"
+            ),
+            ModelError::InvalidBusRate(r) => {
+                write!(f, "bus rate {r} is not a positive finite number")
+            }
             ModelError::DuplicateEdge(a, b) => {
                 write!(f, "duplicate data edge between {a} and {b}")
             }

@@ -4,8 +4,19 @@
 //! format of the `rdse` CLI and the examples).
 
 use crate::{Architecture, ModelError, TaskGraph};
+use serde::Deserialize;
+use serde_json::Value;
 use std::fs;
 use std::path::Path;
+
+fn parse(json: &str) -> Result<Value, ModelError> {
+    serde_json::from_str(json).map_err(|e| ModelError::Io(e.to_string()))
+}
+
+/// Decodes a model, naming a failure as [`serde_json::from_str`] would.
+fn decode<T: Deserialize>(value: &Value) -> Result<T, ModelError> {
+    T::from_value(value).map_err(|e| ModelError::Io(serde_json::Error::custom(e).to_string()))
+}
 
 impl TaskGraph {
     /// Serializes to pretty-printed JSON.
@@ -24,7 +35,18 @@ impl TaskGraph {
     /// Returns [`ModelError::Io`] on parse failure or any validation
     /// error (e.g. [`ModelError::CyclicPrecedence`]).
     pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        let g: TaskGraph = serde_json::from_str(json).map_err(|e| ModelError::Io(e.to_string()))?;
+        TaskGraph::from_json_value(&parse(json)?)
+    }
+
+    /// Decodes an already-parsed JSON value and validates it, exactly
+    /// as [`TaskGraph::from_json`] does for text.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Io`] if the value is not a task graph, or
+    /// any validation error.
+    pub fn from_json_value(value: &Value) -> Result<Self, ModelError> {
+        let g: TaskGraph = decode(value)?;
         g.validate()?;
         Ok(g)
     }
@@ -60,13 +82,27 @@ impl Architecture {
         serde_json::to_string_pretty(self).map_err(|e| ModelError::Io(e.to_string()))
     }
 
-    /// Parses an architecture from JSON.
+    /// Parses an architecture from JSON and validates it.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Io`] on parse failure.
+    /// Returns [`ModelError::Io`] on parse failure, or any error of
+    /// [`Architecture::validate`].
     pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        serde_json::from_str(json).map_err(|e| ModelError::Io(e.to_string()))
+        Architecture::from_json_value(&parse(json)?)
+    }
+
+    /// Decodes an already-parsed JSON value and validates it, exactly
+    /// as [`Architecture::from_json`] does for text.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Io`] if the value is not an architecture,
+    /// or any error of [`Architecture::validate`].
+    pub fn from_json_value(value: &Value) -> Result<Self, ModelError> {
+        let a: Architecture = decode(value)?;
+        a.validate()?;
+        Ok(a)
     }
 
     /// Writes the architecture to a JSON file.
@@ -79,11 +115,12 @@ impl Architecture {
         fs::write(path, self.to_json()?).map_err(|e| ModelError::Io(e.to_string()))
     }
 
-    /// Reads an architecture from a JSON file.
+    /// Reads an architecture from a JSON file and validates it.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Io`] on file-system or parse failure.
+    /// Returns [`ModelError::Io`] on file-system or parse failure, or
+    /// any error of [`Architecture::validate`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ModelError> {
         let json = fs::read_to_string(path).map_err(|e| ModelError::Io(e.to_string()))?;
         Architecture::from_json(&json)

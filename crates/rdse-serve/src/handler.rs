@@ -16,7 +16,7 @@ use rdse_store::{
     fnv1a128, ArchivedRecord, CostBits, PairKey, PairPrefix, SearchKnobs, StoreKey, StoreRecord,
 };
 use rdse_workloads::{epicure_architecture, figure1_app, motion_detection_app};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Checks everything that can be checked without building models:
 /// the objective grammar, the iteration budget and the chain count.
@@ -76,13 +76,8 @@ pub fn resolve_models(
                 )
             })?
             .generate(*seed),
-        AppSpec::Inline(model) => {
-            let g = TaskGraph::from_value(model)
-                .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline app: {e}")))?;
-            g.validate()
-                .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline app: {e}")))?;
-            g
-        }
+        AppSpec::Inline(model) => TaskGraph::from_json_value(model)
+            .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline app: {e}")))?,
     };
     if app.n_tasks() == 0 {
         return Err(ServeError::new(
@@ -110,7 +105,7 @@ pub fn resolve_models(
                 )
             })?
             .build(*seed),
-        ArchSpec::Inline(model) => Architecture::from_value(model)
+        ArchSpec::Inline(model) => Architecture::from_json_value(model)
             .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline arch: {e}")))?,
     };
     let devices = arch.processors().len() + arch.drlcs().len() + arch.asics().len();
@@ -390,7 +385,7 @@ pub fn execute(
             ..ExploreOptions::default()
         },
         chains: spec.chains,
-        // Parallelism comes from the worker pool: one job, one core.
+        // Parallelism comes from the shard threads: one job, one core.
         // Never affects results.
         threads: 1,
         exchange_every: spec.exchange_every,

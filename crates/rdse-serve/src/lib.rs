@@ -16,20 +16,24 @@
 //!   `GET /jobs/<id>`, `GET /healthz` and `POST /shutdown` onto the
 //!   same code paths, streaming job output as NDJSON. A fresh
 //!   connection is classified by peeking its first four bytes.
-//! - [`Server`] shards jobs across a fixed worker pool by hashing the
-//!   job's `(app, arch)` content key. Each worker keeps those models
-//!   cached, so repeat submissions skip model building — observable as
-//!   `evaluator_cache_hits` in the health report. Every chain of every
-//!   job builds its own evaluator.
+//! - [`Server`] shards jobs across a fixed set of shard threads by
+//!   hashing the job's `(app, arch)` content key. Each shard thread
+//!   owns its state and drains its own job queue in submission order.
+//!   It keeps those models cached, so repeat submissions skip model
+//!   building — observable as `evaluator_cache_hits` in the health
+//!   report. Every chain of every job builds its own evaluator. A
+//!   panicking job is answered as `internal` and the shard keeps
+//!   serving; shutdown closes the queues and joins the shards, so
+//!   every admitted job replies first.
 //! - With a result store, a job's read path is memo → exact →
-//!   dominated → resolve → warm or miss. Each worker memoises the
+//!   dominated → resolve → warm or miss. Each shard memoises the
 //!   store-key [`rdse_store::PairPrefix`] of every `(app, arch)` spec
 //!   it resolved (keyed by a 128-bit digest of the cache key, at most
 //!   4 096 entries, cleared when full). A memoised job's exact and
 //!   dominated lookups need neither its models nor their JSON; a hit
 //!   returns at once and never touches the model cache, so it cannot
 //!   evict a warm entry. Its `cache` field still reports whether the
-//!   worker holds the models, counted once in `evaluator_cache_*`.
+//!   shard holds the models, counted once in `evaluator_cache_*`.
 //!   Every other job resolves its models, hashes them once, and goes
 //!   on to the exact, dominated and warm-start lookups.
 //! - [`Limits`] bounds every request (frame size, tasks, devices,

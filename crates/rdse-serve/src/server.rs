@@ -4,8 +4,7 @@
 use crate::limits::Limits;
 use crate::protocol::{obj, ErrorCode, ServeError};
 use crate::transport;
-use crate::worker::{self, JobRequest, ShardState};
-use rdse_mapping::Pool;
+use crate::worker::{self, JobRequest};
 use rdse_store::{ResultStore, SyncPolicy};
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
@@ -24,7 +23,8 @@ pub struct ServeConfig {
     /// Port to bind; `0` asks the OS for a free port — read the real
     /// one back from [`Server::local_addr`].
     pub port: u16,
-    /// Worker pool lanes (each with its own model cache).
+    /// Worker shards, each a thread with its own job queue and model
+    /// cache.
     pub workers: usize,
     /// Per-request resource limits.
     pub limits: Limits,
@@ -57,7 +57,7 @@ pub struct ServeStats {
     /// Jobs rejected or failed after admission.
     pub jobs_failed: AtomicU64,
     /// Jobs that found their `(app, arch)` models already cached on
-    /// their worker (reported as `evaluator_cache_hits`).
+    /// their shard (reported as `evaluator_cache_hits`).
     pub cache_hits: AtomicU64,
     /// Jobs that had to resolve models from scratch.
     pub cache_misses: AtomicU64,
@@ -176,7 +176,7 @@ impl Drop for SessionPermit {
     }
 }
 
-/// State shared with the worker pool.
+/// State shared with the shard threads.
 #[derive(Debug)]
 pub(crate) struct Core {
     pub limits: Limits,
@@ -191,10 +191,10 @@ pub(crate) struct Core {
 /// State shared with connection threads.
 pub(crate) struct Ctx {
     pub core: Arc<Core>,
-    /// The job pool: one pinned lane per shard, so jobs hashing to one
-    /// shard run serially in submission order on one worker.
-    pub pool: Pool,
-    pub shards: Arc<Vec<Mutex<ShardState>>>,
+    /// One job queue per shard thread, so jobs hashing to one shard
+    /// run serially in submission order. Emptied when `Server::run`
+    /// drains.
+    pub queues: Mutex<Vec<mpsc::Sender<Box<JobRequest>>>>,
     pub sessions: Arc<SessionGauge>,
     pub shutdown: AtomicBool,
     pub addr: SocketAddr,
@@ -242,22 +242,17 @@ impl Ctx {
         ])
     }
 
-    /// Queues a job on its shard's pinned pool lane. On rejection the
-    /// request is handed back so the caller can report the error on
-    /// its own sink.
+    /// Queues a job on its shard's thread. On rejection the request is
+    /// handed back so the caller can report the error on its own sink.
     pub fn dispatch(&self, req: Box<JobRequest>) -> Result<(), (Box<JobRequest>, ServeError)> {
-        if self.shutdown.load(Relaxed) {
-            return Err((
-                req,
-                ServeError::new(ErrorCode::Busy, "server is shutting down"),
-            ));
-        }
         let shard = (crate::handler::shard_hash(&req.key) % self.workers as u64) as usize;
-        let core = Arc::clone(&self.core);
-        let shards = Arc::clone(&self.shards);
-        self.pool
-            .submit_pinned(shard, move || worker::run_job(&shards[shard], &core, req));
-        Ok(())
+        let queues = self.queues.lock().expect("queues lock");
+        let sent = match queues.get(shard) {
+            Some(queue) if !self.shutdown.load(Relaxed) => queue.send(req).map_err(|e| e.0),
+            _ => Err(req),
+        };
+        let busy = || ServeError::new(ErrorCode::Busy, "server is shutting down");
+        sent.map_err(|req| (req, busy()))
     }
 
     /// Flags shutdown and pokes the accept loop awake with a throwaway
@@ -272,14 +267,16 @@ impl Ctx {
 pub struct Server {
     listener: TcpListener,
     ctx: Arc<Ctx>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the worker pool.
+    /// Binds the listener and spawns one thread per shard.
     ///
     /// # Errors
     ///
-    /// Returns the [`io::Error`] of a failed bind.
+    /// Returns the [`io::Error`] of a failed bind, store open or thread
+    /// spawn.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let addr = listener.local_addr()?;
@@ -317,16 +314,22 @@ impl Server {
             registry: Registry::default(),
             store,
         });
+        let (queues, shards) = (0..workers_n)
+            .map(|i| worker::spawn_shard(i, Arc::clone(&core)))
+            .collect::<io::Result<(Vec<_>, Vec<_>)>>()?;
         let ctx = Arc::new(Ctx {
             core,
-            pool: Pool::new(workers_n),
-            shards: worker::shards(workers_n),
+            queues: Mutex::new(queues),
             sessions: SessionGauge::new(config.limits.max_sessions),
             shutdown: AtomicBool::new(false),
             addr,
             workers: workers_n,
         });
-        Ok(Server { listener, ctx })
+        Ok(Server {
+            listener,
+            ctx,
+            shards,
+        })
     }
 
     /// The bound address (resolves `port: 0` to the real port).
@@ -339,13 +342,13 @@ impl Server {
     }
 
     /// Serves until a shutdown frame arrives. Every accepted
-    /// connection gets its own thread; queued jobs drain before the
-    /// workers exit.
+    /// connection gets its own thread; every job admitted before the
+    /// shutdown has replied by the time this returns.
     ///
     /// # Errors
     ///
-    /// Currently infallible after a successful bind; the signature
-    /// leaves room for fatal accept errors.
+    /// A shard thread that panicked outside its jobs surfaces as
+    /// [`io::ErrorKind::Other`].
     pub fn run(self) -> io::Result<()> {
         for conn in self.listener.incoming() {
             if self.ctx.shutdown.load(Relaxed) {
@@ -366,21 +369,14 @@ impl Server {
                 }
             }
         }
-        // Drain: pinned lanes are FIFO, so one barrier job per lane
-        // acking on a channel proves every job admitted before the
-        // shutdown flag has finished streaming its reply. (The pool
-        // itself is torn down by `Ctx`'s drop, which drains again —
-        // this barrier just makes `run` returning mean "all served".)
-        let (tx, rx) = mpsc::channel();
-        for lane in 0..self.ctx.workers {
-            let tx = tx.clone();
-            self.ctx.pool.submit_pinned(lane, move || {
-                let _ = tx.send(());
-            });
-        }
-        drop(tx);
-        for _ in 0..self.ctx.workers {
-            let _ = rx.recv();
+        // Drain: closing every queue lets each shard finish the jobs
+        // admitted before shutdown and exit, so joining the shards
+        // means every one of them has sent its reply.
+        self.ctx.queues.lock().expect("queues lock").clear();
+        for shard in self.shards {
+            shard
+                .join()
+                .map_err(|_| io::Error::other("shard thread panicked"))?;
         }
         Ok(())
     }
@@ -428,6 +424,116 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FrameSink;
+
+    type Log = mpsc::Sender<(u64, &'static str)>;
+
+    /// Logs `(job, call)` for each reply a job sends, and panics in the
+    /// call named `panic_in`.
+    struct TestSink {
+        id: u64,
+        log: Log,
+        panic_in: &'static str,
+    }
+
+    impl TestSink {
+        fn call(&self, name: &'static str) {
+            assert_ne!(name, self.panic_in, "test sink panics in {name}");
+            let _ = self.log.send((self.id, name));
+        }
+    }
+
+    impl FrameSink for TestSink {
+        fn send_update(&mut self, _: &Value) -> bool {
+            assert_ne!(self.panic_in, "update", "test sink panics in update");
+            true
+        }
+        fn send_result(&mut self, _: &Value) {
+            self.call("result");
+        }
+        fn send_error(&mut self, _: &ServeError) {
+            self.call("error");
+        }
+        fn finish(&mut self) {
+            self.call("finish");
+        }
+    }
+
+    /// Admits and dispatches a motion job of `iters` iterations on
+    /// `clbs` CLBs (the shard key); `true` if the server took it.
+    fn submit(ctx: &Ctx, clbs: u32, iters: u64, log: &Log, panic_in: &'static str) -> bool {
+        let body = format!(
+            r#"{{"app": {{"builtin": "motion"}}, "arch": {{"clbs": {clbs}}}, "iters": {iters},
+                "warmup": 50, "seed": 1, "chains": 1, "exchange_every": 100}}"#
+        );
+        let body = serde_json::from_str(&body).unwrap();
+        let (id, spec, objective, key) = crate::transport::admit_job(ctx, body).unwrap();
+        let log = log.clone();
+        let sink = Box::new(TestSink { id, log, panic_in });
+        let req = JobRequest {
+            id,
+            spec,
+            objective,
+            key,
+            sink,
+            permit: None,
+        };
+        ctx.dispatch(Box::new(req)).is_ok()
+    }
+
+    fn bind(workers: usize) -> Server {
+        Server::bind(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_panicking_job_or_sink_leaves_its_shard_serving() {
+        let server = bind(1);
+        let (tx, rx) = mpsc::channel();
+        assert!(submit(&server.ctx, 2000, 200, &tx, "update")); // the search panics
+        assert!(submit(&server.ctx, 2000, 200, &tx, "result")); // the reply panics
+        assert!(submit(&server.ctx, 2000, 200, &tx, ""));
+        drop(tx); // a lost job ends the log instead of hanging it
+        let expected = [(1, "error"), (1, "finish"), (3, "result"), (3, "finish")];
+        assert_eq!(rx.iter().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn same_key_jobs_are_answered_in_submission_order() {
+        let server = bind(2);
+        let (tx, rx) = mpsc::channel();
+        // Later jobs are shorter, so any overlap would reorder them.
+        for iters in (1..=6).rev() {
+            assert!(submit(&server.ctx, 2000, iters * 200, &tx, ""));
+        }
+        drop(tx);
+        let results: Vec<u64> = rx
+            .iter()
+            .filter(|(_, call)| *call == "result")
+            .map(|(job, _)| job)
+            .collect();
+        assert_eq!(results, [1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn run_returns_after_every_admitted_job_has_replied() {
+        let server = bind(2);
+        let ctx = Arc::clone(&server.ctx);
+        let handle = server.spawn().unwrap();
+        let (tx, rx) = mpsc::channel();
+        for clbs in [1000, 2000, 3000, 4000] {
+            assert!(submit(&ctx, clbs, 200, &tx, ""));
+        }
+        ctx.request_shutdown();
+        handle.join().unwrap();
+        let finished = rx.try_iter().filter(|(_, call)| *call == "finish");
+        assert_eq!(finished.count(), 4);
+        // A job offered after the drain is turned away, not lost.
+        assert!(!submit(&ctx, 2000, 200, &tx, ""));
+    }
 
     #[test]
     fn registry_keeps_the_newest_records_and_evicts_the_oldest() {

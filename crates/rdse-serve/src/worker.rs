@@ -1,12 +1,10 @@
-//! The sharded worker layer, running on pinned [`rdse_mapping::Pool`]
-//! lanes.
+//! The sharded worker layer: one thread per shard.
 //!
-//! Each shard owns a private cache of resolved `(app, arch)` models.
-//! Jobs are routed to a lane by hashing the cache key, so repeat
-//! submissions of the same pair always land where their models are
-//! cached; pinned jobs of one lane run serially in submission order on
-//! that lane's worker, so the shard mutex below is uncontended on the hot path — it exists to satisfy
-//! the pool's `'static + Send` job bounds, not to arbitrate.
+//! Each shard thread owns a private cache of resolved `(app, arch)`
+//! models and drains its own job queue, one job at a time in
+//! submission order. Jobs are routed to a shard by hashing the cache
+//! key, so repeat submissions of the same pair always land where their
+//! models are cached, and the shard's state needs no lock.
 //!
 //! With a result store, each shard also memoises the store-key
 //! [`PairPrefix`] of every cache key it resolved. A job is a pure
@@ -23,9 +21,11 @@ use rdse_model::{Architecture, TaskGraph};
 use rdse_store::{fnv1a128, ArchivedRecord, PairKey, PairPrefix, ResultStore, StoreKey};
 use serde::{Deserialize, Value};
 use std::collections::HashMap;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle};
 
 /// Warm entries kept per shard before least-recently-used eviction.
 const MAX_CACHE_ENTRIES: usize = 8;
@@ -56,7 +56,7 @@ struct CacheEntry {
 /// One shard's warm state: the model cache and its LRU clock,
 /// and the pair-prefix memo.
 #[derive(Default)]
-pub(crate) struct ShardState {
+struct ShardState {
     cache: HashMap<String, CacheEntry>,
     tick: u64,
     /// Store-key prefix of each resolved cache key, keyed by the cache
@@ -64,21 +64,30 @@ pub(crate) struct ShardState {
     memo: HashMap<u128, PairPrefix>,
 }
 
-/// Builds the per-lane shard states for an `n`-worker pool.
-pub(crate) fn shards(n: usize) -> Arc<Vec<Mutex<ShardState>>> {
-    Arc::new((0..n).map(|_| Mutex::new(ShardState::default())).collect())
+/// Spawns shard `index`'s thread. It owns its [`ShardState`] and runs
+/// the jobs sent to the returned queue in order, until every sender is
+/// dropped. `run_job` contains a panicking search; the catch here also
+/// contains one in the sink, so no panic ends the shard.
+pub(crate) fn spawn_shard(
+    index: usize,
+    core: Arc<Core>,
+) -> io::Result<(mpsc::Sender<Box<JobRequest>>, JoinHandle<()>)> {
+    let (queue, jobs) = mpsc::channel::<Box<JobRequest>>();
+    let handle = thread::Builder::new()
+        .name(format!("rdse-shard-{index}"))
+        .spawn(move || {
+            let mut state = ShardState::default();
+            for req in jobs {
+                let _ = catch_unwind(AssertUnwindSafe(|| run_job(&mut state, &core, req)));
+            }
+        })?;
+    Ok((queue, handle))
 }
 
-/// Runs one job against its shard — the body of a pinned pool job.
-///
-/// The panic catch point sits *inside* the lock scope, so a panicking
-/// job never poisons the shard mutex: the guard is dropped normally,
-/// the entry and its memoised prefix are evicted, and the lane keeps
-/// serving.
-pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<JobRequest>) {
+/// Runs one job against its shard. A panicking job is answered as
+/// `internal`, and its cache entry and memoised prefix are evicted.
+fn run_job(state: &mut ShardState, core: &Core, mut req: Box<JobRequest>) {
     core.registry.set_state(req.id, JobState::Running);
-    let mut state = shard.lock().expect("shard state lock");
-    let state = &mut *state;
     // Only store hits read the memo.
     let memo_key = core.store.as_ref().map(|_| fnv1a128(req.key.as_bytes()));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -96,7 +105,7 @@ pub(crate) fn run_job(shard: &Mutex<ShardState>, core: &Arc<Core>, mut req: Box<
             req.sink.send_error(&e);
         }
         Err(_) => {
-            // A panicking job must not take the lane (or the server)
+            // A panicking job must not take the shard (or the server)
             // down, and its cache entry can no longer be trusted.
             state.cache.remove(&req.key);
             if let Some(k) = memo_key {
@@ -147,7 +156,7 @@ fn run_one(
     state: &mut ShardState,
     memo_key: Option<u128>,
     req: &mut JobRequest,
-    core: &Arc<Core>,
+    core: &Core,
 ) -> Result<Value, ServeError> {
     // Memo path: a pair this shard resolved before is answered from the
     // archive by its memoised prefix alone. The model cache is only

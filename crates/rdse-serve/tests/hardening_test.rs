@@ -309,6 +309,38 @@ fn an_inline_app_whose_edges_name_missing_tasks_gets_bad_job() {
     assert_bad_inline_model(Some(app), None, "unknown task");
 }
 
+/// `model` with its first `"key": <number>` set to the JSON text `value`.
+fn with_first_number(model: Value, key: &str, value: &str) -> Value {
+    let text = serde_json::to_string(&model).unwrap();
+    let at = text.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let end = at + text[at..].find([',', '}']).expect("number ends");
+    serde_json::from_str(&format!("{}{value}{}", &text[..at], &text[end..])).unwrap()
+}
+
+#[test]
+fn inline_models_with_out_of_range_numbers_get_bad_job() {
+    let arch = || rdse_workloads::epicure_architecture(2000).to_value();
+    for (key, value, cause) in [
+        ("n_clbs", "0", "zero CLB capacity"),
+        ("bytes_per_micro", "0", "bus rate 0 is not"),
+        ("bytes_per_micro", "-3", "bus rate -3 is not"),
+        ("reconfig_time_per_clb", "-22.5", "reconfiguration time"),
+    ] {
+        let arch = with_first_number(arch(), key, value);
+        assert_bad_inline_model(None, Some(arch), cause);
+    }
+    let app = || rdse_workloads::figure1_app().to_value();
+    for (key, value, cause) in [
+        ("sw_time", "-1.0", "invalid software time"),
+        // Parsed as infinity, sent as `null`, read back as NaN.
+        ("sw_time", "1e400", "invalid software time"),
+        ("time", "-1.0", "invalid hardware time"),
+    ] {
+        let app = with_first_number(app(), key, value);
+        assert_bad_inline_model(Some(app), None, cause);
+    }
+}
+
 #[test]
 fn client_refuses_to_send_an_oversized_job() {
     // No server needed: the pre-check fires before connecting.

@@ -45,6 +45,11 @@ declare -A FAULTS=(
         moves::tests::proposals_keep_mapping_structurally_valid
         evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
         evaluator::tests::delta_walk_matches_reference_on_paper_workload"
+    # With more than one thread, the portfolio puts its worker chunks
+    # back in reverse worker order after each segment.
+    [fanout_chunks_reversed]="rdse-mapping
+        explorer::tests::portfolio_is_thread_count_invariant
+        explorer::tests::front_exchange_is_thread_count_invariant"
     # The body checksum ignores the body's last byte. Writer and reader
     # agree, and a flipped final `}` still fails decoding, so only the
     # pinned reference vectors and frame bytes notice.

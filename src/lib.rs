@@ -20,7 +20,7 @@
 //! | [`baseline`] | GA (Ben Chehida & Auguin style; scalar or NSGA-II selection), random search, hill climbing |
 //! | [`workloads`] | the 28-task motion-detection benchmark, Fig. 1 example, random DAG generators |
 //! | [`corpus`] | scenario families (workload × architecture), batch runner, four-way differential verification oracle |
-//! | [`serve`] | long-running exploration service: framed RPC + HTTP transports, sharded worker pool with per-worker model caches, streaming Pareto-front updates |
+//! | [`serve`] | long-running exploration service: framed RPC + HTTP transports, one thread per shard with its own job queue and model cache, streaming Pareto-front updates |
 //! | [`store`] | persistent result store: content-addressed append-only archive with exact/dominated O(lookup) answers and warm-start seeding |
 //!
 //! ## Quickstart

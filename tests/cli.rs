@@ -468,6 +468,19 @@ fn edited_model(app_side: bool, field: &str, value: &str, name: &str) -> String 
     path.to_str().unwrap().to_owned()
 }
 
+/// Writes a copy of a generated model with its first `"key": <number>`
+/// set to the JSON text `value`, and returns its path.
+fn with_first_number(app_side: bool, key: &str, value: &str) -> String {
+    let (app, arch) = models();
+    let source = if app_side { app } else { arch };
+    let text = std::fs::read_to_string(source).expect("generated model");
+    let at = text.find(&format!("\"{key}\": ")).expect("key present") + key.len() + 4;
+    let end = at + text[at..].find([',', '\n']).expect("number ends");
+    let path = std::path::Path::new(source).with_file_name(format!("{key}={value}.json"));
+    std::fs::write(&path, format!("{}{value}{}", &text[..at], &text[end..])).unwrap();
+    path.to_str().unwrap().to_owned()
+}
+
 /// Asserts a run failed without a panic and named `cause` on stderr.
 fn assert_named_failure(out: &Output, cause: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -506,6 +519,34 @@ fn an_app_whose_edges_name_missing_tasks_fails_with_a_named_cause() {
         "2000",
     ];
     assert_named_failure(&rdse(&submit), "unknown task");
+}
+
+#[test]
+fn models_with_out_of_range_numbers_fail_with_a_named_cause() {
+    let (app, arch) = models();
+    for (app_side, key, value, cause) in [
+        (false, "n_clbs", "0", "zero CLB capacity"),
+        (false, "bytes_per_micro", "0", "bus rate 0 is not"),
+        (false, "bytes_per_micro", "-3", "bus rate -3 is not"),
+        (
+            false,
+            "reconfig_time_per_clb",
+            "-22.5",
+            "reconfiguration time",
+        ),
+        (true, "sw_time", "-1.0", "invalid software time"),
+        (true, "sw_time", "1e400", "invalid software time"),
+        (true, "time", "-1.0", "invalid hardware time"),
+    ] {
+        let edited = with_first_number(app_side, key, value);
+        let (app, arch) = if app_side {
+            (&edited, arch)
+        } else {
+            (app, &edited)
+        };
+        let explore = ["explore", "--app", app, "--arch", arch, "--iters", "100"];
+        assert_named_failure(&rdse(&explore), cause);
+    }
 }
 
 #[test]
