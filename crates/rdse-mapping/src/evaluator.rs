@@ -1738,6 +1738,9 @@ impl<'a> Evaluator<'a> {
         };
         for (d, spec) in self.arch.drlcs().iter().enumerate() {
             let cap = spec.n_clbs();
+            // `used > cap - 1` is `used >= cap`: a full context overflows.
+            #[cfg(rdse_fault = "ctx_capacity_off_by_one")]
+            let cap = Clbs::new(cap.value().saturating_sub(1));
             let mut s = self.ctx.head[d];
             let mut k = 0usize;
             while s != NONE {
@@ -1898,6 +1901,60 @@ mod tests {
         m.detach(TaskId(0));
         m.insert_new_context(TaskId(0), 0, 1, 0);
         assert_eq!(evaluator.evaluate(&m), Err(MappingError::CyclicSchedule));
+    }
+
+    #[test]
+    fn a_context_filled_exactly_to_capacity_is_feasible() {
+        // a (100 CLBs) and b (150) share one context of a device with
+        // `cap` CLBs: feasible at 250, one CLB short at 249.
+        let (app, _) = fixture();
+        for (cap, feasible) in [(250, true), (249, false)] {
+            let arch = Architecture::builder("soc")
+                .processor("cpu", 1.0)
+                .drlc("fpga", Clbs::new(cap), us(0.1), 1.0)
+                .bus_rate(100.0)
+                .build()
+                .unwrap();
+            let base = Mapping::all_software(&app, &arch, topo(&app));
+            let mut half = base.clone();
+            half.detach(TaskId(0));
+            half.insert_new_context(TaskId(0), 0, 0, 0);
+            let mut full = half.clone();
+            full.detach(TaskId(1));
+            full.insert_hardware(TaskId(1), 0, 0, 0);
+
+            let reference = evaluate(&app, &arch, &full).map(|e| e.summary());
+            match &reference {
+                Ok(summary) => {
+                    assert!(feasible, "cap {cap}: {summary:?}");
+                    assert_eq!(summary.clb_area, Clbs::new(250));
+                }
+                Err(e) => {
+                    assert!(!feasible, "cap {cap}: {e}");
+                    let overflow = MappingError::CapacityExceeded {
+                        drlc: 0,
+                        context: 0,
+                    };
+                    assert_eq!(e, &overflow);
+                }
+            }
+            // From scratch.
+            let mut evaluator = Evaluator::new(&app, &arch);
+            assert_eq!(evaluator.evaluate(&full), reference, "cap {cap}: full");
+            // Incrementally, one move at a time from all-software.
+            let mut evaluator = Evaluator::new(&app, &arch);
+            evaluator.evaluate(&base).unwrap();
+            evaluator.evaluate_delta(&half, TaskId(0)).unwrap();
+            assert_eq!(
+                evaluator.evaluate_delta(&full, TaskId(1)),
+                reference,
+                "cap {cap}: delta"
+            );
+            // As a batch candidate two moves from the base.
+            let mut evaluator = Evaluator::new(&app, &arch);
+            let batch = evaluator.evaluate_batch(&base, &[full]).unwrap();
+            assert_eq!(batch, [reference], "cap {cap}: batch");
+        }
     }
 
     #[test]

@@ -539,6 +539,41 @@ mod tests {
     }
 
     #[test]
+    fn a_context_filled_exactly_to_capacity_is_feasible() {
+        // a (100 CLBs) and b (150) share one context of a device with
+        // `cap` CLBs: feasible at 250, one CLB short at 249.
+        let (app, _) = chain_fixture();
+        for (cap, feasible) in [(250, true), (249, false)] {
+            let arch = Architecture::builder("soc")
+                .processor("cpu", 1.0)
+                .drlc("fpga", Clbs::new(cap), Micros::new(0.1), 1.0)
+                .bus_rate(100.0)
+                .build()
+                .unwrap();
+            let mut m = Mapping::all_software(&app, &arch, vec![TaskId(0), TaskId(1), TaskId(2)]);
+            m.detach(TaskId(0));
+            m.insert_new_context(TaskId(0), 0, 0, 0);
+            m.detach(TaskId(1));
+            m.insert_hardware(TaskId(1), 0, 0, 0);
+            let analytic = evaluate(&app, &arch, &m);
+            assert_eq!(analytic.is_ok(), feasible, "cap {cap}: {analytic:?}");
+            for cfg in [SimConfig::contention_free(), SimConfig::with_contention()] {
+                match (simulate(&app, &arch, &m, &cfg), &analytic) {
+                    (Ok(sim), Ok(a)) => assert!(
+                        cfg.exclusive_bus
+                            || (sim.makespan.value() - a.makespan.value()).abs() < 1e-6,
+                        "cap {cap}: sim {} vs analytic {}",
+                        sim.makespan,
+                        a.makespan
+                    ),
+                    (Err(e), Err(expected)) => assert_eq!(&e, expected, "cap {cap}"),
+                    (sim, _) => panic!("cap {cap}: feasibility diverged: {sim:?} vs {analytic:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn contention_free_matches_analytic_on_random_mappings() {
         let app = motion_detection_app();
         let arch = epicure_architecture(1500);

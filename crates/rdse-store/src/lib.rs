@@ -26,11 +26,13 @@
 //!   archive keeps each one as an [`ArchivedRecord`], the mapping held as
 //!   JSON text (about an eighth of its `Value` tree's heap) and parsed
 //!   only when a warm start seeds from it.
-//! - [`log`] — the append-only file format: length-prefixed,
-//!   checksummed frames in the serve protocol's framing discipline,
-//!   replayed by [`log::scan`], which slices each mapping's text out of
-//!   its body as written, resyncs past mid-log damage and tolerates a
-//!   torn tail.
+//! - [`log`] — the append-only file format: length-prefixed frames in
+//!   the serve protocol's framing discipline, each body checksummed
+//!   with XXH64 (format version 2; version 1 frames, checksummed with
+//!   FNV-1a 64, still replay, and compaction rewrites them as
+//!   version 2). [`log::scan`] replays them, slices each mapping's text
+//!   out of its body as written, resyncs past mid-log damage and
+//!   tolerates a torn tail.
 //! - [`archive`] — the in-memory [`Archive`] replay rebuilds, with the
 //!   three deterministic queries above.
 //! - [`store`] — [`ResultStore`]: open/replay, append under a

@@ -9,12 +9,20 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "RDSA"
-//! 4       2     version (u16, big-endian) = 1
+//! 4       2     version (u16, big-endian) = 2
 //! 6       2     record kind (u16, big-endian) = 1 (result)
 //! 8       4     body length (u32, big-endian)
-//! 12      8     body checksum (FNV-1a 64 of the body, big-endian)
+//! 12      8     body checksum (XXH64 of the body, seed 0, big-endian)
 //! 20      n     body: one UTF-8 JSON record
 //! ```
+//!
+//! Version 1 frames differ only in the checksum: FNV-1a 64 of the body
+//! ([`fnv1a64`]), one serial multiply per byte. Every writer emits
+//! version 2 ([`xxh64`], four independent lanes over 32-byte stripes),
+//! but replay still reads version 1 frames, so an older log (or one
+//! mixing both versions) opens with no migration step, and
+//! [`ResultStore::compact`](crate::ResultStore::compact) rewrites it as
+//! version 2 only.
 //!
 //! [`scan`] replays a log byte slice and **never panics**. A frame that
 //! cannot be replayed — short header, bad magic, short body, checksum
@@ -38,14 +46,19 @@ use serde::Serialize;
 
 /// The log's magic bytes ("RDSE Archive").
 pub const MAGIC: [u8; 4] = *b"RDSA";
-/// Current log format version.
-pub const LOG_VERSION: u16 = 1;
+/// Current log format version: the one every writer emits and the
+/// newest replay reads.
+pub const LOG_VERSION: u16 = 2;
+/// The first log format version, whose bodies are checksummed with
+/// [`fnv1a64`]. No writer emits it any more; replay still reads it.
+pub const FNV_LOG_VERSION: u16 = 1;
 /// Record kind: a completed exploration result.
 pub const KIND_RESULT: u16 = 1;
 /// Bytes before each record body.
 pub const RECORD_HEADER_LEN: usize = 20;
 
-/// FNV-1a 64 over `bytes` — the body checksum.
+/// FNV-1a 64 over `bytes` — the body checksum of version 1 frames,
+/// which replay still reads.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     #[cfg(rdse_fault = "store_checksum_skips_last")]
     let bytes = &bytes[..bytes.len().saturating_sub(1)];
@@ -55,6 +68,81 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0 over `bytes` — the body checksum of version 2
+/// frames. Bodies of 32 bytes or more run four independent
+/// multiply-rotate lanes over 32-byte stripes, so the CPU overlaps them
+/// instead of waiting on one multiply per byte as [`fnv1a64`] does.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    #[cfg(rdse_fault = "store_xxh64_skips_last")]
+    let bytes = &bytes[..bytes.len().saturating_sub(1)];
+    let (stripes, mut rest) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        XXH_P5
+    } else {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            v[0] = xxh_round(v[0], le64(&stripe[0..]));
+            v[1] = xxh_round(v[1], le64(&stripe[8..]));
+            v[2] = xxh_round(v[2], le64(&stripe[16..]));
+            v[3] = xxh_round(v[3], le64(&stripe[24..]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h ^= xxh_round(0, le64(rest));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        h ^= u64::from(word).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// Encodes one record as a complete frame (header + JSON body).
@@ -78,7 +166,7 @@ fn frame(body: &str) -> Vec<u8> {
     out.extend_from_slice(&LOG_VERSION.to_be_bytes());
     out.extend_from_slice(&KIND_RESULT.to_be_bytes());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&fnv1a64(body).to_be_bytes());
+    out.extend_from_slice(&xxh64(body).to_be_bytes());
     out.extend_from_slice(body);
     out
 }
@@ -127,6 +215,10 @@ impl std::fmt::Display for SkippedSpan {
 pub struct ReplayReport {
     /// Records replayed successfully.
     pub records: usize,
+    /// How many of those came from version 1 ([`FNV_LOG_VERSION`])
+    /// frames; the rest are current. Compaction rewrites them all as
+    /// version 2.
+    pub v1_records: usize,
     /// End of the last intact record: the point a damaged tail is
     /// truncated back to.
     pub bytes: u64,
@@ -163,9 +255,9 @@ impl From<String> for BadFrame {
     }
 }
 
-/// Decodes the frame at the start of `rest` into its record and the
-/// frame's length in bytes.
-fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize), BadFrame> {
+/// Decodes the frame at the start of `rest` into its record, the
+/// frame's length in bytes and its format version.
+fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize, u16), BadFrame> {
     if rest.len() < RECORD_HEADER_LEN {
         return Err(format!(
             "truncated header ({} of {RECORD_HEADER_LEN} bytes)",
@@ -177,9 +269,11 @@ fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize), BadFrame> {
         return Err(String::from("bad record magic").into());
     }
     let version = u16::from_be_bytes([rest[4], rest[5]]);
-    if version != LOG_VERSION {
+    if version != LOG_VERSION && version != FNV_LOG_VERSION {
         return Err(BadFrame {
-            reason: format!("unsupported log version {version} (expected {LOG_VERSION})"),
+            reason: format!(
+                "unsupported log version {version} (expected {FNV_LOG_VERSION} or {LOG_VERSION})"
+            ),
             newer_version: (version > LOG_VERSION).then_some(version),
         });
     }
@@ -196,7 +290,11 @@ fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize), BadFrame> {
         )
         .into());
     };
-    let actual = fnv1a64(body);
+    let actual = if version == LOG_VERSION {
+        xxh64(body)
+    } else {
+        fnv1a64(body)
+    };
     if actual != checksum {
         return Err(format!(
             "body checksum mismatch (stored {checksum:016x}, computed {actual:016x})"
@@ -207,7 +305,7 @@ fn read_frame(rest: &[u8]) -> Result<(ArchivedRecord, usize), BadFrame> {
         .ok()
         .and_then(|text| ArchivedRecord::from_body(text).ok())
         .ok_or_else(|| String::from("checksummed body is not a valid record"))?;
-    Ok((record, RECORD_HEADER_LEN + body_len))
+    Ok((record, RECORD_HEADER_LEN + body_len, version))
 }
 
 /// The offset of the first frame after `from` that replay can resume
@@ -234,9 +332,10 @@ pub fn scan(bytes: &[u8], mut on_record: impl FnMut(ArchivedRecord)) -> ReplayRe
     let mut pos = 0usize;
     while pos < bytes.len() {
         let bad = match read_frame(&bytes[pos..]) {
-            Ok((record, len)) => {
+            Ok((record, len, version)) => {
                 on_record(record);
                 report.records += 1;
+                report.v1_records += usize::from(version == FNV_LOG_VERSION);
                 pos += len;
                 report.bytes = pos as u64;
                 continue;
@@ -272,10 +371,17 @@ mod tests {
 
     #[test]
     fn checksum_and_frame_bytes_are_pinned() {
-        // FNV-1a 64 reference vectors.
+        // FNV-1a 64 reference vectors (version 1 frames).
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        // XXH64 reference vectors (version 2 frames). The 100-byte input
+        // takes the four-lane stripe path; its low 32 bits are the
+        // content checksum `zstd --check` writes for the same bytes.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        let counting: Vec<u8> = (0..100).collect();
+        assert_eq!(xxh64(&counting), 0x6ac1_e580_3216_6597);
 
         let record = StoreRecord {
             key: StoreKey([0x11; 16]),
@@ -305,16 +411,28 @@ mod tests {
             r#""clb_area":4643985272004935680,"reconfig":4616189618054758400,"#,
             r#""contexts":4607182418800017408},"front":[],"mapping":[0,1]}"#
         );
-        let mut expected = b"RDSA\x00\x01\x00\x01".to_vec();
-        expected.extend_from_slice(&436u32.to_be_bytes());
-        expected.extend_from_slice(&0x1a84_f1f3_ebc3_0809u64.to_be_bytes());
-        expected.extend_from_slice(body.as_bytes());
+        let pinned = |version: &[u8; 2], checksum: u64| {
+            let mut frame = b"RDSA".to_vec();
+            frame.extend_from_slice(version);
+            frame.extend_from_slice(b"\x00\x01");
+            frame.extend_from_slice(&436u32.to_be_bytes());
+            frame.extend_from_slice(&checksum.to_be_bytes());
+            frame.extend_from_slice(body.as_bytes());
+            frame
+        };
+        // Writers emit version 2 only.
+        let v2 = pinned(b"\x00\x02", 0x620d_a0f0_2679_36d3);
         let frame = encode_record(&record);
-        assert!(frame == expected, "{:?}", String::from_utf8_lossy(&frame));
-
-        let mut replayed = Vec::new();
-        let report = scan(&frame, |r| replayed.push(r));
-        assert!(report.is_clean());
-        assert_eq!(replayed, vec![ArchivedRecord::from(record)]);
+        assert!(frame == v2, "{:?}", String::from_utf8_lossy(&frame));
+        // A version 1 frame, as every writer emitted before version 2,
+        // still replays to the same record.
+        let v1 = pinned(b"\x00\x01", 0x1a84_f1f3_ebc3_0809);
+        for (frame, v1_records) in [(v2, 0), (v1, 1)] {
+            let mut replayed = Vec::new();
+            let report = scan(&frame, |r| replayed.push(r));
+            assert!(report.is_clean(), "{report:?}");
+            assert_eq!((report.records, report.v1_records), (1, v1_records));
+            assert_eq!(replayed, vec![ArchivedRecord::from(record.clone())]);
+        }
     }
 }

@@ -227,8 +227,10 @@ impl ResultStore {
     /// Rewrites the log keeping exactly one (the latest) record per
     /// key, in ascending key order, via a temp file renamed over the
     /// original — a crash mid-compaction leaves either the old or the
-    /// new log, never a mix. Damaged spans replay skipped are not
-    /// rewritten; the report counts them.
+    /// new log, never a mix. Every record is written in the current
+    /// format, so compaction upgrades version 1 frames to version 2.
+    /// Damaged spans replay skipped are not rewritten; the report
+    /// counts them.
     ///
     /// # Errors
     ///

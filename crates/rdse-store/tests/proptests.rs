@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use rdse_store::log::{
-    encode_archived, encode_record, fnv1a64, scan, KIND_RESULT, LOG_VERSION, MAGIC,
+    encode_archived, encode_record, scan, xxh64, KIND_RESULT, LOG_VERSION, MAGIC,
 };
 use rdse_store::{Archive, ArchivedRecord, CostBits, KeySpec, StoreRecord};
 use serde::{Deserialize, Value};
@@ -160,13 +160,14 @@ fn body_decode(body: &[u8]) -> Option<ArchivedRecord> {
     ArchivedRecord::from_body(std::str::from_utf8(body).ok()?).ok()
 }
 
-/// One log frame around arbitrary body bytes, checksummed correctly.
+/// One current (version 2) log frame around arbitrary body bytes,
+/// checksummed correctly.
 fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     out.extend_from_slice(&LOG_VERSION.to_be_bytes());
     out.extend_from_slice(&KIND_RESULT.to_be_bytes());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&fnv1a64(body).to_be_bytes());
+    out.extend_from_slice(&xxh64(body).to_be_bytes());
     out.extend_from_slice(body);
     out
 }

@@ -7,7 +7,7 @@
 //! record from a newer log version is not a tear: opening such a log
 //! fails and truncates nothing.
 
-use rdse_store::log::{encode_record, scan, RECORD_HEADER_LEN};
+use rdse_store::log::{encode_record, scan, LOG_VERSION, RECORD_HEADER_LEN};
 use rdse_store::{CostBits, KeySpec, ResultStore, StoreRecord, SyncPolicy};
 use serde::Value;
 
@@ -196,18 +196,19 @@ fn open_refuses_a_newer_version_record_and_leaves_the_file_alone() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("results.aof");
 
-    // Three records; the second claims a newer format (version 2).
+    // Three records; the second claims the next, newer format.
+    let newer = LOG_VERSION + 1;
     let mut log = encode_record(&record(1));
     let second = log.len();
     log.extend_from_slice(&encode_record(&record(2)));
     log.extend_from_slice(&encode_record(&record(3)));
-    log[second + 4..second + 6].copy_from_slice(&2u16.to_be_bytes());
+    log[second + 4..second + 6].copy_from_slice(&newer.to_be_bytes());
     std::fs::write(&path, &log).expect("write log");
 
     let err = ResultStore::open(&path, SyncPolicy::Always).expect_err("newer version must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
-        err.to_string().contains("version 2"),
+        err.to_string().contains(&format!("version {newer}")),
         "error must name the version: {err}"
     );
     let after = std::fs::read(&path).expect("read log");

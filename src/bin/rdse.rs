@@ -1214,6 +1214,10 @@ fn run_store(args: &[String]) -> ExitCode {
             println!("store         : {path}");
             println!("file bytes    : {}", bytes.len());
             println!("raw records   : {}", report.records);
+            match report.v1_records {
+                0 => println!("v1 records    : 0"),
+                n => println!("v1 records    : {n} (compact to upgrade)"),
+            }
             println!(
                 "live records  : {} ({} pair(s))",
                 archive.len(),

@@ -277,6 +277,95 @@ fn store_verify_names_a_damaged_span_and_stats_keeps_every_intact_record() {
 }
 
 #[test]
+fn a_mixed_v1_and_v2_log_replays_verifies_and_compacts_to_v2_only() {
+    use rdse::store::log::{encode_archived, scan, FNV_LOG_VERSION, LOG_VERSION};
+    use rdse::store::{ResultStore, StoreKey, SyncPolicy};
+
+    let dir: PathBuf = std::env::temp_dir().join(format!("rdse_cli_mixed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("mixed.aof");
+    let path_s = path.to_str().unwrap();
+    let version = |frame: &[u8]| u16::from_be_bytes([frame[4], frame[5]]);
+
+    // The committed fixture is one version 1 frame; a store opened on
+    // it appends version 2 frames after it.
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/rdse-serve/tests/fixtures/forkjoin_dualfpga_s3.aof");
+    std::fs::copy(&fixture, &path).expect("copy fixture log");
+    let v1_len = std::fs::metadata(&path).expect("fixture").len() as usize;
+    let mut frame_ends = vec![v1_len];
+    {
+        let mut store = ResultStore::open(&path, SyncPolicy::Never).expect("open copy");
+        let record = store
+            .archive()
+            .records()
+            .next()
+            .expect("one record")
+            .clone();
+        for tag in [1u8, 2] {
+            let mut copy = record.to_record();
+            copy.key = StoreKey([tag; 16]);
+            store.append(copy).expect("append");
+            frame_ends.push(frame_ends.last().unwrap() + encode_archived(&record).len());
+        }
+    }
+    let bytes = std::fs::read(&path).expect("read log");
+    assert_eq!(bytes.len(), frame_ends[2]);
+    assert_eq!(version(&bytes), FNV_LOG_VERSION);
+    assert_eq!(version(&bytes[v1_len..]), LOG_VERSION);
+    assert_eq!(version(&bytes[frame_ends[1]..]), LOG_VERSION);
+
+    // Every record replays, and the report tells the versions apart.
+    let mut replayed = Vec::new();
+    let report = scan(&bytes, |r| replayed.push(r));
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!((report.records, report.v1_records), (3, 1));
+    let verify = rdse(&["store", "verify", "--path", path_s]);
+    assert!(verify.status.success(), "{verify:?}");
+    let stats = rdse(&["store", "stats", "--path", path_s]);
+    let stdout = String::from_utf8_lossy(&stats.stdout);
+    assert!(stdout.contains("raw records   : 3"), "{stdout}");
+    assert!(
+        stdout.contains("v1 records    : 1 (compact to upgrade)"),
+        "{stdout}"
+    );
+
+    // One flipped body byte is a damaged span in either version.
+    let damaged = dir.join("damaged.aof");
+    for (start, end) in [(0, v1_len), (v1_len, frame_ends[1])] {
+        let mut copy = bytes.clone();
+        copy[start + 40] ^= 0x5a;
+        std::fs::write(&damaged, &copy).expect("write damaged log");
+        let verify = rdse(&["store", "verify", "--path", damaged.to_str().unwrap()]);
+        assert_eq!(verify.status.code(), Some(1), "{verify:?}");
+        let stderr = String::from_utf8_lossy(&verify.stderr);
+        assert!(
+            stderr.contains(&format!("damaged span bytes {start}..{end}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("2 intact record(s)"), "{stderr}");
+    }
+
+    // Compaction rewrites every record as a version 2 frame, byte for
+    // byte what `encode_archived` writes for the replayed record.
+    let compact = rdse(&["store", "compact", "--path", path_s]);
+    assert!(compact.status.success(), "{compact:?}");
+    let mut archive = rdse::store::Archive::new();
+    replayed.into_iter().for_each(|r| archive.insert(r));
+    let expected: Vec<u8> = archive.records().flat_map(encode_archived).collect();
+    let compacted = std::fs::read(&path).expect("read compacted log");
+    assert!(compacted == expected, "compacted frames differ");
+    let report = scan(&compacted, |_| {});
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!((report.records, report.v1_records), (3, 0));
+    let stats = rdse(&["store", "stats", "--path", path_s]);
+    let stdout = String::from_utf8_lossy(&stats.stdout);
+    assert!(stdout.contains("v1 records    : 0\n"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn submit_usage_errors_exit_with_code_2_and_a_named_cause() {
     // None of these reach the network: the address below never
     // answers, and every case is rejected client-side first.
