@@ -44,6 +44,34 @@
 //!   replaced context mirrors, order and labels are journaled, so
 //!   rejection stays a cheap rollback.
 //!
+//! Two move outcomes skip most of that general path:
+//!
+//! * **Implementation change in place.** When the moved task stays
+//!   hardware-placed in the same slot, the slot's member list equals
+//!   its new context's and its neighbours in the device's context
+//!   order are unchanged, only the task's node weight and the
+//!   context's area and reconfiguration weight can differ (its data
+//!   edges stay on one device). Those two fields are updated in place
+//!   and journaled; the initials are seeded when the reconfiguration
+//!   bits changed, because their in-edges carry that weight. No edge
+//!   is added or removed, so there is no backward edge to look for
+//!   and no window to re-sort.
+//! * **Direct cycles.** Every other move is first checked against the
+//!   post-move [`Mapping`] and the CSR adjacency alone: a task that now
+//!   sits after one of its data successors, or before one of its data
+//!   predecessors, in its processor's order or its device's context
+//!   order (every task of context k precedes every task of context
+//!   k + 1) closes a cycle whatever else the move changed, and is
+//!   rejected before any mirror write, so nothing is rolled back. The
+//!   destination context's capacity is checked first, so an overflow
+//!   is still the error reported (capacity before cycles). Indirect
+//!   cycles still reach the window re-sort.
+//!
+//! Both produce the general path's answer bit for bit: the in-place
+//! path writes the same area and weight bits, seeds the same nodes and
+//! runs the same sweep, and a direct cycle is a cycle of *G′*, which
+//! the general path would have reported as the same error.
+//!
 //! Batches of sibling candidates amortize the one full synchronization
 //! through [`Evaluator::evaluate_batch`].
 //!
@@ -132,7 +160,9 @@ pub struct EvaluatorStats {
     pub full_passes: u64,
     /// Window re-sorts: deltas whose added edges pointed backwards in
     /// the maintained order, so the span they broke was re-sorted
-    /// (including deltas whose re-sort found a cycle).
+    /// (including deltas whose re-sort found a cycle). Only the general
+    /// delta path re-sorts: neither an in-place implementation change
+    /// nor a rejected direct cycle ever counts here.
     pub fallbacks: u64,
     /// Most nodes relabeled by one delta's sweep.
     pub max_cone: u64,
@@ -146,6 +176,15 @@ pub struct EvaluatorStats {
     /// Contexts on the devices a delta or batch candidate touched whose
     /// mirror it kept as it was.
     pub contexts_untouched: u64,
+    /// Deltas that only re-implemented a task inside its unchanged
+    /// context: the context's area and reconfiguration weight were
+    /// updated in place, with no context re-derived.
+    pub contexts_resized: u64,
+    /// Deltas rejected as cyclic before any mirror write, because the
+    /// moved task landed after one of its data successors (or before
+    /// one of its data predecessors) in its new processor's or
+    /// device's total order.
+    pub direct_cycles: u64,
 }
 
 impl EvaluatorStats {
@@ -434,6 +473,9 @@ struct DeltaLog {
     ctx_next: Vec<(u32, u32)>,
     ctx_head: Vec<(u32, u32)>,
     ctx_of: Vec<(u32, u32)>,
+    /// A context resized in place: its slot, area and reconfiguration
+    /// weight.
+    ctx_area: Vec<(u32, u32, f64)>,
     /// `hw_count` before the delta.
     hw_count: u32,
 }
@@ -452,6 +494,7 @@ impl DeltaLog {
         self.ctx_next.clear();
         self.ctx_head.clear();
         self.ctx_of.clear();
+        self.ctx_area.clear();
     }
 
     fn capacity(&self) -> usize {
@@ -467,6 +510,7 @@ impl DeltaLog {
             + self.ctx_next.capacity()
             + self.ctx_head.capacity()
             + self.ctx_of.capacity()
+            + self.ctx_area.capacity()
     }
 }
 
@@ -895,22 +939,33 @@ impl<'a> Evaluator<'a> {
         self.begin_delta();
         let capacity_before = self.arena_capacity();
 
-        let ti = moved.index();
-        // 1. Unsplice from the old processor chain (O(1)).
-        if self.kind[ti] == K_SW {
-            self.unsplice_sw(moved.0);
+        if let Some(s) = self.resized_slot(mapping, moved) {
+            // An implementation change inside an unchanged context.
+            self.update_task(mapping, moved);
+            self.resize_context(mapping, s);
+        } else if self.closes_direct_cycle(mapping, moved) {
+            // Nothing was written: nothing to roll back.
+            self.stats.direct_cycles += 1;
+            self.delta_active = false;
+            return Err(MappingError::CyclicSchedule);
+        } else {
+            let ti = moved.index();
+            // 1. Unsplice from the old processor chain (O(1)).
+            if self.kind[ti] == K_SW {
+                self.unsplice_sw(moved.0);
+            }
+            // 2. Task-local updates: node weight, incident data-edge
+            //    weights, kind, home device, hardware census.
+            self.update_task(mapping, moved);
+            // 3. Splice into the new processor chain.
+            if self.kind[ti] == K_SW {
+                self.splice_sw(mapping, moved);
+            }
+            // 4. Re-derive the contexts the task left or joined.
+            self.ctx.dirty.clear();
+            self.ctx.dirty.push(moved.0);
+            self.sync_contexts(mapping);
         }
-        // 2. Task-local updates: node weight, incident data-edge
-        //    weights, kind, home device, hardware census.
-        self.update_task(mapping, moved);
-        // 3. Splice into the new processor chain.
-        if self.kind[ti] == K_SW {
-            self.splice_sw(mapping, moved);
-        }
-        // 4. Re-derive the contexts the task left or joined.
-        self.ctx.dirty.clear();
-        self.ctx.dirty.push(moved.0);
-        self.sync_contexts(mapping);
 
         let result = self.finish_delta();
         self.note_growth(capacity_before);
@@ -1013,6 +1068,132 @@ impl<'a> Evaluator<'a> {
         if self.ctx.grew || self.arena_capacity() != capacity_before {
             self.stats.arena_growths += 1;
             self.stats.last_growth_eval = self.stats.evaluations;
+        }
+    }
+
+    /// The slot of `moved`'s context when the move only re-implemented
+    /// `moved` in place: hardware-placed before and after, in the same
+    /// slot, whose member list equals its new context's and whose
+    /// neighbours in the device's context order are unchanged. Every
+    /// other context, marker and chain then stays as it is.
+    fn resized_slot(&self, mapping: &Mapping, moved: TaskId) -> Option<u32> {
+        let ti = moved.index();
+        let Placement::Hardware {
+            drlc: d,
+            context: k,
+            ..
+        } = mapping.placement(moved)
+        else {
+            return None;
+        };
+        if self.kind[ti] != K_HW || self.drlc_of[ti] != d as u32 {
+            return None;
+        }
+        let s = self.ctx.of[ti];
+        let contexts = mapping.contexts(d);
+        let tasks = contexts[k].tasks();
+        let old = &self.ctx.slots[s as usize].tasks;
+        if old.len() != tasks.len() || old.iter().zip(tasks).any(|(&a, b)| a != b.0) {
+            return None;
+        }
+        let prev = match k {
+            0 => NONE,
+            _ => self.ctx.slot_at(mapping, d, k - 1),
+        };
+        let next = match k + 1 < contexts.len() {
+            true => self.ctx.slot_at(mapping, d, k + 1),
+            false => NONE,
+        };
+        let m = self.ctx.meta[s as usize];
+        (m.prev == prev && m.next == next).then_some(s)
+    }
+
+    /// Updates slot `s`'s area and reconfiguration weight to its
+    /// context's in `mapping`, logged. Its members, initials, terminals
+    /// and links stay, so no edge is added or removed: only the
+    /// initials' in-edge weights change, and only with the
+    /// reconfiguration bits.
+    fn resize_context(&mut self, mapping: &Mapping, s: u32) {
+        let st = &mut self.ctx.slots[s as usize];
+        let d = st.dev as usize;
+        let mut used = Clbs::ZERO;
+        for &t in &st.tasks {
+            used += mapping.task_clbs(self.app, TaskId(t));
+        }
+        let reconfig = self.arch.drlcs()[d].reconfiguration_time(used).value();
+        #[cfg(rdse_fault = "resize_stale_area")]
+        let (used, reconfig) = (Clbs::new(st.clbs), st.reconfig);
+        if st.clbs != used.value() || st.reconfig.to_bits() != reconfig.to_bits() {
+            self.log.ctx_area.push((s, st.clbs, st.reconfig));
+        }
+        if st.reconfig.to_bits() != reconfig.to_bits()
+            && !cfg!(rdse_fault = "resize_skips_initials_seed")
+        {
+            self.seeds.extend_from_slice(&st.initials);
+        }
+        (st.clbs, st.reconfig) = (used.value(), reconfig);
+        self.stats.contexts_resized += 1;
+        self.stats.contexts_untouched += mapping.contexts(d).len() as u64 - 1;
+    }
+
+    /// `true` when `moved` now sits after one of its data successors, or
+    /// before one of its data predecessors, in one total order: its
+    /// processor's order, or its device's context order (every task of
+    /// context k precedes every task of context k + 1). Such a move
+    /// closes a cycle whatever else it changed. Reads only `mapping` and
+    /// the CSR adjacency: O(degree) for a context, O(degree + order
+    /// length) for a processor.
+    ///
+    /// A destination context over its device's capacity reports no
+    /// cycle, so the general path reports the overflow: capacity comes
+    /// before cycles. The move touches no other context's capacity but
+    /// to shrink it, so the synchronized (feasible) state has none over.
+    fn closes_direct_cycle(&mut self, mapping: &Mapping, moved: TaskId) -> bool {
+        let t = moved.0;
+        match mapping.placement(moved) {
+            Placement::Software { processor } => {
+                // Stamp the tasks ahead of `moved` in its order.
+                self.generation += 1;
+                let g = self.generation;
+                for &u in mapping.proc_order(processor) {
+                    if u == moved {
+                        break;
+                    }
+                    self.membership[u.index()] = g;
+                }
+                let here = Placement::Software { processor };
+                let ahead = &self.membership;
+                self.dag
+                    .in_edges(t)
+                    .any(|(u, _)| ahead[u as usize] != g && mapping.placement(TaskId(u)) == here)
+                    || self.dag.out_edges(t).any(|(v, _)| ahead[v as usize] == g)
+            }
+            Placement::Hardware { drlc, context, .. } => {
+                let mut used = Clbs::ZERO;
+                for &u in mapping.contexts(drlc)[context].tasks() {
+                    used += mapping.task_clbs(self.app, u);
+                }
+                if used > self.arch.drlcs()[drlc].n_clbs() {
+                    return false;
+                }
+                let context_of = |u: u32| match mapping.placement(TaskId(u)) {
+                    Placement::Hardware {
+                        drlc: d, context, ..
+                    } if d == drlc => Some(context),
+                    _ => None,
+                };
+                let later = |k: usize| {
+                    k > context || (cfg!(rdse_fault = "direct_cycle_same_context") && k == context)
+                };
+                self.dag
+                    .in_edges(t)
+                    .any(|(u, _)| context_of(u).is_some_and(later))
+                    || self
+                        .dag
+                        .out_edges(t)
+                        .any(|(v, _)| context_of(v).is_some_and(|k| k < context))
+            }
+            Placement::Asic { .. } => false,
         }
     }
 
@@ -1719,6 +1900,10 @@ impl<'a> Evaluator<'a> {
         for &(i, v) in log.ctx_of.iter().rev() {
             ctx.of[i as usize] = v;
         }
+        for &(s, clbs, reconfig) in log.ctx_area.iter().rev() {
+            let st = &mut ctx.slots[s as usize];
+            (st.clbs, st.reconfig) = (clbs, reconfig);
+        }
         ctx.rollback();
         self.hw_count = self.log.hw_count;
         self.log.clear();
@@ -1987,11 +2172,13 @@ mod tests {
         assert_eq!(full.makespan, us(35.0));
     }
 
-    /// Window re-sorts seen by one [`delta_walk`].
+    /// Window re-sorts seen by one [`delta_walk`], and the cycles
+    /// rejected before any re-sort.
     #[derive(Debug)]
     struct Resorts {
         acyclic: u64,
         cyclic: u64,
+        direct: u64,
     }
 
     /// Drives the delta path with the real move proposals and checks
@@ -2053,12 +2240,16 @@ mod tests {
         // Deltas re-sort windows; they never run a full pass.
         assert_eq!(after.full_passes, before.full_passes, "{after:?}");
         let resorts = after.fallbacks - before.fallbacks;
+        // A direct cycle is rejected without a re-sort.
+        let direct = after.direct_cycles - before.direct_cycles;
+        let cyclic = cyclic - direct;
         // The mirrors must still be exact: one more fresh comparison.
         let summary = evaluator.evaluate(&mapping).unwrap();
         assert_eq!(summary, evaluate(app, arch, &mapping).unwrap().summary());
         Resorts {
             acyclic: resorts - cyclic,
             cyclic,
+            direct,
         }
     }
 
@@ -2096,6 +2287,7 @@ mod tests {
         let resorts = delta_walk(&app, &arch, 5, 300);
         assert!(resorts.acyclic > 0, "{resorts:?}");
         assert!(resorts.cyclic > 0, "{resorts:?}");
+        assert!(resorts.direct > 0, "{resorts:?}");
     }
 
     /// One context as a mirror holds it: member tasks, initials,
@@ -2353,8 +2545,9 @@ mod tests {
         let swept = evaluator.stats();
         assert_eq!(swept.repairs, synced.repairs + 1, "{swept:?}");
         assert_eq!(swept.fallbacks, synced.fallbacks, "{swept:?}");
-        // Moving c ahead of a on the processor chains c -> a against the
-        // data path a -> b -> c: the re-sort finds the cycle.
+        // Moving c ahead of a puts c before its own data predecessor b
+        // on one processor: a direct cycle, rejected before any mirror
+        // write, with no re-sort.
         let mut m = base.clone();
         m.detach(TaskId(2));
         m.insert_software(TaskId(2), 0, 0);
@@ -2363,13 +2556,129 @@ mod tests {
             Err(MappingError::CyclicSchedule)
         );
         let cyclic = evaluator.stats();
-        assert_eq!(cyclic.fallbacks, swept.fallbacks + 1, "{cyclic:?}");
+        assert_eq!(cyclic.direct_cycles, swept.direct_cycles + 1, "{cyclic:?}");
+        assert_eq!(cyclic.fallbacks, swept.fallbacks, "{cyclic:?}");
         assert_eq!(cyclic.repairs, swept.repairs, "{cyclic:?}");
         // Deltas never run a full pass, and the evaluator is back on
         // the base.
         assert_eq!(cyclic.full_passes, 1, "{cyclic:?}");
         let again = evaluator.evaluate_delta(&base, TaskId(2)).unwrap();
         assert_eq!(again, evaluate(&app, &arch, &base).unwrap().summary());
+    }
+
+    #[test]
+    fn an_indirect_cycle_is_found_by_the_window_resort() {
+        let (app, arch) = fixture();
+        // a and c on the processor, b in a context: a -> b -> c only
+        // through the fabric.
+        let mut base = Mapping::all_software(&app, &arch, topo(&app));
+        base.detach(TaskId(1));
+        base.insert_new_context(TaskId(1), 0, 0, 0);
+        let mut evaluator = Evaluator::new(&app, &arch);
+        evaluator.evaluate(&base).unwrap();
+        let before = evaluator.stats();
+        // c ahead of a closes a -> b -> c -> a. c's one data neighbour
+        // (b) is in a context, so no single order holds both ends: the
+        // re-sort finds the cycle.
+        let mut m = base.clone();
+        m.detach(TaskId(2));
+        m.insert_software(TaskId(2), 0, 0);
+        let reference = evaluate(&app, &arch, &m).map(|e| e.summary());
+        assert_eq!(reference, Err(MappingError::CyclicSchedule));
+        assert_eq!(evaluator.evaluate_delta(&m, TaskId(2)), reference);
+        let after = evaluator.stats();
+        assert_eq!(after.fallbacks, before.fallbacks + 1, "{after:?}");
+        assert_eq!(after.direct_cycles, before.direct_cycles, "{after:?}");
+        assert_mirror_fresh(&evaluator, &base, "an indirect cycle");
+    }
+
+    #[test]
+    fn an_overflow_that_also_closes_a_direct_cycle_reports_the_overflow() {
+        let (mut app, arch) = fixture();
+        // d (150 CLBs) shares no edge with anyone.
+        let d = app
+            .add_task(
+                "d",
+                "K",
+                us(8.0),
+                vec![HwImpl::new(Clbs::new(150), us(1.0))],
+            )
+            .unwrap();
+        let (a, b) = (TaskId(0), TaskId(1));
+        // b in context 0, d in context 1 of the 200-CLB device.
+        let mut base = Mapping::all_software(&app, &arch, topo(&app));
+        base.detach(b);
+        base.insert_new_context(b, 0, 0, 0);
+        base.detach(d);
+        base.insert_new_context(d, 0, 1, 0);
+        let mut evaluator = Evaluator::new(&app, &arch);
+        evaluator.evaluate(&base).unwrap();
+        // a (100 CLBs) joins d's context: 250 CLBs, and a now runs
+        // after its data successor b.
+        let mut m = base.clone();
+        m.detach(a);
+        m.insert_hardware(a, 0, 1, 0);
+        let overflow = Err(MappingError::CapacityExceeded {
+            drlc: 0,
+            context: 1,
+        });
+        assert_eq!(evaluate(&app, &arch, &m).map(|e| e.summary()), overflow);
+        assert_eq!(evaluator.evaluate_delta(&m, a), overflow);
+        assert_eq!(evaluator.stats().direct_cycles, 0);
+        assert_mirror_fresh(&evaluator, &base, "an overflow");
+        // With room for both, the same move is the direct cycle.
+        let mut m = base.clone();
+        m.detach(d);
+        m.insert_software(d, 0, 0);
+        evaluator.evaluate(&m).unwrap();
+        m.detach(a);
+        m.insert_new_context(a, 0, 1, 0);
+        assert_eq!(
+            evaluator.evaluate_delta(&m, a),
+            Err(MappingError::CyclicSchedule)
+        );
+        assert_eq!(evaluator.stats().direct_cycles, 1);
+    }
+
+    #[test]
+    fn implementation_changes_resize_their_context_in_place() {
+        let app = rdse_workloads::motion_detection_app();
+        let arch = rdse_workloads::epicure_architecture(2000);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut mapping = random_initial(&app, &arch, &mut rng);
+        let mut evaluator = Evaluator::new(&app, &arch);
+        evaluator.evaluate(&mapping).unwrap();
+        let mut scratch = MoveScratch::default();
+        let mut resized = 0;
+        for step in 0..200 {
+            let before = evaluator.stats();
+            let Some(outcome) =
+                propose_impl_move(&app, &arch, &mut mapping, &mut rng, &mut scratch)
+            else {
+                continue;
+            };
+            let delta = evaluator.evaluate_delta(&mapping, outcome.delta.task());
+            let after = evaluator.stats();
+            let reference = evaluate(&app, &arch, &mapping).map(|e| e.summary());
+            assert_eq!(delta, reference, "step {step}");
+            if matches!(
+                outcome.kind,
+                crate::moves::MoveKind::SelectImplementation { .. }
+            ) {
+                // No context re-derived, no edge added: no re-sort.
+                assert_eq!(after.contexts_resized, before.contexts_resized + 1);
+                assert_eq!(after.contexts_recomputed, before.contexts_recomputed);
+                assert_eq!(after.fallbacks, before.fallbacks);
+                resized += 1;
+            }
+            assert_mirror_fresh(&evaluator, &mapping, &format!("step {step}"));
+            if rng.random::<bool>() {
+                evaluator.revert_delta();
+                outcome.delta.undo(&mut mapping);
+                assert_mirror_fresh(&evaluator, &mapping, &format!("revert at {step}"));
+            }
+        }
+        assert!(resized > 50, "{resized}");
     }
 
     #[test]

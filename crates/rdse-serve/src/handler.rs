@@ -85,7 +85,9 @@ pub fn resolve_models(
             "application has no tasks",
         ));
     }
-    if app.n_tasks() > limits.max_tasks {
+    if app.n_tasks() > limits.max_tasks
+        || (cfg!(rdse_fault = "serve_max_tasks_inclusive") && app.n_tasks() == limits.max_tasks)
+    {
         return Err(ServeError::new(
             ErrorCode::TooManyTasks,
             format!(
@@ -441,6 +443,23 @@ mod tests {
             hw_percent: 60,
         };
         layered_dag(&config, seed).to_value()
+    }
+
+    #[test]
+    fn an_app_of_exactly_max_tasks_is_accepted() {
+        let spec = inline_spec(layered(2, 1));
+        let n = resolve_models(&spec, &Limits::default())
+            .unwrap()
+            .0
+            .n_tasks();
+        let at = |max_tasks| Limits {
+            max_tasks,
+            ..Limits::default()
+        };
+        let (app, _) = resolve_models(&spec, &at(n)).expect("n tasks under a limit of n");
+        assert_eq!(app.n_tasks(), n);
+        let err = resolve_models(&spec, &at(n - 1)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::TooManyTasks, "{err:?}");
     }
 
     #[test]

@@ -166,7 +166,9 @@ impl Engine<'_> {
         match (self.mapping.placement(from), self.mapping.placement(to)) {
             (Placement::Software { processor: a }, Placement::Software { processor: b }) => a != b,
             (Placement::Hardware { drlc: a, .. }, Placement::Hardware { drlc: b, .. }) => a != b,
-            (Placement::Asic { asic: a }, Placement::Asic { asic: b }) => a != b,
+            (Placement::Asic { asic: a }, Placement::Asic { asic: b }) => {
+                a != b || cfg!(rdse_fault = "sim_asic_edge_on_bus")
+            }
             _ => true,
         }
     }
@@ -569,6 +571,43 @@ mod tests {
                     (Err(e), Err(expected)) => assert_eq!(&e, expected, "cap {cap}"),
                     (sim, _) => panic!("cap {cap}: feasibility diverged: {sim:?} vs {analytic:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_edge_inside_one_asic_never_uses_the_bus() {
+        // a -> b, both on one ASIC: the analytic model (`same_device`)
+        // charges no transfer, so neither may the DES, in either bus
+        // mode. c on the processor keeps the bus in the picture.
+        let mut app = TaskGraph::new("asic");
+        let hw = || vec![HwImpl::new(Clbs::new(100), Micros::new(2.0))];
+        let a = app.add_task("a", "F", Micros::new(10.0), hw()).unwrap();
+        let b = app.add_task("b", "G", Micros::new(10.0), hw()).unwrap();
+        let c = app.add_task("c", "H", Micros::new(4.0), vec![]).unwrap();
+        app.add_data_edge(a, b, Bytes::new(1000)).unwrap();
+        app.add_data_edge(a, c, Bytes::new(500)).unwrap();
+        let arch = Architecture::builder("soc")
+            .processor("cpu", 1.0)
+            .asic("asic", 1.0)
+            .bus_rate(100.0)
+            .build()
+            .unwrap();
+        let mut m = Mapping::all_software(&app, &arch, vec![a, b, c]);
+        m.detach(a);
+        m.insert_asic(a, 0);
+        m.detach(b);
+        m.insert_asic(b, 0);
+        let analytic = evaluate(&app, &arch, &m).unwrap();
+        for cfg in [SimConfig::contention_free(), SimConfig::with_contention()] {
+            let sim = simulate(&app, &arch, &m, &cfg).unwrap();
+            assert_eq!(sim.n_transfers, 1, "{cfg:?}");
+            for t in app.task_ids() {
+                let (got, want) = (sim.ends[t.index()], analytic.completions[t.index()]);
+                assert!(
+                    (got.value() - want.value()).abs() < 1e-6,
+                    "{cfg:?} {t}: {got} vs {want}"
+                );
             }
         }
     }

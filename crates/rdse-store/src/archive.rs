@@ -79,12 +79,22 @@ impl Archive {
         objective: &str,
         iters: u64,
     ) -> Option<&ArchivedRecord> {
+        // `>= iters + 1` is `> iters`: a request at exactly the archived
+        // budget misses.
+        #[cfg(rdse_fault = "store_dominating_strict_budget")]
+        let iters = iters + 1;
         self.pair_records(pair)
             .filter(|r| r.objective == objective && r.iters >= iters)
             // Ascending key order + strict > keeps the smaller key on
             // budget ties.
             .fold(None, |best: Option<&ArchivedRecord>, r| match best {
-                Some(b) if r.iters > b.iters => Some(r),
+                Some(b)
+                    if r.iters > b.iters
+                        || (cfg!(rdse_fault = "store_dominating_tie_larger_key")
+                            && r.iters == b.iters) =>
+                {
+                    Some(r)
+                }
                 Some(b) => Some(b),
                 None => Some(r),
             })
@@ -210,6 +220,34 @@ mod tests {
         assert!(archive
             .dominating(&PairKey([9; 16]), "makespan", 10)
             .is_none());
+    }
+
+    #[test]
+    fn dominating_answers_a_request_at_exactly_the_archived_budget() {
+        let mut archive = Archive::new();
+        let record = record(1, 1000, 90.0);
+        let pair = record.pair;
+        archive.insert(record.clone());
+        let hit = archive.dominating(&pair, "makespan", 1000).expect("hit");
+        assert_eq!(hit.key, record.key);
+        assert!(archive.dominating(&pair, "makespan", 1001).is_none());
+    }
+
+    #[test]
+    fn dominating_budget_ties_keep_the_smaller_key() {
+        // Equal budgets, keys from different seeds; inserted in both
+        // orders so neither arrival order nor key order hides the rule.
+        let (a, b) = (record(1, 1000, 90.0), record(2, 1000, 80.0));
+        let smaller = a.key.min(b.key);
+        for records in [[a.clone(), b.clone()], [b, a]] {
+            let mut archive = Archive::new();
+            let pair = records[0].pair;
+            for r in records {
+                archive.insert(r);
+            }
+            let hit = archive.dominating(&pair, "makespan", 500).expect("hit");
+            assert_eq!(hit.key, smaller);
+        }
     }
 
     #[test]

@@ -22,8 +22,29 @@ cd "$(dirname "$0")/.."
 # `cargo test` prints them)
 declare -A FAULTS=(
     # A context kept across a delta keeps its old area (and
-    # reconfiguration weight) after an implementation move.
+    # reconfiguration weight) after a task joined or left it.
+    # Implementation changes take the in-place path instead (next row).
     [ctx_stale_area]="rdse-mapping
+        evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # An implementation change resized in place keeps its context's old
+    # area and reconfiguration weight.
+    [resize_stale_area]="rdse-mapping
+        evaluator::tests::implementation_changes_resize_their_context_in_place
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # An implementation change that alters its context's reconfiguration
+    # weight does not seed the context's initials, whose in-edges carry
+    # that weight.
+    [resize_skips_initials_seed]="rdse-mapping
+        evaluator::tests::implementation_changes_resize_their_context_in_place
+        evaluator::tests::delta_walk_matches_reference_on_paper_workload
+        evaluator::tests::delta_walk_matches_reference_on_layered_200"
+    # The direct-cycle check counts a data predecessor in the moved
+    # task's own context as one in a later context: a feasible move is
+    # rejected as cyclic.
+    [direct_cycle_same_context]="rdse-mapping
         evaluator::tests::context_mirror_matches_fresh_sync_after_every_delta
         evaluator::tests::delta_walk_matches_reference_on_paper_workload
         evaluator::tests::delta_walk_matches_reference_on_layered_200"
@@ -75,6 +96,20 @@ declare -A FAULTS=(
     # one `Value::get` (and so the tree decode) reads.
     [store_head_last_dup_wins]="rdse-store
         record::tests::repeated_and_unknown_head_keys_follow_value_get"
+    # A dominated hit needs a budget above the request's: a request at
+    # exactly the archived budget misses.
+    [store_dominating_strict_budget]="rdse-store
+        archive::tests::dominating_answers_a_request_at_exactly_the_archived_budget"
+    # Among dominating records of equal budget the larger key answers.
+    [store_dominating_tie_larger_key]="rdse-store
+        archive::tests::dominating_budget_ties_keep_the_smaller_key"
+    # Serve refuses an app of exactly `max_tasks` tasks.
+    [serve_max_tasks_inclusive]="rdse-serve
+        handler::tests::an_app_of_exactly_max_tasks_is_accepted"
+    # The DES sends a data edge between two tasks on one ASIC over the
+    # bus, which the analytic model treats as on-device.
+    [sim_asic_edge_on_bus]="rdse-sim
+        des::tests::an_edge_inside_one_asic_never_uses_the_bus"
     # The string scanner's fast path lets a raw tab through.
     [json_ascii_skips_ctrl]="serde_json
         tests::rejects_raw_control_characters_in_strings

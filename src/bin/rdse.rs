@@ -478,13 +478,15 @@ fn print_profile<C>(
         steps_per_sec, run.iterations, run.elapsed, run.accepted, run.rejected, run.infeasible, alloc_free
     );
     println!(
-        "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | window re-sorts {} | contexts re-derived {} kept {}",
+        "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | window re-sorts {} | direct cycles {} | contexts re-derived {} resized {} kept {}",
         stats.repairs,
         mean_cone,
         stats.max_cone,
         stats.full_passes,
         stats.fallbacks,
+        stats.direct_cycles,
         stats.contexts_recomputed,
+        stats.contexts_resized,
         stats.contexts_untouched
     );
 }
