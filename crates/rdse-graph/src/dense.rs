@@ -4,8 +4,9 @@
 //! annealing hot path wants a fixed edge structure scanned millions of
 //! times with mutable *weights*. [`DenseDag`] stores the graph in CSR
 //! form — flat `u32` slabs for both edge directions, structure-of-arrays
-//! node and edge attributes — so a longest-path relaxation touches
-//! contiguous memory and no per-node `Vec` headers.
+//! node and edge attributes, each in-edge's weight inline next to its
+//! source — so a longest-path relaxation touches contiguous memory and
+//! no per-node `Vec` headers.
 //!
 //! On top of it, [`IncrementalLongestPath`] maintains completion labels
 //! across deltas that change the weights or local edge structure
@@ -35,16 +36,16 @@
 //! predecessors (suffix sweep or full pass, over any topological
 //! order) lands on the same bits. A sweep may also re-relax
 //! *unchanged* nodes; that rewrites their labels with identical bits.
-//! The critical-path predecessor of each node — chosen by a strict `>`
-//! scan over the node's in-edges in storage order — is reproduced
-//! identically as well because it depends only on the node's own
-//! candidate sequence.
+//!
+//! No critical predecessor is stored:
+//! [`IncrementalLongestPath::critical_path`] derives the path on demand
+//! from the fixpoint labels. Each node's predecessor is chosen by a
+//! strict `>` scan over its in-edges in storage order, which depends
+//! only on the node's own candidate sequence, so the path is the same
+//! whichever schedule produced the labels.
 
 use crate::longest_path::LongestPath;
 use crate::{Digraph, GraphError, NodeId};
-
-/// Sentinel for "no critical predecessor" in the dense label arrays.
-const NO_PRED: u32 = u32::MAX;
 
 /// A directed graph in CSR (compressed sparse row) form with mutable
 /// node and edge weights but a fixed edge structure.
@@ -75,6 +76,11 @@ pub struct DenseDag {
     in_start: Vec<u32>,
     in_source: Vec<u32>,
     in_eid: Vec<u32>,
+    /// Weight of each in-slot's edge, parallel to `in_source`: a copy of
+    /// `edge_w` laid out for the relaxation's in-edge scan.
+    in_w: Vec<f64>,
+    /// In-slot of each edge id (inverse of `in_eid`).
+    in_slot: Vec<u32>,
     edge_from: Vec<u32>,
     edge_to: Vec<u32>,
     edge_w: Vec<f64>,
@@ -135,7 +141,9 @@ impl DenseDag {
         let mut out_eid = vec![0u32; m];
         let mut in_source = vec![0u32; m];
         let mut in_eid = vec![0u32; m];
-        for (eid, &(u, v, _)) in edges.iter().enumerate() {
+        let mut in_w = vec![0.0; m];
+        let mut in_slot = vec![0u32; m];
+        for (eid, &(u, v, w)) in edges.iter().enumerate() {
             let oc = &mut out_cursor[u as usize];
             out_target[*oc as usize] = v;
             out_eid[*oc as usize] = eid as u32;
@@ -143,6 +151,8 @@ impl DenseDag {
             let ic = &mut in_cursor[v as usize];
             in_source[*ic as usize] = u;
             in_eid[*ic as usize] = eid as u32;
+            in_w[*ic as usize] = w;
+            in_slot[eid] = *ic;
             *ic += 1;
         }
         Ok(DenseDag {
@@ -153,6 +163,8 @@ impl DenseDag {
             in_start,
             in_source,
             in_eid,
+            in_w,
+            in_slot,
             edge_from: edges.iter().map(|e| e.0).collect(),
             edge_to: edges.iter().map(|e| e.1).collect(),
             edge_w: edges.iter().map(|e| e.2).collect(),
@@ -208,6 +220,9 @@ impl DenseDag {
     #[inline]
     pub fn set_edge_weight(&mut self, eid: u32, weight: f64) {
         self.edge_w[eid as usize] = weight;
+        if !cfg!(rdse_fault = "dense_in_w_stale") {
+            self.in_w[self.in_slot[eid as usize] as usize] = weight;
+        }
     }
 
     /// Endpoints `(from, to)` of edge `eid`.
@@ -324,7 +339,7 @@ impl DenseDag {
                 for (s, eid) in self.out_edges(p) {
                     if s == v {
                         let cand = completion[p as usize] + self.edge_w[eid as usize];
-                        if cand > best {
+                        if cand > best || (cfg!(rdse_fault = "dense_pred_tie_ge") && cand == best) {
                             best = cand;
                             best_pred = Some(NodeId(p));
                         }
@@ -353,7 +368,9 @@ impl DenseDag {
 /// virtual dispatch on the hot path) and must enumerate each edge
 /// exactly once per direction, in a deterministic order. `for_each_in`
 /// also yields the edge weight, since the pull-style relaxation only
-/// ever needs weights on incoming edges.
+/// ever needs weights on incoming edges. The relaxation itself asks
+/// [`max_in`](Self::max_in), which a graph may answer without visiting
+/// every in-edge.
 pub trait RepairGraph {
     /// Number of nodes (labels are indexed `0..n_nodes()`).
     fn n_nodes(&self) -> usize;
@@ -373,6 +390,23 @@ pub trait RepairGraph {
         let mut d = 0u32;
         self.for_each_in(v, |_, _| d += 1);
         d
+    }
+    /// `max(0, max over in-edges (u, v): labels[u] + w(u, v))`, the part
+    /// of `v`'s completion label its predecessors contribute. The
+    /// default scans [`for_each_in`](Self::for_each_in); an override
+    /// must return the same bits. It is called while `labels` is being
+    /// relaxed in a topological order, so it may cache a value derived
+    /// from labels that order has already finalized.
+    #[inline]
+    fn max_in(&self, v: u32, labels: &[f64]) -> f64 {
+        let mut best = 0.0_f64;
+        self.for_each_in(v, |u, w| {
+            let cand = labels[u as usize] + w;
+            if cand > best {
+                best = cand;
+            }
+        });
+        best
     }
 }
 
@@ -400,8 +434,8 @@ impl RepairGraph for DenseDag {
     fn for_each_in<F: FnMut(u32, f64)>(&self, v: u32, mut f: F) {
         let lo = self.in_start[v as usize] as usize;
         let hi = self.in_start[v as usize + 1] as usize;
-        for (&u, &eid) in self.in_source[lo..hi].iter().zip(&self.in_eid[lo..hi]) {
-            f(u, self.edge_w[eid as usize]);
+        for (&u, &w) in self.in_source[lo..hi].iter().zip(&self.in_w[lo..hi]) {
+            f(u, w);
         }
     }
 
@@ -443,15 +477,13 @@ impl RepairStats {
 struct JournalEntry {
     node: u32,
     comp: f64,
-    pred: u32,
 }
 
 /// Longest-path labels kept up to date across deltas over a maintained
 /// topological order.
 ///
-/// The structure owns one completion label and one critical-predecessor
-/// per node, plus a topological order, kept consistent with some
-/// [`RepairGraph`] by the caller:
+/// The structure owns one completion label per node, plus a topological
+/// order, kept consistent with some [`RepairGraph`] by the caller:
 ///
 /// 1. [`full`](Self::full) computes labels and the order from scratch
 ///    (Kahn);
@@ -491,7 +523,6 @@ struct JournalEntry {
 #[derive(Debug, Clone)]
 pub struct IncrementalLongestPath {
     comp: Vec<f64>,
-    pred: Vec<u32>,
     indeg: Vec<u32>,
     /// Kahn scratch: a stack for the full pass, a FIFO queue (and the
     /// new order) for the window re-sort.
@@ -517,7 +548,6 @@ impl IncrementalLongestPath {
     pub fn new(n: usize) -> Self {
         IncrementalLongestPath {
             comp: vec![0.0; n],
-            pred: vec![NO_PRED; n],
             indeg: vec![0; n],
             frontier: Vec::new(),
             journal: Vec::new(),
@@ -552,20 +582,35 @@ impl IncrementalLongestPath {
 
     /// The longest-path value: the maximum completion label (0 for an
     /// empty graph).
+    ///
+    /// Scans four lanes at a time. Labels are never NaN or negative, so
+    /// the maximum of the lane maxima is the maximum, bit for bit.
     pub fn makespan(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for &c in &self.comp {
-            if c > best {
-                best = c;
+        let max = |m: f64, x: f64| if x > m { x } else { m };
+        let mut lanes = [0.0_f64; 4];
+        let chunks = self.comp.chunks_exact(4);
+        for &x in chunks.remainder() {
+            lanes[0] = max(lanes[0], x);
+        }
+        for c in chunks {
+            for (m, &x) in lanes.iter_mut().zip(c) {
+                *m = max(*m, x);
             }
         }
-        best
+        lanes.into_iter().fold(0.0, max)
     }
 
-    /// One critical path, from a source to the lowest-indexed node
-    /// achieving the makespan, in execution order. Empty if every label
-    /// is zero or the graph has no nodes.
-    pub fn critical_path(&self) -> Vec<u32> {
+    /// One critical path of `g`, from a source to the lowest-indexed
+    /// node achieving the makespan, in execution order. Empty if every
+    /// label is zero or the graph has no nodes.
+    ///
+    /// Derived from the labels, which must be the fixpoint for `g` (as
+    /// after [`full`](Self::full) or a certified sweep): each node's
+    /// predecessor is the source of its largest in-edge candidate
+    /// `label(u) + w(u, v)`, the earliest in [`RepairGraph::for_each_in`]
+    /// order on a tie, and none if no candidate exceeds 0.
+    pub fn critical_path<G: RepairGraph>(&self, g: &G) -> Vec<u32> {
+        debug_assert_eq!(g.n_nodes(), self.comp.len(), "graph/label size mismatch");
         let mut best = 0.0_f64;
         let mut terminal = None;
         for (i, &c) in self.comp.iter().enumerate() {
@@ -578,8 +623,15 @@ impl IncrementalLongestPath {
         let mut cur = terminal;
         while let Some(v) = cur {
             path.push(v);
-            let p = self.pred[v as usize];
-            cur = (p != NO_PRED).then_some(p);
+            let mut best = 0.0_f64;
+            cur = None;
+            g.for_each_in(v, |u, w| {
+                let cand = self.comp[u as usize] + w;
+                if cand > best {
+                    best = cand;
+                    cur = Some(u);
+                }
+            });
         }
         path.reverse();
         path
@@ -775,7 +827,6 @@ impl IncrementalLongestPath {
     pub fn rollback(&mut self) {
         while let Some(e) = self.journal.pop() {
             self.comp[e.node as usize] = e.comp;
-            self.pred[e.node as usize] = e.pred;
         }
         if self.ord_swapped {
             std::mem::swap(&mut self.ord, &mut self.ord_backup);
@@ -806,29 +857,17 @@ impl IncrementalLongestPath {
     }
 
     /// Recomputes the label of `v` from its in-edges, journaling the old
-    /// value if anything changed.
+    /// value if it changed.
     #[inline]
     fn relax<G: RepairGraph>(&mut self, g: &G, v: u32) {
-        let comp = &self.comp;
-        let mut best = 0.0_f64;
-        let mut best_pred = NO_PRED;
-        g.for_each_in(v, |u, w| {
-            let cand = comp[u as usize] + w;
-            if cand > best {
-                best = cand;
-                best_pred = u;
-            }
-        });
-        let label = best + g.node_weight(v);
-        let vi = v as usize;
-        if label.to_bits() != self.comp[vi].to_bits() || best_pred != self.pred[vi] {
+        let label = g.max_in(v, &self.comp) + g.node_weight(v);
+        let old = &mut self.comp[v as usize];
+        if label.to_bits() != old.to_bits() {
             self.journal.push(JournalEntry {
                 node: v,
-                comp: self.comp[vi],
-                pred: self.pred[vi],
+                comp: *old,
             });
-            self.comp[vi] = label;
-            self.pred[vi] = best_pred;
+            *old = label;
         }
     }
 }
@@ -897,6 +936,49 @@ mod tests {
             );
         }
         assert_eq!(a.critical_path(), b.critical_path());
+    }
+
+    #[test]
+    fn tied_candidates_keep_the_first_predecessor() {
+        // Node 2's two in-edges offer the same candidate 3.0: the
+        // reference keeps the first (strict `>`), so the path runs
+        // through 0, not 1.
+        let w = [2.0, 2.0, 1.0];
+        let dense = DenseDag::from_edges(3, &[(0, 2, 1.0), (1, 2, 1.0)], &w).unwrap();
+        let reference = dag_longest_path(&dense.to_digraph(), &w).unwrap();
+        assert_eq!(reference.critical_path(), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(
+            dense.longest_path().unwrap().critical_path(),
+            reference.critical_path()
+        );
+        let mut lp = IncrementalLongestPath::new(3);
+        lp.full(&dense).unwrap();
+        assert_eq!(lp.critical_path(&dense), vec![0, 2]);
+    }
+
+    #[test]
+    fn edge_weight_updates_reach_the_in_edge_scan() {
+        let mut g = chain3();
+        g.set_edge_weight(1, 7.0);
+        assert_eq!(g.edge_weight(1), 7.0);
+        let mut seen = Vec::new();
+        g.for_each_in(2, |u, w| seen.push((u, w)));
+        assert_eq!(seen, vec![(1, 7.0)]);
+    }
+
+    #[test]
+    fn makespan_scans_every_lane_and_the_remainder() {
+        // Nine isolated nodes: the maximum sits in each lane and in the
+        // remainder in turn.
+        for hot in 0..9 {
+            let w: Vec<f64> = (0..9).map(|i| if i == hot { 5.0 } else { 1.0 }).collect();
+            let g = DenseDag::from_edges(9, &[], &w).unwrap();
+            let mut lp = IncrementalLongestPath::new(9);
+            lp.full(&g).unwrap();
+            assert_eq!(lp.makespan(), 5.0, "maximum at node {hot}");
+            assert_eq!(lp.critical_path(&g), vec![hot as u32]);
+        }
+        assert_eq!(IncrementalLongestPath::new(0).makespan(), 0.0);
     }
 
     #[test]
@@ -986,7 +1068,7 @@ mod tests {
         g.set_node_weight(1, 3.0);
         lp.sweep_certified(&g, lp.order_pos(1) as usize);
         assert_eq!(lp.labels(), &[1.0, 6.0, 10.0]);
-        assert_eq!(lp.critical_path(), vec![0, 1, 2]);
+        assert_eq!(lp.critical_path(&g), vec![0, 1, 2]);
         let stats = lp.stats();
         assert_eq!(stats.repairs, 1);
         assert_eq!(stats.full_passes, 1);
@@ -1022,7 +1104,7 @@ mod tests {
         let mut fresh = IncrementalLongestPath::new(4);
         fresh.full(&g).unwrap();
         assert_eq!(label_bits(&lp), label_bits(&fresh));
-        assert_eq!(lp.critical_path(), vec![0, 1, 2, 3]);
+        assert_eq!(lp.critical_path(&g), vec![0, 1, 2, 3]);
         let stats = lp.stats();
         assert_eq!(
             (stats.fallbacks, stats.repairs, stats.full_passes),
@@ -1058,7 +1140,7 @@ mod tests {
         let mut fresh = IncrementalLongestPath::new(4);
         fresh.full(&g).unwrap();
         assert_eq!(label_bits(&lp), label_bits(&fresh));
-        assert_eq!(lp.critical_path(), fresh.critical_path());
+        assert_eq!(lp.critical_path(&g), fresh.critical_path(&g));
     }
 
     #[test]

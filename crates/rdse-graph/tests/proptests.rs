@@ -249,9 +249,48 @@ proptest! {
             let want: Vec<u64> = fresh.labels().iter().map(|c| c.to_bits()).collect();
             prop_assert_eq!(got, want);
             prop_assert_eq!(lp.makespan().to_bits(), fresh.makespan().to_bits());
-            prop_assert_eq!(lp.critical_path(), fresh.critical_path());
+            prop_assert_eq!(lp.critical_path(&g), fresh.critical_path(&g));
         }
         prop_assert_eq!(lp.stats().full_passes, 1);
+    }
+
+    #[test]
+    fn tied_weights_keep_critical_paths_agreeing(
+        input in arb_dense_edges(18, 0.35),
+        deltas in arb_delta_walk()
+    ) {
+        // Weights in {0, 1, 2, 3} make equal candidates common, so the
+        // strict `>` tie-breaks decide the critical paths.
+        let (n, edges) = input;
+        let edges: Vec<(u32, u32, f64)> =
+            edges.into_iter().map(|(u, v, w)| (u, v, (w as u32 % 4) as f64)).collect();
+        let node_w: Vec<f64> = (0..n).map(|i| (i % 3) as f64 + 1.0).collect();
+        let mut g = DenseDag::from_edges(n, &edges, &node_w).unwrap();
+        let a = g.longest_path().unwrap();
+        let b = dag_longest_path(&g.to_digraph(), &node_w).unwrap();
+        prop_assert_eq!(a.critical_path(), b.critical_path());
+        let mut lp = IncrementalLongestPath::new(n);
+        lp.full(&g).unwrap();
+        for (on_node, idx, w) in deltas {
+            lp.discard_journal();
+            let w = (w as u32 % 4) as f64;
+            let seed = if on_node || g.n_edges() == 0 {
+                let v = (idx % n) as u32;
+                g.set_node_weight(v, w);
+                v
+            } else {
+                let eid = (idx % g.n_edges()) as u32;
+                g.set_edge_weight(eid, w);
+                g.edge_endpoints(eid).1
+            };
+            lp.sweep_certified(&g, lp.order_pos(seed) as usize);
+            let mut fresh = IncrementalLongestPath::new(n);
+            fresh.full(&g).unwrap();
+            prop_assert_eq!(lp.labels(), fresh.labels());
+            let reference = g.longest_path().unwrap();
+            prop_assert_eq!(lp.labels(), reference.completions());
+            prop_assert_eq!(lp.critical_path(&g), fresh.critical_path(&g));
+        }
     }
 
     #[test]
@@ -267,7 +306,8 @@ proptest! {
         lp.full(&g).unwrap();
         lp.discard_journal();
         let before: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        let before_path = lp.critical_path();
+        let before_path = lp.critical_path(&g);
+        let original = g.clone();
         let seed = if on_node || g.n_edges() == 0 {
             let v = (idx % n) as u32;
             g.set_node_weight(v, w);
@@ -281,7 +321,9 @@ proptest! {
         lp.rollback();
         let after: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
         prop_assert_eq!(before, after);
-        prop_assert_eq!(before_path, lp.critical_path());
+        // The path is derived from the labels and the graph they belong
+        // to: the graph the labels rolled back to.
+        prop_assert_eq!(before_path, lp.critical_path(&original));
     }
 
     #[test]

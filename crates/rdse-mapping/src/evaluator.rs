@@ -21,6 +21,15 @@
 //!   naming a context slot, and the [`RepairGraph`] overlay expands a
 //!   marker into the terminals×initials biclique on the fly — a move
 //!   never materializes those edges;
+//! * the relaxation does not walk a biclique edge by edge either: it
+//!   asks the overlay for [`RepairGraph::max_in`], which folds an
+//!   initial's bundle into a *star* — the previous context's largest
+//!   terminal label, computed once per relaxation pass and cached per
+//!   slot, plus the one reconfiguration weight every bundle edge
+//!   carries — so T terminals and I initials cost T + I label reads
+//!   instead of T×I. Every terminal precedes every initial of the next
+//!   context in any topological order, so the cached maximum is final
+//!   when an initial reads it;
 //! * [`Evaluator::evaluate_delta`] re-derives only what one move can
 //!   touch. A move changes the task's node and incident edge weights,
 //!   at most two processor chains, and the one or two contexts the
@@ -87,6 +96,9 @@
 //!   have a unique fixpoint on a DAG and *no relaxation order*
 //!   (suffix sweep over any topological order, or full Kahn pass) can
 //!   change label bits;
+//! * a bundle star is exact: rounding is monotone, so
+//!   `max_t fl(comp_t + w) == fl(max_t comp_t + w)` for the bundle's
+//!   one weight `w`;
 //! * a sweep relabels a superset of the nodes whose candidate sets
 //!   changed (every directly changed node is seeded, the suffix from
 //!   the minimum seed position covers all their descendants in a valid
@@ -107,6 +119,7 @@ use crate::solution::Mapping;
 use rdse_graph::{DenseDag, IncrementalLongestPath, RepairGraph};
 use rdse_model::units::{Clbs, Micros};
 use rdse_model::{Architecture, TaskGraph, TaskId};
+use std::cell::Cell;
 
 /// Sentinel for "no link / no marker" in the flat `u32` arrays.
 const NONE: u32 = u32::MAX;
@@ -273,6 +286,11 @@ struct CtxMirror {
     released: Vec<u32>,
     /// `true` once a context buffer grew during the current evaluation.
     grew: bool,
+    /// Per slot: the largest terminal label and the relaxation pass
+    /// that computed it (see [`CtxMirror::terminal_max`]).
+    term_max: Vec<Cell<(u64, f64)>>,
+    /// Stamp of the current relaxation pass; 0 stamps no pass.
+    pass: u64,
 }
 
 /// A slot's place in its device's context order, and its stamps for
@@ -313,6 +331,7 @@ impl CtxMirror {
                     left_mark: 0,
                     link: 0,
                 });
+                self.term_max.push(Cell::new((0, 0.0)));
                 self.grew = true;
                 (self.slots.len() - 1) as u32
             }
@@ -359,6 +378,7 @@ impl CtxMirror {
         let more = n_contexts.saturating_sub(self.slots.len());
         self.slots.reserve(more);
         self.meta.reserve(more);
+        self.term_max.reserve(more);
         self.fresh.reserve(n_contexts);
         self.allocated.reserve(n_contexts);
         self.head.fill(NONE);
@@ -370,6 +390,7 @@ impl CtxMirror {
     fn capacity(&self) -> usize {
         self.slots.capacity()
             + self.meta.capacity()
+            + self.term_max.capacity()
             + self.free.capacity()
             + self.spare.capacity()
             + self.dirty.capacity()
@@ -386,6 +407,34 @@ impl CtxMirror {
     #[inline]
     fn slot_at(&self, mapping: &Mapping, d: usize, k: usize) -> u32 {
         self.of[mapping.contexts(d)[k].tasks()[0].index()]
+    }
+
+    /// Starts a relaxation pass: every cached terminal maximum goes
+    /// stale.
+    fn begin_pass(&mut self) {
+        self.pass += 1;
+    }
+
+    /// The largest of `labels` over slot `s`'s terminals, scanned once
+    /// per relaxation pass. An initial of the next context asks for it,
+    /// and every terminal of `s` precedes that initial in the pass's
+    /// topological order, so the labels read are final.
+    #[inline]
+    fn terminal_max(&self, s: u32, labels: &[f64]) -> f64 {
+        let cell = &self.term_max[s as usize];
+        let (stamp, max) = cell.get();
+        if stamp == self.pass {
+            return max;
+        }
+        let mut max = 0.0_f64;
+        for &t in &self.slots[s as usize].terminals {
+            let c = labels[t as usize];
+            if c > max {
+                max = c;
+            }
+        }
+        cell.set((self.pass, max));
+        max
     }
 }
 
@@ -620,6 +669,37 @@ impl RepairGraph for Overlay<'_> {
                 }
             }
         }
+    }
+
+    /// [`for_each_in`](Self::for_each_in)'s candidates, with the bundle
+    /// relaxed as a star: the previous context's largest terminal label
+    /// (cached per pass) plus the bundle's one reconfiguration weight.
+    #[inline]
+    fn max_in(&self, v: u32, labels: &[f64]) -> f64 {
+        if v as usize == self.n {
+            return 0.0;
+        }
+        let mut best = self.dag.max_in(v, labels);
+        let pv = self.prev_sw[v as usize];
+        if pv != NONE && labels[pv as usize] > best {
+            best = labels[pv as usize];
+        }
+        let b = self.in_bundle[v as usize];
+        if b != NONE {
+            let w = self.ctx.slots[b as usize].reconfig;
+            let p = self.ctx.meta[b as usize].prev;
+            let cand = if p == NONE {
+                labels[self.n] + w
+            } else {
+                #[cfg(rdse_fault = "ctx_edge_no_reconfig")]
+                let w = 0.0;
+                self.ctx.terminal_max(p, labels) + w
+            };
+            if cand > best {
+                best = cand;
+            }
+        }
+        best
     }
 }
 
@@ -885,6 +965,7 @@ impl<'a> Evaluator<'a> {
         };
 
         // Full longest-path pass over the overlay.
+        self.ctx.begin_pass();
         let full = {
             let overlay = Overlay {
                 dag: &self.dag,
@@ -1795,6 +1876,9 @@ impl<'a> Evaluator<'a> {
                 return Err(e);
             }
         };
+        if !cfg!(rdse_fault = "bundle_max_stale_stamp") {
+            self.ctx.begin_pass();
+        }
         let repaired = {
             let overlay = Overlay {
                 dag: &self.dag,
@@ -2186,7 +2270,18 @@ mod tests {
     /// reference, bit for bit.
     fn delta_walk(app: &TaskGraph, arch: &Architecture, seed: u64, steps: usize) -> Resorts {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mapping = random_initial(app, arch, &mut rng);
+        let mapping = random_initial(app, arch, &mut rng);
+        delta_walk_from(app, arch, mapping, rng, steps)
+    }
+
+    /// [`delta_walk`] from a given start mapping.
+    fn delta_walk_from(
+        app: &TaskGraph,
+        arch: &Architecture,
+        mut mapping: Mapping,
+        mut rng: StdRng,
+        steps: usize,
+    ) -> Resorts {
         let mut evaluator = Evaluator::new(app, arch);
         // Feasible start (random_initial is all-feasible by design,
         // but keep the walk robust).
@@ -2288,6 +2383,126 @@ mod tests {
         assert!(resorts.acyclic > 0, "{resorts:?}");
         assert!(resorts.cyclic > 0, "{resorts:?}");
         assert!(resorts.direct > 0, "{resorts:?}");
+    }
+
+    #[test]
+    fn wide_bundles_relax_like_the_reference() {
+        // Contexts of 4, 3 and 2 tasks with no data edge inside any of
+        // them: every member is an initial and a terminal, so the
+        // bundles are full 4×3 and 3×2 bicliques. Context 0's terminals
+        // a1 and a3 tie for the largest label; a0 and a2 differ.
+        let mut app = TaskGraph::new("wide");
+        let hw = |t: f64| {
+            vec![
+                HwImpl::new(Clbs::new(100), us(t)),
+                HwImpl::new(Clbs::new(50), us(2.0 * t)),
+            ]
+        };
+        let src = app.add_task("s", "S", us(1.0), vec![]).unwrap();
+        let mut add = |name: &str, t: f64| app.add_task(name, "F", us(40.0), hw(t)).unwrap();
+        let a: Vec<TaskId> = [3.0, 7.0, 5.0, 7.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| add(&format!("a{i}"), t))
+            .collect();
+        let b: Vec<TaskId> = [4.0, 6.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| add(&format!("b{i}"), t))
+            .collect();
+        let c: Vec<TaskId> = [2.0, 9.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| add(&format!("c{i}"), t))
+            .collect();
+        let sink = app.add_task("z", "S", us(1.0), vec![]).unwrap();
+        for (from, to) in [
+            (src, a[0]),
+            (a[2], b[1]),
+            (b[0], c[0]),
+            (c[0], sink),
+            (c[1], sink),
+        ] {
+            app.add_data_edge(from, to, Bytes::new(500)).unwrap();
+        }
+        let arch = Architecture::builder("soc")
+            .processor("cpu", 1.0)
+            .drlc("fpga", Clbs::new(2000), us(0.1), 1.0)
+            .bus_rate(100.0)
+            .build()
+            .unwrap();
+        // Implementation 1 is the fast one (the front sorts by area).
+        let mut base = Mapping::all_software(&app, &arch, topo(&app));
+        for (k, group) in [&a, &b, &c].into_iter().enumerate() {
+            for (i, &t) in group.iter().enumerate() {
+                base.detach(t);
+                match i {
+                    0 => base.insert_new_context(t, 0, k, 1),
+                    _ => base.insert_hardware(t, 0, k, 1),
+                }
+            }
+        }
+        let reference = |m: &Mapping| evaluate(&app, &arch, m).map(|e| e.summary());
+        let bits = |r: &Result<EvalSummary, MappingError>| {
+            r.as_ref().map(|s| s.makespan.value().to_bits()).ok()
+        };
+        let mut evaluator = Evaluator::new(&app, &arch);
+        let full = evaluator.evaluate(&base);
+        assert_eq!(full, reference(&base));
+        assert_eq!(bits(&full), bits(&reference(&base)));
+        let label = |t: TaskId| evaluator.lp.label(t.0);
+        assert_eq!(label(a[1]), label(a[3]));
+        assert!(label(a[1]) > label(a[2]) && label(a[2]) > label(a[0]));
+
+        // Re-implementations (the in-place path), relocations within
+        // and across contexts, a new context and a move to software.
+        let mut candidates = Vec::new();
+        for &t in a.iter().chain(&b).chain(&c) {
+            let mut m = base.clone();
+            m.select_impl(t, 0);
+            candidates.push(m);
+        }
+        let moves: [(TaskId, Option<(usize, bool)>); 5] = [
+            (a[3], Some((1, false))),
+            (b[0], Some((0, false))),
+            (c[1], Some((3, true))),
+            (a[1], None),
+            (b[2], Some((2, false))),
+        ];
+        for (t, to) in moves {
+            let mut m = base.clone();
+            m.detach(t);
+            match to {
+                Some((k, false)) => m.insert_hardware(t, 0, k, 1),
+                Some((k, true)) => m.insert_new_context(t, 0, k, 1),
+                None => m.insert_software(t, 0, 1),
+            }
+            candidates.push(m);
+        }
+        for (i, cand) in candidates.iter().enumerate() {
+            let moved = app
+                .task_ids()
+                .find(|&t| cand.placement(t) != base.placement(t))
+                .expect("each candidate moves one task");
+            let want = reference(cand);
+            let got = evaluator.evaluate_delta(cand, moved);
+            assert_eq!(got, want, "candidate {i}");
+            assert_eq!(bits(&got), bits(&want), "candidate {i}");
+            if got.is_ok() {
+                evaluator.revert_delta();
+            }
+        }
+        let batch = evaluator
+            .evaluate_batch(&base, &candidates)
+            .unwrap()
+            .to_vec();
+        for (i, (got, cand)) in batch.iter().zip(&candidates).enumerate() {
+            let want = reference(cand);
+            assert_eq!(got, &want, "batch candidate {i}");
+            assert_eq!(bits(got), bits(&want), "batch candidate {i}");
+        }
+        // A random walk from the wide start.
+        delta_walk_from(&app, &arch, base, StdRng::seed_from_u64(13), 300);
     }
 
     /// One context as a mirror holds it: member tasks, initials,
