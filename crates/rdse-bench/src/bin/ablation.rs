@@ -11,22 +11,35 @@
 //! and dropped; the README's "Deviations from the paper" section gives
 //! its numbers.)
 //!
-//! Usage: `ablation [--runs N] [--iters N] [--clbs N] [--out F]`
+//! Run with `--help` for the flags.
 
 use rdse_anneal::{anneal, GeometricSchedule, InfiniteTemperature, LamSchedule, RunOptions};
-use rdse_bench::{arg_num, arg_value, mean, std_dev, write_csv};
+use rdse_bench::{mean, std_dev, write_csv};
+use rdse_cli::{flag, Command};
 use rdse_mapping::{random_initial, MappingProblem};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+static ABLATION: Command = Command {
+    name: "ablation",
+    operands: "",
+    flags: &[
+        flag("--runs", "N"),
+        flag("--iters", "N"),
+        flag("--clbs", "N"),
+        flag("--out", "F.csv"),
+    ],
+    about: "",
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let runs: u64 = arg_num(&args, "--runs", 20);
-    let iters: u64 = arg_num(&args, "--iters", 5_000);
-    let clbs: u32 = arg_num(&args, "--clbs", 2_000);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "results/ablation.csv".into());
+    let args = ABLATION.parse(std::env::args().skip(1));
+    let runs: u64 = args.num("--runs", 20);
+    let iters: u64 = args.num("--iters", 5_000);
+    let clbs: u32 = args.num("--clbs", 2_000);
+    let out = args.value("--out").unwrap_or("results/ablation.csv");
 
     let app = motion_detection_app();
     let arch = epicure_architecture(clbs);
@@ -94,7 +107,7 @@ fn main() {
         })
         .collect();
     write_csv(
-        &out,
+        out,
         &[
             "run",
             "lam_adaptive",

@@ -2,6 +2,7 @@
 //! gates CI on throughput regressions.
 //!
 //! Usage: `bench_compare <baseline.json> <current.json> [--max-regression PCT]`
+//! (`--help` prints the same).
 //!
 //! Both files are newline-delimited JSON records as written by the
 //! bench harness (`RDSE_BENCH_JSON`). Records are matched by `name`;
@@ -21,6 +22,7 @@
 //! deliberately whenever the engine's cost per step changes on
 //! purpose.
 
+use rdse_cli::{flag, Command};
 use serde_json::Value;
 
 fn as_f64(v: &Value) -> Option<f64> {
@@ -74,38 +76,22 @@ fn steps_per_sec(path: &str) -> Vec<(String, f64)> {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut baseline_path, mut current_path) = (None, None);
-    let mut max_regression = 25.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-regression" => {
-                max_regression = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-regression takes a percentage");
-                i += 2;
-            }
-            path if baseline_path.is_none() => {
-                baseline_path = Some(path.to_owned());
-                i += 1;
-            }
-            path if current_path.is_none() => {
-                current_path = Some(path.to_owned());
-                i += 1;
-            }
-            other => panic!("unexpected argument '{other}'"),
-        }
-    }
-    let (Some(baseline_path), Some(current_path)) = (baseline_path, current_path) else {
-        eprintln!("usage: bench_compare <baseline.json> <current.json> [--max-regression PCT]");
-        std::process::exit(2);
-    };
+static BENCH_COMPARE: Command = Command {
+    name: "bench_compare",
+    operands: "<baseline.json> <current.json>",
+    flags: &[flag("--max-regression", "PCT")],
+    about: "",
+};
 
-    let baseline = steps_per_sec(&baseline_path);
-    let current = steps_per_sec(&current_path);
+fn main() {
+    let args = BENCH_COMPARE.parse(std::env::args().skip(1));
+    let [baseline_path, current_path] = args.operands() else {
+        args.fail("missing <baseline.json> <current.json>");
+    };
+    let max_regression: f64 = args.num("--max-regression", 25.0);
+
+    let baseline = steps_per_sec(baseline_path);
+    let current = steps_per_sec(current_path);
 
     println!("bench comparison vs {baseline_path} (fail below -{max_regression:.0}%):");
     let mut compared = 0;

@@ -11,16 +11,18 @@
 //! reproduced quantity. Random search and hill climbing calibrate the
 //! comparison.
 //!
-//! Usage: `compare_ga [--runs N] [--clbs N] [--seed N] [--out F]`
+//! Run with `--help` for the flags. `--chains K` sizes the portfolio
+//! run.
 //!
 //! `--fronts` switches to the multi-objective view instead: per seed
-//! it runs the scalar GA and the NSGA-II GA ([--pop N] [--gens N])
+//! it runs the scalar GA and the NSGA-II GA (`--pop N`, `--gens N`)
 //! and reports front size, exact hypervolume against a shared
 //! reference point, and whether the front weakly dominates the scalar
 //! specialist's point.
 
 use rdse_baseline::{hill_climb, random_search, GaOptions, GeneticExplorer, HillClimbOptions};
-use rdse_bench::{arg_num, arg_value, mean, std_dev, write_csv};
+use rdse_bench::{mean, std_dev, write_csv};
+use rdse_cli::{flag, switch, Command};
 use rdse_mapping::{
     explore, explore_parallel, hypervolume, Cost, CostVector, Dominance, ExploreOptions,
     ParallelOptions,
@@ -29,20 +31,32 @@ use rdse_model::{Architecture, TaskGraph};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
 use std::time::Instant;
 
+#[rustfmt::skip]
+static COMPARE_GA: Command = Command {
+    name: "compare_ga",
+    operands: "",
+    flags: &[
+        flag("--runs", "N"), flag("--clbs", "N"), flag("--seed", "N"), flag("--out", "F.csv"),
+        flag("--chains", "K"), switch("--fronts"), flag("--pop", "N"), flag("--gens", "N"),
+    ],
+    about: "",
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let runs: u64 = arg_num(&args, "--runs", 10);
-    let clbs: u32 = arg_num(&args, "--clbs", 2_000);
-    let seed0: u64 = arg_num(&args, "--seed", 1);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "results/compare_ga.csv".into());
+    let args = COMPARE_GA.parse(std::env::args().skip(1));
+    let runs: u64 = args.num("--runs", 10);
+    let clbs: u32 = args.num("--clbs", 2_000);
+    let seed0: u64 = args.num("--seed", 1);
+    let out = args.value("--out").unwrap_or("results/compare_ga.csv");
+    let chains: usize = args.num("--chains", 8);
 
     let app = motion_detection_app();
     let arch = epicure_architecture(clbs);
 
-    if args.iter().any(|a| a == "--fronts") {
-        let population: usize = arg_num(&args, "--pop", 300);
-        let generations: usize = arg_num(&args, "--gens", 200);
-        compare_fronts(&app, &arch, runs, seed0, population, generations, &out);
+    if args.has("--fronts") {
+        let population: usize = args.num("--pop", 300);
+        let generations: usize = args.num("--gens", 200);
+        compare_fronts(&app, &arch, runs, seed0, population, generations, out);
         return;
     }
 
@@ -68,7 +82,6 @@ fn main() {
     // The same total budget spread over an 8-chain portfolio with
     // periodic best-solution exchange — the scale-out story of the new
     // engine at iteration-for-iteration parity with single-chain SA.
-    let chains: usize = arg_num(&args, "--chains", 8);
     let mut psa_ms = Vec::new();
     let mut psa_secs = Vec::new();
     for r in 0..runs {
@@ -198,7 +211,7 @@ fn main() {
         })
         .collect();
     write_csv(
-        &out,
+        out,
         &[
             "run",
             "sa_ms",

@@ -9,20 +9,32 @@
 //! execution time under the 40 ms constraint, finishing at 18.1 ms with
 //! 3 contexts after 5 000 iterations.
 //!
-//! Usage: `fig2 [--iters N] [--warmup N] [--clbs N] [--seed N] [--out F]`
+//! Run with `--help` for the flags.
 
-use rdse_bench::{arg_num, arg_value, ascii_plot, write_csv};
+use rdse_bench::{ascii_plot, write_csv};
+use rdse_cli::{flag, Command};
 use rdse_mapping::{explore, ExploreOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app, MOTION_DEADLINE};
 
+#[rustfmt::skip]
+static FIG2: Command = Command {
+    name: "fig2",
+    operands: "",
+    flags: &[
+        flag("--iters", "N"), flag("--warmup", "N"), flag("--clbs", "N"), flag("--seed", "N"),
+        flag("--lambda", "X"), flag("--out", "F.csv"),
+    ],
+    about: "",
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let iters: u64 = arg_num(&args, "--iters", 5_000);
-    let warmup: u64 = arg_num(&args, "--warmup", 1_200);
-    let clbs: u32 = arg_num(&args, "--clbs", 2_000);
-    let seed: u64 = arg_num(&args, "--seed", 1);
-    let lambda: f64 = arg_num(&args, "--lambda", 0.5);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "results/fig2.csv".into());
+    let args = FIG2.parse(std::env::args().skip(1));
+    let iters: u64 = args.num("--iters", 5_000);
+    let warmup: u64 = args.num("--warmup", 1_200);
+    let clbs: u32 = args.num("--clbs", 2_000);
+    let seed: u64 = args.num("--seed", 1);
+    let lambda: f64 = args.num("--lambda", 0.5);
+    let out = args.value("--out").unwrap_or("results/fig2.csv");
 
     let app = motion_detection_app();
     let arch = epicure_architecture(clbs);
@@ -133,7 +145,7 @@ fn main() {
         })
         .collect();
     write_csv(
-        &out,
+        out,
         &[
             "iteration",
             "exec_ms",

@@ -15,9 +15,10 @@
 //! statistically independent samples), which also parallelizes the
 //! sweep across cores deterministically.
 //!
-//! Usage: `fig3 [--runs N] [--iters N] [--seed N] [--threads T] [--out F]`
+//! Run with `--help` for the flags.
 
-use rdse_bench::{arg_num, arg_value, ascii_plot, mean, write_csv};
+use rdse_bench::{ascii_plot, mean, write_csv};
+use rdse_cli::{flag, Command};
 use rdse_mapping::{explore_parallel, ExploreOptions, ParallelOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
 
@@ -30,14 +31,25 @@ const SIZES: [u32; 16] = [
 /// reconfig, contexts).
 type SweepRow = (u32, f64, f64, f64, f64);
 
+#[rustfmt::skip]
+static FIG3: Command = Command {
+    name: "fig3",
+    operands: "",
+    flags: &[
+        flag("--runs", "N"), flag("--iters", "N"), flag("--seed", "N"), flag("--lambda", "X"),
+        flag("--threads", "T"), flag("--out", "F.csv"),
+    ],
+    about: "",
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let runs: u64 = arg_num(&args, "--runs", 100);
-    let iters: u64 = arg_num(&args, "--iters", 5_000);
-    let seed0: u64 = arg_num(&args, "--seed", 1);
-    let lambda: f64 = arg_num(&args, "--lambda", 0.5);
-    let threads: usize = arg_num(&args, "--threads", 0);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "results/fig3.csv".into());
+    let args = FIG3.parse(std::env::args().skip(1));
+    let runs: u64 = args.num("--runs", 100);
+    let iters: u64 = args.num("--iters", 5_000);
+    let seed0: u64 = args.num("--seed", 1);
+    let lambda: f64 = args.num("--lambda", 0.5);
+    let threads: usize = args.num("--threads", 0);
+    let out = args.value("--out").unwrap_or("results/fig3.csv");
 
     let app = motion_detection_app();
     let mut rows: Vec<SweepRow> = Vec::with_capacity(SIZES.len());
@@ -145,7 +157,7 @@ fn main() {
         .map(|r| vec![r.0 as f64, r.1, r.2, r.3, r.4])
         .collect();
     write_csv(
-        &out,
+        out,
         &[
             "size_clbs",
             "exec_ms",

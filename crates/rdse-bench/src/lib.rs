@@ -97,21 +97,6 @@ pub fn std_dev(values: &[f64]) -> f64 {
     (values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64).sqrt()
 }
 
-/// Parses `--flag value` style options from `std::env::args`.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses a numeric `--flag value`, falling back to `default`.
-pub fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,16 +117,5 @@ mod tests {
         assert!(p.contains('*') && p.contains('o'));
         assert!(p.contains("x: [0.00 .. 1.00]"));
         assert!(p.contains("demo"));
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["prog", "--runs", "25", "--out", "x.csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_num(&args, "--runs", 100u32), 25);
-        assert_eq!(arg_num(&args, "--missing", 7u32), 7);
-        assert_eq!(arg_value(&args, "--out").unwrap(), "x.csv");
     }
 }

@@ -83,6 +83,7 @@ impl ClientError {
             self.code.as_deref(),
             Some(
                 "bad-job"
+                    | "bad-model"
                     | "bad-objective"
                     | "bad-json"
                     | "unknown-app"

@@ -77,7 +77,7 @@ pub fn resolve_models(
             })?
             .generate(*seed),
         AppSpec::Inline(model) => TaskGraph::from_json_value(model)
-            .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline app: {e}")))?,
+            .map_err(|e| ServeError::new(ErrorCode::BadModel, format!("inline app: {e}")))?,
     };
     if app.n_tasks() == 0 {
         return Err(ServeError::new(
@@ -108,7 +108,7 @@ pub fn resolve_models(
             })?
             .build(*seed),
         ArchSpec::Inline(model) => Architecture::from_json_value(model)
-            .map_err(|e| ServeError::new(ErrorCode::BadJob, format!("inline arch: {e}")))?,
+            .map_err(|e| ServeError::new(ErrorCode::BadModel, format!("inline arch: {e}")))?,
     };
     let devices = arch.processors().len() + arch.drlcs().len() + arch.asics().len();
     if devices > limits.max_devices {
@@ -404,7 +404,7 @@ pub fn execute(
     })
     .map_err(|e| match e {
         // A model no search can start on is the job's fault.
-        MappingError::NoProcessor => ServeError::new(ErrorCode::BadJob, e),
+        MappingError::NoProcessor => ServeError::new(ErrorCode::BadModel, e),
         e => ServeError::new(ErrorCode::Internal, format!("exploration failed: {e}")),
     })?;
     if aborted {

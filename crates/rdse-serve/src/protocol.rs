@@ -208,6 +208,9 @@ pub enum ErrorCode {
     BadJson,
     /// Job spec was structurally invalid.
     BadJob,
+    /// An inline model failed to decode or validate, or no search can
+    /// start on it (an architecture without a processor).
+    BadModel,
     /// `objective` spec failed to parse.
     BadObjective,
     /// Unknown builtin app or workload family.
@@ -247,6 +250,7 @@ impl ErrorCode {
             ErrorCode::Truncated => "truncated-frame",
             ErrorCode::BadJson => "bad-json",
             ErrorCode::BadJob => "bad-job",
+            ErrorCode::BadModel => "bad-model",
             ErrorCode::BadObjective => "bad-objective",
             ErrorCode::UnknownApp => "unknown-app",
             ErrorCode::UnknownArch => "unknown-arch",

@@ -272,7 +272,7 @@ fn with_field(model: Value, field: &str, value: Value) -> Value {
 }
 
 /// Submits a figure1 job with `app` or `arch` swapped for an inline
-/// model the search cannot run on, and asserts a typed `bad-job` error
+/// model the search cannot run on, and asserts a typed `bad-model` error
 /// naming `cause` (never a worker panic answered as `internal`), after
 /// which the same lane still serves.
 fn assert_bad_inline_model(app: Option<Value>, arch: Option<Value>, cause: &str) {
@@ -289,21 +289,22 @@ fn assert_bad_inline_model(app: Option<Value>, arch: Option<Value>, cause: &str)
         ..figure1.clone()
     };
     let err = client::submit(&addr, &spec, &opts, |_| {}).expect_err(cause);
-    assert_eq!(err.code.as_deref(), Some("bad-job"), "{}", err.message);
+    assert_eq!(err.code.as_deref(), Some("bad-model"), "{}", err.message);
+    assert!(err.is_usage(), "bad-model should map to a usage error");
     assert!(err.message.contains(cause), "{}", err.message);
     client::submit(&addr, &figure1, &opts, |_| {}).expect("a valid job runs");
     shut_down(handle);
 }
 
 #[test]
-fn an_inline_architecture_without_a_processor_gets_bad_job() {
+fn an_inline_architecture_without_a_processor_gets_bad_model() {
     let arch = rdse_workloads::epicure_architecture(2000).to_value();
     let arch = with_field(arch, "processors", Value::Seq(vec![]));
     assert_bad_inline_model(None, Some(arch), "no processor");
 }
 
 #[test]
-fn an_inline_app_whose_edges_name_missing_tasks_gets_bad_job() {
+fn an_inline_app_whose_edges_name_missing_tasks_gets_bad_model() {
     let app = rdse_workloads::figure1_app().to_value();
     let app = with_field(app, "tasks", Value::Seq(vec![]));
     assert_bad_inline_model(Some(app), None, "unknown task");
@@ -318,7 +319,7 @@ fn with_first_number(model: Value, key: &str, value: &str) -> Value {
 }
 
 #[test]
-fn inline_models_with_out_of_range_numbers_get_bad_job() {
+fn inline_models_with_out_of_range_numbers_get_bad_model() {
     let arch = || rdse_workloads::epicure_architecture(2000).to_value();
     for (key, value, cause) in [
         ("n_clbs", "0", "zero CLB capacity"),

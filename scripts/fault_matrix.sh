@@ -139,6 +139,10 @@ declare -A FAULTS=(
     # instead of resuming at it.
     [store_resync_skips_one]="rdse-store:torn_tail
         corruption_at_every_byte_of_the_first_record_keeps_every_later_record"
+    # The command-line parser skips a flag its command's table does not
+    # declare, so `rdse explore ... --bogus` runs on the defaults.
+    [cli_unknown_flag_ignored]="rdse:cli
+        unknown_repeated_and_valueless_flags_exit_with_code_2"
 )
 
 if [ "$#" -gt 0 ]; then

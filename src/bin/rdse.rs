@@ -2,38 +2,9 @@
 //! mappings (single-chain or parallel portfolio), sweep architecture
 //! grids, render schedules, and validate them by simulation.
 //!
-//! ```text
-//! rdse generate <motion|figure1|layered|series-parallel|scenario> [--clbs N] [--seed N]
-//!               [--sections N] [--branches N] [--workload FAM] [--arch-family FAM] [--dir D]
-//! rdse explore  --app F.json --arch F.json [--iters N] [--warmup N]
-//!               [--seed N] [--lambda X] [--chains K] [--threads T]
-//!               [--exchange-every E] [--bandit] [--front-exchange]
-//!               [--gantt] [--profile] [--save-mapping F]
-//!               [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]
-//! rdse ga       --app F.json --arch F.json [--population N] [--generations N]
-//!               [--seed N] [--nsga2]
-//! rdse sweep    [--app F.json] [--clbs A,B,...] [--bus A,B,...]
-//!               [--iters N] [--seed N] [--chains K] [--threads T]
-//!               [--out F.json] [--csv F.csv]
-//! rdse simulate --app F.json --arch F.json --mapping F.json [--contention]
-//! rdse space    --app F.json
-//! rdse corpus   list
-//! rdse corpus   run [--smoke] [--families a,b] [--arches a,b] [--seeds 1,2]
-//!               [--iters N] [--warmup N] [--chains K] [--threads T]
-//!               [--exchange-every E] [--walk-steps W] [--out F.ndjson]
-//!               [--golden F] [--write-golden F]
-//! rdse serve    [--host H] [--port P] [--workers N] [--max-frame-len B]
-//!               [--max-tasks N] [--max-iters N] [--max-chains N]
-//!               [--max-sessions N] [--read-timeout-ms N]
-//!               [--store F.aof] [--store-sync always|interval:N|never]
-//! rdse store    <stats|compact|verify> --path F.aof
-//! rdse submit   --addr HOST:PORT (--app F.json | --builtin NAME | --workload FAM)
-//!               (--arch F.json | --clbs N | --arch-family FAM)
-//!               [--app-seed N] [--arch-seed N] [--objective SPEC] [--iters N]
-//!               [--warmup N] [--seed N] [--chains K] [--exchange-every E]
-//!               [--quiet]
-//! rdse submit   --addr HOST:PORT (--health | --shutdown | --get-job ID)
-//! ```
+//! Every command's flags are declared once, in the tables below;
+//! `rdse --help` and `rdse <command> --help` print usage generated
+//! from them.
 
 use rdse::baseline::{GaOptions, GeneticExplorer};
 use rdse::corpus::{
@@ -41,7 +12,7 @@ use rdse::corpus::{
 };
 use rdse::mapping::{
     chain_seed, evaluate, explore, explore_parallel, lexi_min, CostVector, Dominance,
-    ExploreOptions, GanttChart, Mapping, Objective, ParallelOptions, ParetoFront,
+    ExploreOptions, ExploreOutcome, GanttChart, Mapping, Objective, ParallelOptions, ParetoFront,
 };
 use rdse::model::units::{Clbs, Micros};
 use rdse::model::{Architecture, TaskGraph};
@@ -56,10 +27,167 @@ use rdse::workloads::{
     epicure_architecture, figure1_app, layered_dag, motion_detection_app, series_parallel_dag,
     LayeredDagConfig,
 };
+use rdse_cli::{self as cli, flag, required, switch, Args, Command};
 use serde::Serialize;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Mutex;
+
+#[rustfmt::skip]
+static GENERATE: Command = Command {
+    name: "rdse generate",
+    operands: "[<motion|figure1|layered|series-parallel|scenario>]",
+    flags: &[
+        flag("--clbs", "N"), flag("--seed", "N"), flag("--sections", "N"), flag("--branches", "N"),
+        flag("--workload", "FAM"), flag("--arch-family", "FAM"), flag("--dir", "D"),
+    ],
+    about: "",
+};
+
+#[rustfmt::skip]
+static EXPLORE: Command = Command {
+    name: "rdse explore",
+    operands: "",
+    flags: &[
+        required("--app", "F.json"), required("--arch", "F.json"), flag("--iters", "N"),
+        flag("--warmup", "N"), flag("--seed", "N"), flag("--lambda", "X"), flag("--chains", "K"),
+        flag("--threads", "T"), flag("--exchange-every", "E"), switch("--bandit"),
+        switch("--front-exchange"), switch("--gantt"), switch("--profile"),
+        flag("--save-mapping", "F"),
+        flag("--objective", "makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>"),
+    ],
+    about: "",
+};
+
+#[rustfmt::skip]
+static GA: Command = Command {
+    name: "rdse ga",
+    operands: "",
+    flags: &[
+        required("--app", "F.json"), required("--arch", "F.json"), flag("--population", "N"),
+        flag("--generations", "N"), flag("--seed", "N"), switch("--nsga2"),
+    ],
+    about: "",
+};
+
+#[rustfmt::skip]
+static SWEEP: Command = Command {
+    name: "rdse sweep",
+    operands: "",
+    flags: &[
+        flag("--app", "F.json"), flag("--clbs", "A,B,..."), flag("--bus", "A,B,..."),
+        flag("--iters", "N"), flag("--warmup", "N"), flag("--seed", "N"), flag("--lambda", "X"),
+        flag("--chains", "K"), flag("--threads", "T"), flag("--exchange-every", "E"),
+        flag("--out", "F.json"), flag("--csv", "F.csv"),
+    ],
+    about: "",
+};
+
+#[rustfmt::skip]
+static SIMULATE: Command = Command {
+    name: "rdse simulate",
+    operands: "",
+    flags: &[
+        required("--app", "F.json"), required("--arch", "F.json"), required("--mapping", "F.json"),
+        switch("--contention"),
+    ],
+    about: "",
+};
+
+static SPACE: Command = Command {
+    name: "rdse space",
+    operands: "",
+    flags: &[required("--app", "F.json")],
+    about: "",
+};
+
+static CORPUS_LIST: Command = Command {
+    name: "rdse corpus",
+    operands: "list",
+    flags: &[],
+    about: "",
+};
+
+#[rustfmt::skip]
+static CORPUS_RUN: Command = Command {
+    name: "rdse corpus",
+    operands: "run",
+    flags: &[
+        switch("--smoke"), flag("--families", "a,b"), flag("--arches", "a,b"),
+        flag("--seeds", "1,2"), flag("--iters", "N"), flag("--warmup", "N"), flag("--chains", "K"),
+        flag("--threads", "T"), flag("--exchange-every", "E"), flag("--walk-steps", "W"),
+        flag("--out", "F.ndjson"), flag("--golden", "F"), flag("--write-golden", "F"),
+    ],
+    about: "",
+};
+
+#[rustfmt::skip]
+static SERVE: Command = Command {
+    name: "rdse serve",
+    operands: "",
+    flags: &[
+        flag("--host", "H"), flag("--port", "P"), flag("--workers", "N"),
+        flag("--max-frame-len", "B"), flag("--max-tasks", "N"), flag("--max-devices", "N"),
+        flag("--max-iters", "N"), flag("--max-chains", "N"), flag("--max-sessions", "N"),
+        flag("--read-timeout-ms", "N"), flag("--store", "F.aof"),
+        flag("--store-sync", "always|interval:N|never"),
+    ],
+    about: "Serves exploration jobs over TCP (framed RPC and HTTP/1.1 on the same\n\
+            port). --port 0 picks a free port; the bound address is printed on\n\
+            stdout as 'rdse serve listening on HOST:PORT'. Stop it with\n\
+            `rdse submit --addr HOST:PORT --shutdown`.\n\
+            \n\
+            --store persists every finished exploration to an append-only log and\n\
+            answers repeat submissions from it: identical jobs return the archived\n\
+            result bit-identically with no search, and new jobs over a known\n\
+            (app, arch) pair warm-start from the best archived mapping.\n\
+            --store-sync sets the fsync cadence (default: always).",
+};
+
+static STORE: Command = Command {
+    name: "rdse store",
+    operands: "<stats|compact|verify>",
+    flags: &[required("--path", "F.aof")],
+    about: "stats    replay the log read-only and report record, pair and byte\n\
+            \x20        counts (damaged spans and a torn tail are reported, not\n\
+            \x20        repaired)\n\
+            compact  atomically rewrite the log keeping the latest record per\n\
+            \x20        key (temp file + rename; drops damaged spans and a torn tail)\n\
+            verify   replay the log read-only; exit 0 if every byte is intact,\n\
+            \x20        1 naming every damaged span and the damaged tail",
+};
+
+#[rustfmt::skip]
+static SUBMIT: Command = Command {
+    name: "rdse submit",
+    operands: "",
+    flags: &[
+        required("--addr", "HOST:PORT"), flag("--app", "F.json"), flag("--builtin", "NAME"),
+        flag("--workload", "FAM"), flag("--app-seed", "N"), flag("--arch", "F.json"),
+        flag("--clbs", "N"), flag("--arch-family", "FAM"), flag("--arch-seed", "N"),
+        flag("--objective", "SPEC"), flag("--iters", "N"), flag("--warmup", "N"),
+        flag("--seed", "N"), flag("--chains", "K"), flag("--exchange-every", "E"),
+        switch("--quiet"), flag("--max-frame-len", "B"), switch("--health"), switch("--shutdown"),
+        flag("--get-job", "ID"),
+    ],
+    about: "Submits one exploration job over the framed RPC transport and streams\n\
+            progress updates to stderr until the final result. Results are\n\
+            bit-identical to `rdse explore` for the same models, seed and chains.\n\
+            Malformed input (bad --objective, over-limit job) exits with code 2\n\
+            and a named cause; transport and server failures exit with code 1.\n\
+            \n\
+            A job names its application with one of --app, --builtin or\n\
+            --workload (seeded by --app-seed), and its architecture with one of\n\
+            --arch, --clbs or --arch-family (seeded by --arch-seed). --health,\n\
+            --shutdown and --get-job ID probe or stop the server instead.",
+};
+
+/// Every command, in the order `rdse --help` lists them.
+#[rustfmt::skip]
+static COMMANDS: [&Command; 11] = [
+    &GENERATE, &EXPLORE, &GA, &SWEEP, &SIMULATE, &SPACE, &CORPUS_LIST, &CORPUS_RUN, &SERVE, &STORE,
+    &SUBMIT,
+];
 
 /// Shadows `std::println!` in this binary: once stdout is closed
 /// (`rdse explore ... | head -1`), the command ends quietly with exit
@@ -79,87 +207,70 @@ fn print_line(args: std::fmt::Arguments<'_>) {
     }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+/// A command's result: `Err` holds the runtime failure to print on
+/// stderr, after which `rdse` exits 1. A rejected command line exits 2
+/// from [`Args`] instead.
+type Outcome = Result<(), String>;
 
-/// The value of `flag` parsed as a `T`, or `default` when the flag is
-/// absent. A value that does not parse ends the command with
-/// [`EXIT_USAGE`], naming the flag and the value: running on the default
-/// instead would hide the mistake.
-fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    let Some(value) = arg_value(args, flag) else {
-        return default;
-    };
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} expects a number, got '{value}'");
-        std::process::exit(i32::from(EXIT_USAGE))
-    })
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         rdse generate <motion|figure1|layered|series-parallel> [--clbs N] [--seed N]\n                [--sections N] [--branches N] [--dir D]\n  \
-         rdse explore  --app F.json --arch F.json [--iters N] [--warmup N] [--seed N] [--lambda X]\n                [--chains K] [--threads T] [--exchange-every E] [--bandit] [--front-exchange]\n                [--gantt] [--profile] [--save-mapping F]\n                [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]\n  \
-         rdse ga       --app F.json --arch F.json [--population N] [--generations N] [--seed N] [--nsga2]\n  \
-         rdse sweep    [--app F.json] [--clbs A,B,...] [--bus A,B,...] [--iters N] [--seed N]\n                [--chains K] [--threads T] [--exchange-every E] [--out F.json] [--csv F.csv]\n  \
-         rdse simulate --app F.json --arch F.json --mapping F.json [--contention]\n  \
-         rdse space    --app F.json\n  \
-         rdse corpus   list\n  \
-         rdse corpus   run [--smoke] [--families a,b] [--arches a,b] [--seeds 1,2] [--iters N]\n                [--warmup N] [--chains K] [--threads T] [--exchange-every E] [--walk-steps W]\n                [--out F.ndjson] [--golden F] [--write-golden F]\n  \
-         rdse serve    [--host H] [--port P] [--workers N] [--max-frame-len B] [--max-tasks N]\n                [--max-iters N] [--max-chains N] [--max-sessions N] [--read-timeout-ms N]\n                [--store F.aof] [--store-sync always|interval:N|never]\n  \
-         rdse store    <stats|compact|verify> --path F.aof\n  \
-         rdse submit   --addr HOST:PORT (--app F.json | --builtin NAME | --workload FAM)\n                (--arch F.json | --clbs N | --arch-family FAM) [--objective SPEC] [--iters N]\n                [--seed N] [--chains K] [--quiet] | (--health | --shutdown | --get-job ID)"
-    );
-    ExitCode::FAILURE
+/// The common shape of a runtime failure message.
+fn err(e: impl std::fmt::Display) -> String {
+    format!("error: {e}")
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+    let mut args = std::env::args().skip(1).peekable();
+    let Some(cmd) = args.next() else {
+        cli::fail("rdse", "missing command");
     };
-    match cmd.as_str() {
-        "generate" => generate(&args),
-        "explore" => run_explore(&args),
-        "ga" => run_ga(&args),
-        "sweep" => run_sweep(&args),
-        "simulate" => run_simulate(&args),
-        "space" => run_space(&args),
-        "corpus" => run_corpus_cmd(&args),
-        "serve" => run_serve(&args),
-        "submit" => run_submit(&args),
-        "store" => run_store(&args),
-        _ => usage(),
+    let outcome = match cmd.as_str() {
+        "--help" => {
+            println!("{}", cli::synopsis(&COMMANDS, ""));
+            Ok(())
+        }
+        "generate" => generate(&GENERATE.parse(args)),
+        "explore" => run_explore(&EXPLORE.parse(args)),
+        "ga" => run_ga(&GA.parse(args)),
+        "sweep" => run_sweep(&SWEEP.parse(args)),
+        "simulate" => run_simulate(&SIMULATE.parse(args)),
+        "space" => run_space(&SPACE.parse(args)),
+        "corpus" => match args.peek().cloned().as_deref() {
+            Some("list") => corpus_list(&CORPUS_LIST.parse(args)),
+            Some("run") => run_corpus_run(&CORPUS_RUN.parse(args)),
+            Some("--help") => cli::help(&[&CORPUS_LIST, &CORPUS_RUN], "usage: "),
+            Some(other) => cli::fail(
+                "rdse corpus",
+                format_args!("unknown corpus subcommand '{other}' (expected list or run)"),
+            ),
+            None => cli::fail(
+                "rdse corpus",
+                "missing corpus subcommand (expected list or run)",
+            ),
+        },
+        "serve" => run_serve(&SERVE.parse(args)),
+        "store" => run_store(&STORE.parse(args)),
+        "submit" => run_submit(&SUBMIT.parse(args)),
+        other => cli::fail("rdse", format_args!("unknown command '{other}'")),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Exit code for a malformed command line that was understood but
-/// rejected (e.g. a bad `--objective` spec), distinct from runtime
-/// failures (1).
-const EXIT_USAGE: u8 = 2;
-
 /// Parses `--objective makespan | weighted:<w_mk>,<w_area>,<w_rc> |
-/// lexi:<axis>[,<axis>...]` into an [`Objective`]. `None` when the
-/// flag is absent (default: minimize makespan).
-///
-/// Errors name the offending part, and callers exit with code 2:
-/// unknown scheme, wrong weight arity, negative/non-finite weights,
-/// unknown or duplicate lexicographic axes.
-fn parse_objective(args: &[String]) -> Result<Option<Objective>, String> {
-    let Some(spec) = arg_value(args, "--objective") else {
-        return Ok(None);
-    };
+/// lexi:<axis>[,<axis>...]` into an [`Objective`] (default: minimize
+/// makespan). A malformed spec rejects the command line, naming the
+/// offending part: unknown scheme, wrong weight arity,
+/// negative/non-finite weights, unknown or duplicate lexicographic axes.
+fn parse_objective(args: &Args) -> Objective {
     // The shared grammar lives on Objective so the server validates
     // submissions identically; its messages say "objective ...", which
     // becomes "--objective ..." here to name the offending flag.
-    Objective::parse_spec(&spec)
-        .map(Some)
-        .map_err(|e| e.replacen("objective", "--objective", 1))
+    Objective::parse_spec(args.value("--objective").unwrap_or("makespan"))
+        .unwrap_or_else(|e| args.fail(e.replacen("objective", "--objective", 1)))
 }
 
 /// Prints the Pareto front of an exploration in canonical
@@ -177,19 +288,20 @@ fn print_front(front: &ParetoFront<CostVector>) {
     }
 }
 
-fn load_models(args: &[String]) -> Result<(TaskGraph, Architecture), String> {
-    let app_path = arg_value(args, "--app").ok_or("missing --app")?;
-    let arch_path = arg_value(args, "--arch").ok_or("missing --arch")?;
-    let app = TaskGraph::load(&app_path).map_err(|e| format!("{app_path}: {e}"))?;
-    let arch = Architecture::load(&arch_path).map_err(|e| format!("{arch_path}: {e}"))?;
+fn load_models(args: &Args) -> Result<(TaskGraph, Architecture), String> {
+    let (app_path, arch_path) = (args.required("--app"), args.required("--arch"));
+    let app = TaskGraph::load(app_path).map_err(|e| err(format_args!("{app_path}: {e}")))?;
+    let arch = Architecture::load(arch_path).map_err(|e| err(format_args!("{arch_path}: {e}")))?;
     Ok((app, arch))
 }
 
-fn generate(args: &[String]) -> ExitCode {
-    let kind = args.get(1).map(String::as_str).unwrap_or("motion");
-    let clbs: u32 = arg_num(args, "--clbs", 2000);
-    let seed: u64 = arg_num(args, "--seed", 1);
-    let dir = arg_value(args, "--dir").unwrap_or_else(|| ".".into());
+fn generate(args: &Args) -> Outcome {
+    let kind = args.operands().first().map_or("motion", String::as_str);
+    let clbs: u32 = args.num("--clbs", 2000);
+    let seed: u64 = args.num("--seed", 1);
+    let sections: usize = args.num("--sections", 4);
+    let branches: usize = args.num("--branches", 3);
+    let dir = args.value("--dir").unwrap_or(".");
     let (app, arch, name) = match kind {
         "motion" => (motion_detection_app(), epicure_architecture(clbs), "motion"),
         "figure1" => (figure1_app(), epicure_architecture(clbs), "figure1"),
@@ -198,114 +310,80 @@ fn generate(args: &[String]) -> ExitCode {
             epicure_architecture(clbs),
             "layered",
         ),
-        "series-parallel" => {
-            let sections: usize = arg_num(args, "--sections", 4);
-            let branches: usize = arg_num(args, "--branches", 3);
-            (
-                series_parallel_dag(sections, branches, seed),
-                epicure_architecture(clbs),
-                "series-parallel",
-            )
-        }
+        "series-parallel" => (
+            series_parallel_dag(sections, branches, seed),
+            epicure_architecture(clbs),
+            "series-parallel",
+        ),
         // A corpus scenario (workload family × platform template ×
         // seed), saved as files so the offline explore path can be
         // compared bit-for-bit against a served job naming the same
         // scenario.
         "scenario" => {
-            let workload = arg_value(args, "--workload").unwrap_or_else(|| "layered".into());
-            let arch_family = arg_value(args, "--arch-family").unwrap_or_else(|| "epicure".into());
-            let Some(wf) = WorkloadFamily::parse(&workload) else {
-                eprintln!("error: unknown --workload family '{workload}' (see `rdse corpus list`)");
-                return ExitCode::from(EXIT_USAGE);
+            let workload = args.value("--workload").unwrap_or("layered");
+            let arch_family = args.value("--arch-family").unwrap_or("epicure");
+            let Some(wf) = WorkloadFamily::parse(workload) else {
+                args.fail(format_args!(
+                    "unknown --workload family '{workload}' (see `rdse corpus list`)"
+                ));
             };
-            let Some(af) = ArchFamily::parse(&arch_family) else {
-                eprintln!("error: unknown --arch-family '{arch_family}' (see `rdse corpus list`)");
-                return ExitCode::from(EXIT_USAGE);
+            let Some(af) = ArchFamily::parse(arch_family) else {
+                args.fail(format_args!(
+                    "unknown --arch-family '{arch_family}' (see `rdse corpus list`)"
+                ));
             };
             (wf.generate(seed), af.build(seed), "scenario")
         }
-        other => {
-            eprintln!("unknown workload '{other}'");
-            return usage();
-        }
+        other => args.fail(format_args!("unknown workload '{other}'")),
     };
     let app_path = format!("{dir}/{name}-app.json");
     let arch_path = format!("{dir}/{name}-arch.json");
-    if let Err(e) = app.save(&app_path).and_then(|()| arch.save(&arch_path)) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    app.save(&app_path)
+        .and_then(|()| arch.save(&arch_path))
+        .map_err(err)?;
     println!(
         "wrote {app_path} ({} tasks) and {arch_path} ({clbs} CLBs)",
         app.n_tasks()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_explore(args: &[String]) -> ExitCode {
-    let (app, arch) = match load_models(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let objective = match parse_objective(args) {
-        Ok(o) => o.unwrap_or(Objective::MinimizeMakespan),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+fn run_explore(args: &Args) -> Outcome {
     let opts = ExploreOptions {
-        max_iterations: arg_num(args, "--iters", 5_000),
-        warmup_iterations: arg_num(args, "--warmup", 1_200),
-        seed: arg_num(args, "--seed", 1),
-        lambda: arg_num(args, "--lambda", 0.5),
-        objective,
-        bandit_moves: args.iter().any(|a| a == "--bandit"),
+        max_iterations: args.num("--iters", 5_000),
+        warmup_iterations: args.num("--warmup", 1_200),
+        seed: args.num("--seed", 1),
+        lambda: args.num("--lambda", 0.5),
+        objective: parse_objective(args),
+        bandit_moves: args.has("--bandit"),
         ..ExploreOptions::default()
     };
-    let chains: usize = arg_num(args, "--chains", 1);
+    let chains: usize = args.num("--chains", 1);
+    let threads: usize = args.num("--threads", 0);
+    let exchange_every: u64 = args.num("--exchange-every", 500);
+    let (app, arch) = load_models(args)?;
 
+    let failed = |e| format!("exploration failed: {e}");
     let (outcome, portfolio) = if chains > 1 {
         let popts = ParallelOptions {
             base: opts.clone(),
             chains,
-            threads: arg_num(args, "--threads", 0),
-            exchange_every: arg_num(args, "--exchange-every", 500),
+            threads,
+            exchange_every,
             warm_start: None,
-            front_exchange: args.iter().any(|a| a == "--front-exchange"),
+            front_exchange: args.has("--front-exchange"),
         };
-        match explore_parallel(&app, &arch, &popts) {
-            Ok(p) => {
-                let mapping = p.mapping.clone();
-                let evaluation = p.evaluation.clone();
-                let run = p.chains[p.winner].run.clone();
-                let eval_stats = p.chains[p.winner].eval_stats;
-                (
-                    rdse::mapping::ExploreOutcome {
-                        mapping,
-                        evaluation,
-                        run,
-                        eval_stats,
-                    },
-                    Some(p),
-                )
-            }
-            Err(e) => {
-                eprintln!("exploration failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let p = explore_parallel(&app, &arch, &popts).map_err(failed)?;
+        let winner = &p.chains[p.winner];
+        let outcome = ExploreOutcome {
+            mapping: p.mapping.clone(),
+            evaluation: p.evaluation.clone(),
+            run: winner.run.clone(),
+            eval_stats: winner.eval_stats,
+        };
+        (outcome, Some(p))
     } else {
-        match explore(&app, &arch, &opts) {
-            Ok(o) => (o, None),
-            Err(e) => {
-                eprintln!("exploration failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        (explore(&app, &arch, &opts).map_err(failed)?, None)
     };
 
     println!(
@@ -367,7 +445,7 @@ fn run_explore(args: &[String]) -> ExitCode {
     } else {
         println!("wall time     : {:?}", outcome.run.elapsed);
     }
-    if args.iter().any(|a| a == "--profile") {
+    if args.has("--profile") {
         match &portfolio {
             Some(p) => {
                 for c in &p.chains {
@@ -377,49 +455,34 @@ fn run_explore(args: &[String]) -> ExitCode {
             None => print_profile("chain  0", &outcome.run, outcome.eval_stats),
         }
     }
-    if args.iter().any(|a| a == "--gantt") {
+    if args.has("--gantt") {
         let chart = GanttChart::extract(&app, &arch, &outcome.mapping, &outcome.evaluation);
         println!("{}", chart.render_ascii(&app, &arch, 100));
     }
-    if let Some(path) = arg_value(args, "--save-mapping") {
-        match save_json(&path, &outcome.mapping) {
-            Ok(()) => println!("mapping saved : {path}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = args.value("--save-mapping") {
+        save_json(path, &outcome.mapping).map_err(err)?;
+        println!("mapping saved : {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The §5 baseline as a first-class command: the Ben Chehida & Auguin
 /// style genetic algorithm over spatial partitions, scalar
 /// (makespan-only) by default, NSGA-II over the full cost vector with
 /// `--nsga2`. Deterministic per seed, like `explore`.
-fn run_ga(args: &[String]) -> ExitCode {
-    let (app, arch) = match load_models(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let nsga2 = args.iter().any(|a| a == "--nsga2");
+fn run_ga(args: &Args) -> Outcome {
+    let nsga2 = args.has("--nsga2");
     let opts = GaOptions {
-        population: arg_num(args, "--population", 300),
-        generations: arg_num(args, "--generations", 200),
-        seed: arg_num(args, "--seed", 1),
+        population: args.num("--population", 300),
+        generations: args.num("--generations", 200),
+        seed: args.num("--seed", 1),
         nsga2,
         ..GaOptions::default()
     };
-    let outcome = match GeneticExplorer::new(&app, &arch, opts).run() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("GA failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (app, arch) = load_models(args)?;
+    let outcome = GeneticExplorer::new(&app, &arch, opts)
+        .run()
+        .map_err(|e| format!("GA failed: {e}"))?;
     println!(
         "best makespan : {} ({} generations, {} evaluations)",
         outcome.evaluation.makespan, outcome.generations, outcome.evaluations
@@ -444,7 +507,7 @@ fn run_ga(args: &[String]) -> ExitCode {
     );
     print_front(&outcome.front);
     println!("wall time     : {:?}", outcome.elapsed);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// One `--profile` line: step throughput, move statistics and the
@@ -577,26 +640,6 @@ struct SweepReport {
     points: Vec<SweepPoint>,
 }
 
-/// Parses a comma-separated `--flag a,b,c` list. As with [`arg_num`], a
-/// malformed entry is an error — silently dropping it would shrink the
-/// sweep grid behind the user's back.
-fn parse_list<T: std::str::FromStr + Copy>(
-    args: &[String],
-    flag: &str,
-    default: &[T],
-) -> Result<Vec<T>, String> {
-    match arg_value(args, flag) {
-        None => Ok(default.to_vec()),
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                let s = s.trim();
-                s.parse().map_err(|_| format!("invalid {flag} entry '{s}'"))
-            })
-            .collect(),
-    }
-}
-
 /// Creates `path`'s parent directory (and ancestors) if missing, so
 /// report flags like `--out results/sweep.json` work from a fresh
 /// checkout.
@@ -611,43 +654,29 @@ fn ensure_parent_dir(path: &str) -> Result<(), String> {
 /// Fans the workload out over a CLB-count × bus-width grid, exploring
 /// every point in parallel, and reports the Pareto-optimal
 /// (area, bus, makespan) corners.
-fn run_sweep(args: &[String]) -> ExitCode {
-    let app = match arg_value(args, "--app") {
-        Some(path) => match TaskGraph::load(&path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => motion_detection_app(),
-    };
-    let grids = parse_list(args, "--clbs", &[400u32, 800, 1500, 2000, 3000, 5000])
-        .and_then(|c| parse_list(args, "--bus", &[25.0f64, 50.0, 100.0]).map(|b| (c, b)));
-    let (clbs_grid, bus_grid) = match grids {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if clbs_grid.is_empty() || bus_grid.is_empty() {
-        eprintln!("error: empty --clbs or --bus grid");
-        return ExitCode::FAILURE;
-    }
-    let iters: u64 = arg_num(args, "--iters", 5_000);
-    let warmup: u64 = arg_num(args, "--warmup", iters / 5);
-    let seed: u64 = arg_num(args, "--seed", 1);
-    let lambda: f64 = arg_num(args, "--lambda", 0.5);
-    let chains: usize = arg_num(args, "--chains", 1);
-    let exchange_every: u64 = arg_num(args, "--exchange-every", 500);
-    let threads: usize = arg_num(args, "--threads", 0);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
+fn run_sweep(args: &Args) -> Outcome {
+    let clbs_grid = args
+        .list("--clbs", |s| s.parse().ok())
+        .unwrap_or_else(|| vec![400u32, 800, 1500, 2000, 3000, 5000]);
+    let bus_grid = args
+        .list("--bus", |s| s.parse().ok())
+        .unwrap_or_else(|| vec![25.0f64, 50.0, 100.0]);
+    let iters: u64 = args.num("--iters", 5_000);
+    let warmup: u64 = args.num("--warmup", iters / 5);
+    let seed: u64 = args.num("--seed", 1);
+    let lambda: f64 = args.num("--lambda", 0.5);
+    let chains: usize = args.num("--chains", 1);
+    let exchange_every: u64 = args.num("--exchange-every", 500);
+    let threads = match args.num("--threads", 0) {
+        0 => std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
+            .unwrap_or(1),
+        t => t,
+    };
+    let out = args.value("--out").unwrap_or("results/sweep.json");
+    let app = match args.value("--app") {
+        Some(path) => TaskGraph::load(path).map_err(|e| err(format_args!("{path}: {e}")))?,
+        None => motion_detection_app(),
     };
 
     // The grid, in deterministic order; each point gets its own master
@@ -747,8 +776,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
     });
 
     if let Some(e) = failure.into_inner().expect("failure lock") {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        return Err(err(e));
     }
     let mut rows = results.into_inner().expect("results lock");
     rows.sort_by_key(|(idx, _)| *idx);
@@ -800,17 +828,11 @@ fn run_sweep(args: &[String]) -> ExitCode {
         front_size: grid_front.len(),
         points,
     };
-    let out = arg_value(args, "--out").unwrap_or_else(|| "results/sweep.json".into());
-    if let Err(e) = ensure_parent_dir(&out) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = save_json(&out, &report) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    ensure_parent_dir(out)
+        .and_then(|()| save_json(out, &report))
+        .map_err(err)?;
     println!("report saved : {out}");
-    if let Some(csv) = arg_value(args, "--csv") {
+    if let Some(csv) = args.value("--csv") {
         let mut text = String::from(
             "clbs,bus_bytes_per_micro,makespan_ms,n_contexts,n_hw_tasks,clb_area,\
              initial_reconfig_ms,dynamic_reconfig_ms,winner_chain,iterations,pareto\n",
@@ -831,40 +853,24 @@ fn run_sweep(args: &[String]) -> ExitCode {
                 p.pareto
             ));
         }
-        if let Err(e) = ensure_parent_dir(&csv).and_then(|()| {
-            std::fs::write(&csv, text).map_err(|e| format!("cannot write '{csv}': {e}"))
-        }) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        ensure_parent_dir(csv)
+            .and_then(|()| {
+                std::fs::write(csv, text).map_err(|e| format!("cannot write '{csv}': {e}"))
+            })
+            .map_err(err)?;
         println!("csv saved    : {csv}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_simulate(args: &[String]) -> ExitCode {
-    let (app, arch) = match load_models(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let Some(mapping_path) = arg_value(args, "--mapping") else {
-        eprintln!("missing --mapping");
-        return usage();
-    };
-    let mapping: Mapping = match std::fs::read_to_string(&mapping_path)
+fn run_simulate(args: &Args) -> Outcome {
+    let mapping_path = args.required("--mapping");
+    let (app, arch) = load_models(args)?;
+    let mapping: Mapping = std::fs::read_to_string(mapping_path)
         .map_err(|e| e.to_string())
         .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-    {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error reading {mapping_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = if args.iter().any(|a| a == "--contention") {
+        .map_err(|e| format!("error reading {mapping_path}: {e}"))?;
+    let cfg = if args.has("--contention") {
         SimConfig::with_contention()
     } else {
         SimConfig::contention_free()
@@ -881,66 +887,38 @@ fn run_simulate(args: &[String]) -> ExitCode {
                 report.n_transfers, report.bus_busy
             );
             println!("reconfiguration   : {}", report.reconfig_total);
-            ExitCode::SUCCESS
+            Ok(())
         }
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("simulation failed: {e}");
-            ExitCode::FAILURE
-        }
+        (Err(e), _) | (_, Err(e)) => Err(format!("simulation failed: {e}")),
     }
 }
 
-/// Parses `--families`/`--arches` comma lists into registry entries,
-/// erroring on unknown names (silently dropping one would shrink the
-/// corpus behind the user's back).
-fn parse_family_list<T, F: Fn(&str) -> Option<T>>(
-    args: &[String],
-    flag: &str,
-    parse: F,
-    default: Vec<T>,
-) -> Result<Vec<T>, String> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                let s = s.trim();
-                parse(s).ok_or_else(|| format!("unknown {flag} entry '{s}'"))
-            })
-            .collect(),
+/// `rdse corpus list` — the registered workload and platform families
+/// and the pinned smoke subset.
+fn corpus_list(_: &Args) -> Outcome {
+    println!(
+        "workload families : {}",
+        family_names(&WorkloadFamily::defaults(), WorkloadFamily::name)
+    );
+    println!(
+        "arch families     : {}",
+        family_names(&ArchFamily::all(), ArchFamily::name)
+    );
+    println!("smoke corpus      :");
+    for spec in smoke_corpus() {
+        println!("  {}", spec.id());
     }
-}
-
-/// `rdse corpus list|run` — the scenario-corpus batch runner with the
-/// four-way differential oracle (see the `rdse-corpus` crate docs).
-fn run_corpus_cmd(args: &[String]) -> ExitCode {
-    match args.get(1).map(String::as_str) {
-        Some("list") => {
-            println!(
-                "workload families : {}",
-                family_names(&WorkloadFamily::defaults(), WorkloadFamily::name)
-            );
-            println!(
-                "arch families     : {}",
-                family_names(&ArchFamily::all(), ArchFamily::name)
-            );
-            println!("smoke corpus      :");
-            for spec in smoke_corpus() {
-                println!("  {}", spec.id());
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => run_corpus_run(args),
-        _ => usage(),
-    }
+    Ok(())
 }
 
 fn family_names<T>(families: &[T], name: impl Fn(&T) -> &'static str) -> String {
     families.iter().map(name).collect::<Vec<_>>().join(", ")
 }
 
-fn run_corpus_run(args: &[String]) -> ExitCode {
-    let smoke = args.iter().any(|a| a == "--smoke");
+/// `rdse corpus run` — the scenario-corpus batch runner with the
+/// four-way differential oracle (see the `rdse-corpus` crate docs).
+fn run_corpus_run(args: &Args) -> Outcome {
+    let smoke = args.has("--smoke");
     // --smoke pins the scenario list AND the exploration knobs: the
     // checked-in golden snapshot is only reproducible at the pinned
     // configuration. Only --threads stays free (it never affects
@@ -957,72 +935,48 @@ fn run_corpus_run(args: &[String]) -> ExitCode {
             "--exchange-every",
             "--walk-steps",
         ];
-        if let Some(flag) = PINNED.iter().find(|f| args.iter().any(|a| &a == f)) {
-            eprintln!(
-                "error: {flag} conflicts with --smoke (the smoke subset and its \
+        if let Some(flag) = PINNED.iter().find(|f| args.has(f)) {
+            args.fail(format_args!(
+                "{flag} conflicts with --smoke (the smoke subset and its \
                  exploration knobs are pinned to the golden snapshot; drop --smoke \
                  to customize the corpus)"
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
+    let threads = args.num("--threads", 0);
+    let defaults = CorpusOptions::default();
     let (specs, opts) = if smoke {
         (
             smoke_corpus(),
             CorpusOptions {
-                threads: arg_num(args, "--threads", 0),
-                ..CorpusOptions::default()
+                threads,
+                ..defaults
             },
         )
     } else {
-        let lists = parse_family_list(
-            args,
-            "--families",
-            WorkloadFamily::parse,
-            WorkloadFamily::defaults(),
-        )
-        .and_then(|w| {
-            parse_family_list(
-                args,
-                "--arches",
-                ArchFamily::parse,
-                ArchFamily::all().to_vec(),
-            )
-            .map(|a| (w, a))
-        })
-        .and_then(|(w, a)| parse_list(args, "--seeds", &[1u64, 2, 3]).map(|s| (w, a, s)));
-        let (workloads, arches, seeds) = match lists {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let defaults = CorpusOptions::default();
+        let workloads = args
+            .list("--families", WorkloadFamily::parse)
+            .unwrap_or_else(WorkloadFamily::defaults);
+        let arches = args
+            .list("--arches", ArchFamily::parse)
+            .unwrap_or_else(|| ArchFamily::all().to_vec());
+        let seeds = args
+            .list("--seeds", |s| s.parse().ok())
+            .unwrap_or_else(|| vec![1u64, 2, 3]);
         (
             cross_corpus(&workloads, &arches, &seeds),
             CorpusOptions {
-                iters: arg_num(args, "--iters", defaults.iters),
-                warmup: arg_num(args, "--warmup", defaults.warmup),
-                chains: arg_num(args, "--chains", defaults.chains),
-                exchange_every: arg_num(args, "--exchange-every", defaults.exchange_every),
-                threads: arg_num(args, "--threads", 0),
-                walk_steps: arg_num(args, "--walk-steps", defaults.walk_steps),
+                iters: args.num("--iters", defaults.iters),
+                warmup: args.num("--warmup", defaults.warmup),
+                chains: args.num("--chains", defaults.chains),
+                exchange_every: args.num("--exchange-every", defaults.exchange_every),
+                threads,
+                walk_steps: args.num("--walk-steps", defaults.walk_steps),
             },
         )
     };
-    if specs.is_empty() {
-        eprintln!("error: empty corpus");
-        return ExitCode::FAILURE;
-    }
 
-    let report = match run_corpus(&specs, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("corpus FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = run_corpus(&specs, &opts).map_err(|e| format!("corpus FAILED: {e}"))?;
     for r in &report.records {
         println!(
             "{:<40} {:>12.1} us  {:>2} ctx  {:>2} hw  oracle pass ({} moves)",
@@ -1039,178 +993,97 @@ fn run_corpus_run(args: &[String]) -> ExitCode {
         report.elapsed
     );
 
-    if let Some(out) = arg_value(args, "--out") {
-        if let Err(e) = ensure_parent_dir(&out)
-            .and_then(|()| std::fs::write(&out, report.ndjson()).map_err(|e| e.to_string()))
-        {
-            eprintln!("error: cannot write '{out}': {e}");
-            return ExitCode::FAILURE;
-        }
+    let write = |path: &str, text: String| {
+        ensure_parent_dir(path)
+            .and_then(|()| std::fs::write(path, text).map_err(|e| e.to_string()))
+            .map_err(|e| err(format_args!("cannot write '{path}': {e}")))
+    };
+    if let Some(out) = args.value("--out") {
+        write(out, report.ndjson())?;
         println!("matrix saved : {out}");
     }
-    if let Some(path) = arg_value(args, "--write-golden") {
-        if let Err(e) = ensure_parent_dir(&path)
-            .and_then(|()| std::fs::write(&path, report.golden_text()).map_err(|e| e.to_string()))
-        {
-            eprintln!("error: cannot write '{path}': {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value("--write-golden") {
+        write(path, report.golden_text())?;
         println!("golden saved : {path}");
     }
-    if let Some(path) = arg_value(args, "--golden") {
-        let expected = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read golden '{path}': {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match report.diff_golden(&expected) {
-            Ok(()) => println!("golden check : {} matches", path),
-            Err(e) => {
-                eprintln!("golden check FAILED against {path}:\n{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = args.value("--golden") {
+        let expected = std::fs::read_to_string(path)
+            .map_err(|e| err(format_args!("cannot read golden '{path}': {e}")))?;
+        report
+            .diff_golden(&expected)
+            .map_err(|e| format!("golden check FAILED against {path}:\n{e}"))?;
+        println!("golden check : {} matches", path);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `rdse serve` — stand up the long-running exploration service (see
 /// the `rdse-serve` crate docs for the protocol and limits).
-fn run_serve(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help") {
-        println!(
-            "usage: rdse serve [--host H] [--port P] [--workers N] [--max-frame-len B]\n\
-             \x20                 [--max-tasks N] [--max-iters N] [--max-chains N]\n\
-             \x20                 [--max-sessions N] [--read-timeout-ms N]\n\
-             \x20                 [--store F.aof] [--store-sync always|interval:N|never]\n\
-             \n\
-             Serves exploration jobs over TCP (framed RPC and HTTP/1.1 on the same\n\
-             port). --port 0 picks a free port; the bound address is printed on\n\
-             stdout as 'rdse serve listening on HOST:PORT'. Stop it with\n\
-             `rdse submit --addr HOST:PORT --shutdown`.\n\
-             \n\
-             --store persists every finished exploration to an append-only log and\n\
-             answers repeat submissions from it: identical jobs return the archived\n\
-             result bit-identically with no search, and new jobs over a known\n\
-             (app, arch) pair warm-start from the best archived mapping.\n\
-             --store-sync sets the fsync cadence (default: always)."
-        );
-        return ExitCode::SUCCESS;
-    }
-    let host = arg_value(args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-    let port: u16 = arg_num(args, "--port", 0);
-    let workers: usize = arg_num(args, "--workers", 4);
+fn run_serve(args: &Args) -> Outcome {
+    let host = args.value("--host").unwrap_or("127.0.0.1");
+    let port: u16 = args.num("--port", 0);
+    let workers: usize = args.num("--workers", 4);
     let defaults = Limits::default();
     let limits = Limits {
-        max_frame_len: arg_num(args, "--max-frame-len", defaults.max_frame_len),
-        max_tasks: arg_num(args, "--max-tasks", defaults.max_tasks),
-        max_devices: arg_num(args, "--max-devices", defaults.max_devices),
-        max_iters: arg_num(args, "--max-iters", defaults.max_iters),
-        max_chains: arg_num(args, "--max-chains", defaults.max_chains),
-        max_sessions: arg_num(args, "--max-sessions", defaults.max_sessions),
-        read_timeout: std::time::Duration::from_millis(arg_num(
-            args,
+        max_frame_len: args.num("--max-frame-len", defaults.max_frame_len),
+        max_tasks: args.num("--max-tasks", defaults.max_tasks),
+        max_devices: args.num("--max-devices", defaults.max_devices),
+        max_iters: args.num("--max-iters", defaults.max_iters),
+        max_chains: args.num("--max-chains", defaults.max_chains),
+        max_sessions: args.num("--max-sessions", defaults.max_sessions),
+        read_timeout: std::time::Duration::from_millis(args.num(
             "--read-timeout-ms",
             defaults.read_timeout.as_millis() as u64,
         )),
         write_timeout: defaults.write_timeout,
     };
-    let store = arg_value(args, "--store").map(std::path::PathBuf::from);
-    let store_sync = match arg_value(args, "--store-sync") {
-        Some(spec) => match SyncPolicy::parse(&spec) {
-            Some(p) => p,
-            None => {
-                eprintln!(
-                    "error: --store-sync takes always, interval:N (N >= 1) or never, got '{spec}'"
-                );
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
+    let store = args.value("--store").map(std::path::PathBuf::from);
+    let store_sync = match args.value("--store-sync") {
+        Some(spec) => SyncPolicy::parse(spec).unwrap_or_else(|| {
+            args.fail(format_args!(
+                "--store-sync takes always, interval:N (N >= 1) or never, got '{spec}'"
+            ))
+        }),
         None => SyncPolicy::Always,
     };
-    let server = match Server::bind(ServeConfig {
-        host: host.clone(),
+    let server = Server::bind(ServeConfig {
+        host: host.to_owned(),
         port,
         workers,
         limits,
         store,
         store_sync,
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {host}:{port}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => {
-            // CI and scripts parse this line for the bound port, so it
-            // must reach the pipe before the accept loop blocks.
-            println!("rdse serve listening on {addr} ({workers} workers)");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("error: cannot read bound address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(()) => {
-            println!("rdse serve: shut down cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: server failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    })
+    .map_err(|e| err(format_args!("cannot bind {host}:{port}: {e}")))?;
+    let addr = server
+        .local_addr()
+        .map_err(|e| err(format_args!("cannot read bound address: {e}")))?;
+    // CI and scripts parse this line for the bound port, so it must
+    // reach the pipe before the accept loop blocks.
+    println!("rdse serve listening on {addr} ({workers} workers)");
+    let _ = std::io::stdout().flush();
+    server
+        .run()
+        .map_err(|e| err(format_args!("server failed: {e}")))?;
+    println!("rdse serve: shut down cleanly");
+    Ok(())
 }
 
 /// `rdse store` — inspect and maintain a persistent result store
 /// off-line (the serving path opens the same file via `--store`).
-fn run_store(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help") {
-        println!(
-            "usage: rdse store <stats|compact|verify> --path F.aof\n\
-             \n\
-             stats    replay the log read-only and report record, pair and byte\n\
-             \x20        counts (damaged spans and a torn tail are reported, not\n\
-             \x20        repaired)\n\
-             compact  atomically rewrite the log keeping the latest record per\n\
-             \x20        key (temp file + rename; drops damaged spans and a torn tail)\n\
-             verify   replay the log read-only; exit 0 if every byte is intact,\n\
-             \x20        1 naming every damaged span and the damaged tail"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let sub = match args.get(1).map(String::as_str) {
+fn run_store(args: &Args) -> Outcome {
+    let sub = match args.operands().first().map(String::as_str) {
         Some(s @ ("stats" | "compact" | "verify")) => s,
-        Some(other) => {
-            eprintln!(
-                "error: unknown store subcommand '{other}' (expected stats, compact or verify)"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-        None => {
-            eprintln!("error: missing store subcommand (expected stats, compact or verify)");
-            return ExitCode::from(EXIT_USAGE);
-        }
+        Some(other) => args.fail(format_args!(
+            "unknown store subcommand '{other}' (expected stats, compact or verify)"
+        )),
+        None => args.fail("missing store subcommand (expected stats, compact or verify)"),
     };
-    let Some(path) = arg_value(args, "--path") else {
-        eprintln!("error: missing --path F.aof");
-        return ExitCode::from(EXIT_USAGE);
-    };
+    let path = args.required("--path");
+    let failed = |e| err(format_args!("{path}: {e}"));
     match sub {
         "stats" => {
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let bytes = std::fs::read(path).map_err(failed)?;
             let mut archive = Archive::new();
             let report = scan(&bytes, |r| archive.insert(r));
             println!("store         : {path}");
@@ -1232,68 +1105,51 @@ fn run_store(args: &[String]) -> ExitCode {
                 Some(tail) => println!("tail          : torn ({tail})"),
                 None => println!("tail          : clean"),
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         "compact" => {
-            let mut store = match ResultStore::open(&path, SyncPolicy::Always) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let mut store = ResultStore::open(path, SyncPolicy::Always).map_err(failed)?;
             for span in &store.replay_report().skipped {
                 eprintln!("warning: damaged span skipped ({span}); compaction drops it");
             }
             if let Some(tail) = &store.replay_report().tail {
                 eprintln!("warning: torn tail skipped ({tail})");
             }
-            match store.compact() {
-                Ok(report) => {
-                    println!(
-                        "compacted     : {} -> {} record(s), {} -> {} bytes, {} damaged span(s) dropped",
-                        report.records_before,
-                        report.records_after,
-                        report.bytes_before,
-                        report.bytes_after,
-                        report.spans_dropped
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: compaction failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let report = store
+                .compact()
+                .map_err(|e| err(format_args!("compaction failed: {e}")))?;
+            println!(
+                "compacted     : {} -> {} record(s), {} -> {} bytes, {} damaged span(s) dropped",
+                report.records_before,
+                report.records_after,
+                report.bytes_before,
+                report.bytes_after,
+                report.spans_dropped
+            );
+            Ok(())
         }
-        _ => match rdse::store::verify(&path) {
-            Ok((report, file_len)) => {
-                if report.is_clean() {
-                    println!(
-                        "verified      : {} record(s), {} bytes, all checksums intact",
-                        report.records, report.bytes
-                    );
-                    return ExitCode::SUCCESS;
-                }
-                for span in &report.skipped {
-                    eprintln!("error: {path}: damaged span {span}");
-                }
-                if let Some(tail) = &report.tail {
-                    eprintln!("error: {path}: damaged record {tail}");
-                }
-                let damaged: u64 = report.skipped.iter().map(|s| s.len).sum::<u64>()
-                    + report.tail.as_ref().map_or(0, |t| file_len - t.offset);
-                eprintln!(
-                    "error: {path}: {} intact record(s); {damaged} of {file_len} bytes damaged",
-                    report.records
+        _ => {
+            let (report, file_len) = rdse::store::verify(path).map_err(failed)?;
+            if report.is_clean() {
+                println!(
+                    "verified      : {} record(s), {} bytes, all checksums intact",
+                    report.records, report.bytes
                 );
-                ExitCode::FAILURE
+                return Ok(());
             }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
+            for span in &report.skipped {
+                eprintln!("error: {path}: damaged span {span}");
             }
-        },
+            if let Some(tail) = &report.tail {
+                eprintln!("error: {path}: damaged record {tail}");
+            }
+            let damaged: u64 = report.skipped.iter().map(|s| s.len).sum::<u64>()
+                + report.tail.as_ref().map_or(0, |t| file_len - t.offset);
+            Err(err(format_args!(
+                "{path}: {} intact record(s); {damaged} of {file_len} bytes damaged",
+                report.records
+            )))
+        }
     }
 }
 
@@ -1369,138 +1225,71 @@ fn print_submit_result(v: &serde::Value) {
 
 /// `rdse submit` — submit a job to (or probe / stop) a running
 /// `rdse serve` instance.
-fn run_submit(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help") {
-        println!(
-            "usage: rdse submit --addr HOST:PORT (--app F.json | --builtin NAME | --workload FAM)\n\
-             \x20                  (--arch F.json | --clbs N | --arch-family FAM)\n\
-             \x20                  [--app-seed N] [--arch-seed N] [--objective SPEC] [--iters N]\n\
-             \x20                  [--warmup N] [--seed N] [--chains K] [--exchange-every E] [--quiet]\n\
-             \x20      rdse submit --addr HOST:PORT (--health | --shutdown | --get-job ID)\n\
-             \n\
-             Submits one exploration job over the framed RPC transport and streams\n\
-             progress updates to stderr until the final result. Results are\n\
-             bit-identical to `rdse explore` for the same models, seed and chains.\n\
-             Malformed input (bad --objective, over-limit job) exits with code 2\n\
-             and a named cause; transport and server failures exit with code 1."
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(addr) = arg_value(args, "--addr") else {
-        eprintln!("error: missing --addr HOST:PORT");
-        return ExitCode::from(EXIT_USAGE);
-    };
+fn run_submit(args: &Args) -> Outcome {
+    let addr = args.required("--addr");
     let mut opts = ClientOptions::default();
-    opts.max_frame_len = arg_num(args, "--max-frame-len", opts.max_frame_len);
-    if args.iter().any(|a| a == "--health") {
-        return match serve_client::health(&addr, &opts) {
-            Ok(v) => {
-                println!("{}", serde_json::to_string_pretty(&v).unwrap_or_default());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    opts.max_frame_len = args.num("--max-frame-len", opts.max_frame_len);
+    if args.has("--health") {
+        let v = serve_client::health(addr, &opts).map_err(err)?;
+        println!("{}", serde_json::to_string_pretty(&v).unwrap_or_default());
+        return Ok(());
     }
-    if args.iter().any(|a| a == "--shutdown") {
-        return match serve_client::shutdown(&addr, &opts) {
-            Ok(_) => {
-                println!("server at {addr} acknowledged shutdown");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.has("--shutdown") {
+        serve_client::shutdown(addr, &opts).map_err(err)?;
+        println!("server at {addr} acknowledged shutdown");
+        return Ok(());
     }
-    if let Some(id) = arg_value(args, "--get-job") {
-        let Ok(id) = id.parse::<u64>() else {
-            eprintln!("error: --get-job takes a numeric job id, got '{id}'");
-            return ExitCode::from(EXIT_USAGE);
-        };
-        return match serve_client::get_job(&addr, id, &opts) {
-            Ok(v) => {
-                println!("{}", serde_json::to_string_pretty(&v).unwrap_or_default());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                if e.code.as_deref() == Some("unknown-job") {
-                    ExitCode::from(EXIT_USAGE)
-                } else {
-                    ExitCode::FAILURE
+    if args.has("--get-job") {
+        let v =
+            serve_client::get_job(addr, args.num("--get-job", 0), &opts).map_err(|e| {
+                match e.code.as_deref() {
+                    Some("unknown-job") => args.fail(e),
+                    _ => err(e),
                 }
-            }
-        };
+            })?;
+        println!("{}", serde_json::to_string_pretty(&v).unwrap_or_default());
+        return Ok(());
     }
 
     // Job submission. Inline models are validated locally (so a bad
     // file is a usage error here, not a server round-trip), and the
     // objective grammar is checked before connecting.
-    let app = if let Some(path) = arg_value(args, "--app") {
-        match TaskGraph::load(&path) {
-            Ok(g) => AppSpec::Inline(g.to_value()),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    } else if let Some(name) = arg_value(args, "--builtin") {
-        AppSpec::Builtin(name)
-    } else if let Some(family) = arg_value(args, "--workload") {
-        AppSpec::Workload {
-            family,
-            seed: arg_num(args, "--app-seed", 1),
-        }
+    let objective = args.value("--objective").unwrap_or("makespan");
+    parse_objective(args);
+    let app = if let Some(path) = args.value("--app") {
+        let g = TaskGraph::load(path).unwrap_or_else(|e| args.fail(format_args!("{path}: {e}")));
+        AppSpec::Inline(g.to_value())
+    } else if let Some(name) = args.value("--builtin") {
+        AppSpec::Builtin(name.to_owned())
+    } else if let Some(family) = args.value("--workload") {
+        let (family, seed) = (family.to_owned(), args.num("--app-seed", 1));
+        AppSpec::Workload { family, seed }
     } else {
-        eprintln!("error: missing application (--app F.json, --builtin NAME or --workload FAM)");
-        return ExitCode::from(EXIT_USAGE);
+        args.fail("missing application (--app F.json, --builtin NAME or --workload FAM)")
     };
-    let arch = if let Some(path) = arg_value(args, "--arch") {
-        match Architecture::load(&path) {
-            Ok(a) => ArchSpec::Inline(a.to_value()),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    } else if let Some(clbs) = arg_value(args, "--clbs") {
-        match clbs.parse::<u32>() {
-            Ok(n) => ArchSpec::Clbs(n),
-            Err(_) => {
-                eprintln!("error: --clbs takes a CLB count, got '{clbs}'");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    } else if let Some(family) = arg_value(args, "--arch-family") {
-        ArchSpec::Family {
-            family,
-            seed: arg_num(args, "--arch-seed", 1),
-        }
+    let arch = if let Some(path) = args.value("--arch") {
+        let a = Architecture::load(path).unwrap_or_else(|e| args.fail(format_args!("{path}: {e}")));
+        ArchSpec::Inline(a.to_value())
+    } else if args.has("--clbs") {
+        ArchSpec::Clbs(args.num("--clbs", 0))
+    } else if let Some(family) = args.value("--arch-family") {
+        let (family, seed) = (family.to_owned(), args.num("--arch-seed", 1));
+        ArchSpec::Family { family, seed }
     } else {
-        eprintln!("error: missing architecture (--arch F.json, --clbs N or --arch-family FAM)");
-        return ExitCode::from(EXIT_USAGE);
+        args.fail("missing architecture (--arch F.json, --clbs N or --arch-family FAM)")
     };
-    let objective = arg_value(args, "--objective").unwrap_or_else(|| "makespan".into());
-    if let Err(e) = Objective::parse_spec(&objective) {
-        eprintln!("error: {}", e.replacen("objective", "--objective", 1));
-        return ExitCode::from(EXIT_USAGE);
-    }
     let spec = JobSpec {
         app,
         arch,
-        objective,
-        iters: arg_num(args, "--iters", 5_000),
-        warmup: arg_num(args, "--warmup", 1_200),
-        seed: arg_num(args, "--seed", 1),
-        chains: arg_num(args, "--chains", 1),
-        exchange_every: arg_num(args, "--exchange-every", 500),
+        objective: objective.to_owned(),
+        iters: args.num("--iters", 5_000),
+        warmup: args.num("--warmup", 1_200),
+        seed: args.num("--seed", 1),
+        chains: args.num("--chains", 1),
+        exchange_every: args.num("--exchange-every", 500),
     };
-    let quiet = args.iter().any(|a| a == "--quiet");
-    match serve_client::submit(&addr, &spec, &opts, |u| {
+    let quiet = args.has("--quiet");
+    let result = serve_client::submit(addr, &spec, &opts, |u| {
         if !quiet {
             if let (Some(seg), Some(best)) =
                 (value_u64(u, "segment"), value_f64(u, "best_makespan"))
@@ -1511,34 +1300,14 @@ fn run_submit(args: &[String]) -> ExitCode {
                 );
             }
         }
-    }) {
-        Ok(result) => {
-            print_submit_result(&result);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            if e.is_usage() {
-                ExitCode::from(EXIT_USAGE)
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
+    })
+    .map_err(|e| if e.is_usage() { args.fail(e) } else { err(e) })?;
+    print_submit_result(&result);
+    Ok(())
 }
 
-fn run_space(args: &[String]) -> ExitCode {
-    let Some(app_path) = arg_value(args, "--app") else {
-        eprintln!("missing --app");
-        return usage();
-    };
-    let app = match TaskGraph::load(&app_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_space(args: &Args) -> Outcome {
+    let app = TaskGraph::load(args.required("--app")).map_err(err)?;
     let g = app.precedence_graph();
     match rdse::graph::count_linear_extensions(&g, None) {
         Some(count) => {
@@ -1548,15 +1317,12 @@ fn run_space(args: &[String]) -> ExitCode {
                 app.n_tasks(),
                 count
             );
-            ExitCode::SUCCESS
+            Ok(())
         }
-        None => {
-            eprintln!(
-                "{}: {} tasks, total-order count too large to compute exactly",
-                app.name(),
-                app.n_tasks()
-            );
-            ExitCode::FAILURE
-        }
+        None => Err(format!(
+            "{}: {} tasks, total-order count too large to compute exactly",
+            app.name(),
+            app.n_tasks()
+        )),
     }
 }

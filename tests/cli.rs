@@ -3,7 +3,10 @@
 //! message; well-formed specs run and report a Pareto front. Also covers
 //! `rdse space`, the serve/submit surface, the store subcommands, a
 //! stdout that closes early, and models and numeric flags that must be
-//! rejected by name rather than panic or fall back to defaults.
+//! rejected by name rather than panic or fall back to defaults. Every
+//! command line is checked against its command's flag table: unknown,
+//! repeated and value-less flags exit 2 before any work starts, every
+//! `--help` exits 0, and README's synopsis block is `rdse --help`.
 
 use rdse::model::{Bytes, Micros, TaskGraph};
 use std::path::PathBuf;
@@ -650,4 +653,159 @@ fn malformed_numeric_flags_exit_with_code_2() {
             "{flag} {value}:\n{stderr}"
         );
     }
+}
+
+/// Runs `rdse` in a fresh, empty working directory and returns its
+/// output and the names of the files it left there.
+fn rdse_in_empty_dir(tag: &str, args: &[&str]) -> (Output, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("rdse_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_rdse"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("rdse binary runs");
+    let left = std::fs::read_dir(&dir)
+        .expect("temp dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    (out, left)
+}
+
+/// Asserts a rejected command line: exit 2, nothing on stdout (no
+/// search started), one `error:` line naming `names`, and a pointer to
+/// the command's `--help`.
+fn assert_rejected(out: &Output, names: &str, help: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains(names), "{stderr}");
+    assert!(stderr.contains(&format!("see `{help} --help`")), "{stderr}");
+}
+
+#[test]
+fn unknown_repeated_and_valueless_flags_exit_with_code_2() {
+    let (app, arch) = models();
+    let explore = ["explore", "--app", app, "--arch", arch, "--warmup", "10"];
+    let cases: &[(&[&str], &str)] = &[
+        (&["--iter", "5"], "unknown flag '--iter'"),
+        (&["--sed", "3"], "unknown flag '--sed'"),
+        (&["--bogus"], "unknown flag '--bogus'"),
+        (&["--iters"], "--iters needs a value"),
+        (
+            &["--save-mapping", "--gantt"],
+            "--save-mapping needs a value",
+        ),
+        (
+            &["--seed", "1", "--seed", "2"],
+            "--seed given more than once",
+        ),
+        (&["5"], "unexpected argument '5'"),
+    ];
+    for (extra, names) in cases {
+        let (out, left) = rdse_in_empty_dir("flags", &[&explore[..], extra].concat());
+        assert_rejected(&out, names, "rdse explore");
+        assert!(left.is_empty(), "{extra:?} wrote {left:?}");
+    }
+    let (out, left) = rdse_in_empty_dir("sweep", &["sweep", "--iters", "10", "--bogus"]);
+    assert_rejected(&out, "unknown flag '--bogus'", "rdse sweep");
+    assert!(left.is_empty(), "sweep wrote {left:?}");
+}
+
+#[test]
+fn command_line_errors_exit_2_with_one_error_line() {
+    let (app, arch) = models();
+    let cases: &[(&[&str], &str, &str)] = &[
+        (&[], "missing command", "rdse"),
+        (&["bogus"], "unknown command 'bogus'", "rdse"),
+        (
+            &["explore", "--arch", arch],
+            "missing --app",
+            "rdse explore",
+        ),
+        (&["ga", "--app", app], "missing --arch", "rdse ga"),
+        (
+            &["simulate", "--app", app, "--arch", arch],
+            "missing --mapping",
+            "rdse simulate",
+        ),
+        (&["space"], "missing --app", "rdse space"),
+        (&["corpus"], "missing corpus subcommand", "rdse corpus"),
+        (
+            &["corpus", "run", "--smoke", "--iters", "5"],
+            "--iters conflicts with --smoke",
+            "rdse corpus",
+        ),
+        (
+            &["sweep", "--clbs", "800,x"],
+            "invalid --clbs entry 'x'",
+            "rdse sweep",
+        ),
+        (
+            &["generate", "--clbs", "many"],
+            "--clbs expects a number, got 'many'",
+            "rdse generate",
+        ),
+        (
+            &["generate", "nope"],
+            "unknown workload 'nope'",
+            "rdse generate",
+        ),
+    ];
+    for (args, names, help) in cases {
+        let (out, left) = rdse_in_empty_dir("usage", args);
+        assert_rejected(&out, names, help);
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+}
+
+#[test]
+fn generate_without_a_kind_writes_the_motion_models() {
+    let (out, mut left) = rdse_in_empty_dir("generate", &["generate", "--clbs", "100"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("(28 tasks)"),
+        "{out:?}"
+    );
+    left.sort();
+    assert_eq!(left, ["motion-app.json", "motion-arch.json"]);
+}
+
+#[test]
+fn every_help_exits_zero_with_its_synopsis() {
+    // serve, submit and store: serve_and_submit_help_exit_zero.
+    for cmd in ["generate", "explore", "ga", "sweep", "simulate", "space"] {
+        let out = rdse(&[cmd, "--help"]);
+        assert!(out.status.success(), "{cmd} --help: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("usage: rdse {cmd} ")),
+            "{stdout}"
+        );
+    }
+    for args in [&["corpus", "--help"][..], &["corpus", "run", "--help"]] {
+        let out = rdse(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: rdse corpus "));
+    }
+}
+
+#[test]
+fn readme_synopsis_is_rdse_help() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let section = &readme[readme.find("\n## `rdse` CLI\n").expect("CLI section")..];
+    let block = &section[section.find("```text\n").expect("synopsis block") + 8..];
+    let block = &block[..block.find("```").expect("block end")];
+    let out = rdse(&["--help"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        block,
+        String::from_utf8_lossy(&out.stdout),
+        "README's `rdse` CLI synopsis differs from `rdse --help`; paste the output in"
+    );
 }
