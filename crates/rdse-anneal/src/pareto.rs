@@ -243,6 +243,10 @@ pub fn crowding_distance<C: Cost>(points: &[C]) -> Vec<f64> {
         });
         dist[order[0]] = f64::INFINITY;
         dist[order[n - 1]] = f64::INFINITY;
+        #[cfg(rdse_fault = "crowding_open_upper_boundary")]
+        {
+            dist[order[n - 1]] = 0.0;
+        }
         let span = points[order[n - 1]].objective(m) - points[order[0]].objective(m);
         if span <= 0.0 {
             continue;

@@ -346,6 +346,8 @@ impl<'a> GeneticExplorer<'a> {
             // Crowded tournament: lower rank wins, ties go to the less
             // crowded (larger distance); full ties keep the champion.
             let pick = |rng: &mut StdRng, ranks: &[usize], crowding: &[f64]| {
+                #[cfg(rdse_fault = "nsga2_tournament_ignores_crowding")]
+                let crowding = &vec![0.0; crowding.len()];
                 let mut champion = rng.random_range(0..ranks.len());
                 for _ in 1..self.opts.tournament {
                     let c = rng.random_range(0..ranks.len());

@@ -14,10 +14,11 @@
 //! Run with `--help` for the flags.
 
 use rdse_anneal::{anneal, GeometricSchedule, InfiniteTemperature, LamSchedule, RunOptions};
-use rdse_bench::{mean, std_dev, write_csv};
+use rdse_bench::{exit_code, mean, std_dev, write_csv};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{random_initial, MappingProblem};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
+use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +35,7 @@ static ABLATION: Command = Command {
     about: "",
 };
 
-fn main() {
+fn main() -> ExitCode {
     let args = ABLATION.parse(std::env::args().skip(1));
     let runs: u64 = args.num("--runs", 20);
     let iters: u64 = args.num("--iters", 5_000);
@@ -106,7 +107,7 @@ fn main() {
             row
         })
         .collect();
-    write_csv(
+    exit_code(write_csv(
         out,
         &[
             "run",
@@ -116,5 +117,5 @@ fn main() {
             "random_walk",
         ],
         &rows,
-    );
+    ))
 }

@@ -21,7 +21,7 @@
 //! specialist's point.
 
 use rdse_baseline::{hill_climb, random_search, GaOptions, GeneticExplorer, HillClimbOptions};
-use rdse_bench::{mean, std_dev, write_csv};
+use rdse_bench::{exit_code, mean, std_dev, write_csv};
 use rdse_cli::{flag, switch, Command};
 use rdse_mapping::{
     explore, explore_parallel, hypervolume, Cost, CostVector, Dominance, ExploreOptions,
@@ -29,6 +29,8 @@ use rdse_mapping::{
 };
 use rdse_model::{Architecture, TaskGraph};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
+use std::io;
+use std::process::ExitCode;
 use std::time::Instant;
 
 #[rustfmt::skip]
@@ -42,7 +44,7 @@ static COMPARE_GA: Command = Command {
     about: "",
 };
 
-fn main() {
+fn main() -> ExitCode {
     let args = COMPARE_GA.parse(std::env::args().skip(1));
     let runs: u64 = args.num("--runs", 10);
     let clbs: u32 = args.num("--clbs", 2_000);
@@ -56,8 +58,15 @@ fn main() {
     if args.has("--fronts") {
         let population: usize = args.num("--pop", 300);
         let generations: usize = args.num("--gens", 200);
-        compare_fronts(&app, &arch, runs, seed0, population, generations, out);
-        return;
+        return exit_code(compare_fronts(
+            &app,
+            &arch,
+            runs,
+            seed0,
+            population,
+            generations,
+            out,
+        ));
     }
 
     let mut sa_ms = Vec::new();
@@ -210,7 +219,7 @@ fn main() {
             ]
         })
         .collect();
-    write_csv(
+    exit_code(write_csv(
         out,
         &[
             "run",
@@ -224,7 +233,7 @@ fn main() {
             "ga_secs",
         ],
         &rows,
-    );
+    ))
 }
 
 /// The multi-objective extension of the §5 comparison: the scalar GA
@@ -243,7 +252,7 @@ fn compare_fronts(
     population: usize,
     generations: usize,
     out: &str,
-) {
+) -> io::Result<()> {
     println!(
         "run  scalar(ms)  nsga2 best(ms)  front  covers  hv(front)      hv(point)      hv ratio"
     );
@@ -319,5 +328,5 @@ fn compare_fronts(
             "hv_ratio",
         ],
         &rows,
-    );
+    )
 }

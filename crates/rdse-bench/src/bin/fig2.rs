@@ -11,10 +11,11 @@
 //!
 //! Run with `--help` for the flags.
 
-use rdse_bench::{ascii_plot, write_csv};
+use rdse_bench::{ascii_plot, exit_code, write_csv};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{explore, ExploreOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app, MOTION_DEADLINE};
+use std::process::ExitCode;
 
 #[rustfmt::skip]
 static FIG2: Command = Command {
@@ -27,7 +28,7 @@ static FIG2: Command = Command {
     about: "",
 };
 
-fn main() {
+fn main() -> ExitCode {
     let args = FIG2.parse(std::env::args().skip(1));
     let iters: u64 = args.num("--iters", 5_000);
     let warmup: u64 = args.num("--warmup", 1_200);
@@ -144,7 +145,7 @@ fn main() {
             ]
         })
         .collect();
-    write_csv(
+    exit_code(write_csv(
         out,
         &[
             "iteration",
@@ -156,5 +157,5 @@ fn main() {
             "inverse_temperature",
         ],
         &rows,
-    );
+    ))
 }

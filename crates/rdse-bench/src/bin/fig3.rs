@@ -17,10 +17,11 @@
 //!
 //! Run with `--help` for the flags.
 
-use rdse_bench::{ascii_plot, mean, write_csv};
+use rdse_bench::{ascii_plot, exit_code, mean, write_csv};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{explore_parallel, ExploreOptions, ParallelOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
+use std::process::ExitCode;
 
 /// Device sizes swept (CLBs), as in the paper's 100..10000 range.
 const SIZES: [u32; 16] = [
@@ -42,7 +43,7 @@ static FIG3: Command = Command {
     about: "",
 };
 
-fn main() {
+fn main() -> ExitCode {
     let args = FIG3.parse(std::env::args().skip(1));
     let runs: u64 = args.num("--runs", 100);
     let iters: u64 = args.num("--iters", 5_000);
@@ -156,7 +157,7 @@ fn main() {
         .iter()
         .map(|r| vec![r.0 as f64, r.1, r.2, r.3, r.4])
         .collect();
-    write_csv(
+    exit_code(write_csv(
         out,
         &[
             "size_clbs",
@@ -166,5 +167,5 @@ fn main() {
             "n_contexts",
         ],
         &csv_rows,
-    );
+    ))
 }

@@ -1,22 +1,25 @@
 //! Shared helpers for the experiment harness: tiny CSV writer, ASCII
-//! plotting, and summary statistics. Each figure/table of the paper has
-//! a dedicated binary in `src/bin/`.
+//! plotting, summary statistics, and the fixed evaluator walks that the
+//! `ratios` bench times and the `quality` tests count. Each
+//! figure/table of the paper has a dedicated binary in `src/bin/`.
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::Path;
+use std::process::ExitCode;
 
-/// Writes rows as CSV (first row = header) and returns the path note.
+pub mod walk;
+
+/// Writes rows as CSV (first row = header), creating the parent
+/// directory if needed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the file cannot be written — experiment binaries want loud
-/// failures, not silent data loss.
-pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<f64>]) {
+/// Returns the I/O error, with the path in its message, if the
+/// directory or the file cannot be written.
+pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<f64>]) -> io::Result<()> {
     let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir).expect("create output directory");
-    }
     let mut out = String::new();
     out.push_str(&header.join(","));
     out.push('\n');
@@ -25,8 +28,25 @@ pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<f64>]) {
         out.push_str(&cells.join(","));
         out.push('\n');
     }
-    fs::write(path, out).expect("write csv");
+    path.parent()
+        .map_or(Ok(()), fs::create_dir_all)
+        .and_then(|()| fs::write(path, out))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write '{}': {e}", path.display())))?;
     eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+/// The exit code of an experiment binary: success, or one `error:`
+/// line on stderr and exit code 1, as `rdse` reports a runtime
+/// failure.
+pub fn exit_code(result: io::Result<()>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Renders a rough ASCII scatter/line plot of `series` (label, points).

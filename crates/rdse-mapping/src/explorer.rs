@@ -659,6 +659,11 @@ impl<'a> Explorer<'a> {
         initial: Option<Mapping>,
     ) -> Result<Self, MappingError> {
         require_processor(arch)?;
+        #[cfg(rdse_fault = "warm_start_draws_rng")]
+        let opts = &ExploreOptions {
+            seed: opts.seed.wrapping_add(u64::from(initial.is_some())),
+            ..opts.clone()
+        };
         // `MappingProblem::new` validates a provided mapping.
         let initial = initial
             .unwrap_or_else(|| random_initial(app, arch, &mut StdRng::seed_from_u64(opts.seed)));

@@ -48,7 +48,8 @@
 //! reports the skipped span, and no intact record is truncated away
 //! (compaction drops the span). The [`SyncPolicy`] knob trades
 //! fsync cost for the window of appends an OS crash could lose; the
-//! `store_sync` bench measures the trade.
+//! `store_sync` rows of `rdse-bench`'s `ratios` bench measure the
+//! trade.
 //!
 //! # Example
 //!

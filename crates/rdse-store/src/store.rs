@@ -26,9 +26,9 @@ use std::path::{Path, PathBuf};
 /// | `Never` | only on drop | process crash up to the last append |
 ///
 /// All policies *write* on every append — they differ only in when
-/// `fsync` is paid, which the `store_sync` bench measures. Torn-write
-/// recovery makes the relaxed policies safe: a partial tail is skipped
-/// on replay, never fatal.
+/// `fsync` is paid, which the `ratios` bench's `store_sync` rows
+/// measure. Torn-write recovery makes the relaxed policies safe: a
+/// partial tail is skipped on replay, never fatal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// `fsync` after every append.

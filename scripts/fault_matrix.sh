@@ -139,6 +139,18 @@ declare -A FAULTS=(
     # instead of resuming at it.
     [store_resync_skips_one]="rdse-store:torn_tail
         corruption_at_every_byte_of_the_first_record_keeps_every_later_record"
+    # Crowding distance gives each objective's largest point 0 instead
+    # of infinity, so NSGA-II may drop a front's far end.
+    [crowding_open_upper_boundary]="rdse-bench:quality
+        nsga2_front_against_the_scalar_point_is_exact"
+    # NSGA-II's crowded tournament ignores crowding distance: a tie in
+    # rank keeps the first pick.
+    [nsga2_tournament_ignores_crowding]="rdse-bench:quality
+        nsga2_front_against_the_scalar_point_is_exact"
+    # A warm-started chain walks a shifted RNG stream, as if the warm
+    # start had consumed a draw.
+    [warm_start_draws_rng]="rdse-bench:quality
+        a_warm_start_from_the_cold_initial_repeats_the_cold_run"
     # The command-line parser skips a flag its command's table does not
     # declare, so `rdse explore ... --bogus` runs on the defaults.
     [cli_unknown_flag_ignored]="rdse:cli
