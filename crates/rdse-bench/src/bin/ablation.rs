@@ -14,7 +14,7 @@
 //! Run with `--help` for the flags.
 
 use rdse_anneal::{anneal, GeometricSchedule, InfiniteTemperature, LamSchedule, RunOptions};
-use rdse_bench::{exit_code, mean, std_dev, write_csv};
+use rdse_bench::{exit_code, mean, std_dev, CsvOut};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{random_initial, MappingProblem};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
@@ -40,7 +40,10 @@ fn main() -> ExitCode {
     let runs: u64 = args.num("--runs", 20);
     let iters: u64 = args.num("--iters", 5_000);
     let clbs: u32 = args.num("--clbs", 2_000);
-    let out = args.value("--out").unwrap_or("results/ablation.csv");
+    let out = match CsvOut::create(args.value("--out").unwrap_or("results/ablation.csv")) {
+        Ok(out) => out,
+        Err(e) => return exit_code(Err(e)),
+    };
 
     let app = motion_detection_app();
     let arch = epicure_architecture(clbs);
@@ -107,8 +110,7 @@ fn main() -> ExitCode {
             row
         })
         .collect();
-    exit_code(write_csv(
-        out,
+    exit_code(out.write(
         &[
             "run",
             "lam_adaptive",

@@ -21,7 +21,7 @@
 //! specialist's point.
 
 use rdse_baseline::{hill_climb, random_search, GaOptions, GeneticExplorer, HillClimbOptions};
-use rdse_bench::{exit_code, mean, std_dev, write_csv};
+use rdse_bench::{exit_code, mean, std_dev, CsvOut};
 use rdse_cli::{flag, switch, Command};
 use rdse_mapping::{
     explore, explore_parallel, hypervolume, Cost, CostVector, Dominance, ExploreOptions,
@@ -49,7 +49,10 @@ fn main() -> ExitCode {
     let runs: u64 = args.num("--runs", 10);
     let clbs: u32 = args.num("--clbs", 2_000);
     let seed0: u64 = args.num("--seed", 1);
-    let out = args.value("--out").unwrap_or("results/compare_ga.csv");
+    let out = match CsvOut::create(args.value("--out").unwrap_or("results/compare_ga.csv")) {
+        Ok(out) => out,
+        Err(e) => return exit_code(Err(e)),
+    };
     let chains: usize = args.num("--chains", 8);
 
     let app = motion_detection_app();
@@ -219,8 +222,7 @@ fn main() -> ExitCode {
             ]
         })
         .collect();
-    exit_code(write_csv(
-        out,
+    exit_code(out.write(
         &[
             "run",
             "sa_ms",
@@ -251,7 +253,7 @@ fn compare_fronts(
     seed0: u64,
     population: usize,
     generations: usize,
-    out: &str,
+    out: CsvOut,
 ) -> io::Result<()> {
     println!(
         "run  scalar(ms)  nsga2 best(ms)  front  covers  hv(front)      hv(point)      hv ratio"
@@ -315,8 +317,7 @@ fn compare_fronts(
             ratio,
         ]);
     }
-    write_csv(
-        out,
+    out.write(
         &[
             "run",
             "scalar_ms",

@@ -11,7 +11,7 @@
 //!
 //! Run with `--help` for the flags.
 
-use rdse_bench::{ascii_plot, exit_code, write_csv};
+use rdse_bench::{ascii_plot, exit_code, CsvOut};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{explore, ExploreOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app, MOTION_DEADLINE};
@@ -35,7 +35,10 @@ fn main() -> ExitCode {
     let clbs: u32 = args.num("--clbs", 2_000);
     let seed: u64 = args.num("--seed", 1);
     let lambda: f64 = args.num("--lambda", 0.5);
-    let out = args.value("--out").unwrap_or("results/fig2.csv");
+    let out = match CsvOut::create(args.value("--out").unwrap_or("results/fig2.csv")) {
+        Ok(out) => out,
+        Err(e) => return exit_code(Err(e)),
+    };
 
     let app = motion_detection_app();
     let arch = epicure_architecture(clbs);
@@ -145,8 +148,7 @@ fn main() -> ExitCode {
             ]
         })
         .collect();
-    exit_code(write_csv(
-        out,
+    exit_code(out.write(
         &[
             "iteration",
             "exec_ms",

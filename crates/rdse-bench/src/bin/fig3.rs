@@ -17,7 +17,7 @@
 //!
 //! Run with `--help` for the flags.
 
-use rdse_bench::{ascii_plot, exit_code, mean, write_csv};
+use rdse_bench::{ascii_plot, exit_code, mean, CsvOut};
 use rdse_cli::{flag, Command};
 use rdse_mapping::{explore_parallel, ExploreOptions, ParallelOptions};
 use rdse_workloads::{epicure_architecture, motion_detection_app};
@@ -50,7 +50,10 @@ fn main() -> ExitCode {
     let seed0: u64 = args.num("--seed", 1);
     let lambda: f64 = args.num("--lambda", 0.5);
     let threads: usize = args.num("--threads", 0);
-    let out = args.value("--out").unwrap_or("results/fig3.csv");
+    let out = match CsvOut::create(args.value("--out").unwrap_or("results/fig3.csv")) {
+        Ok(out) => out,
+        Err(e) => return exit_code(Err(e)),
+    };
 
     let app = motion_detection_app();
     let mut rows: Vec<SweepRow> = Vec::with_capacity(SIZES.len());
@@ -157,8 +160,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|r| vec![r.0 as f64, r.1, r.2, r.3, r.4])
         .collect();
-    exit_code(write_csv(
-        out,
+    exit_code(out.write(
         &[
             "size_clbs",
             "exec_ms",

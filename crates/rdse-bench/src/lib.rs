@@ -4,36 +4,66 @@
 //! figure/table of the paper has a dedicated binary in `src/bin/`.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 pub mod walk;
 
-/// Writes rows as CSV (first row = header), creating the parent
-/// directory if needed.
-///
-/// # Errors
-///
-/// Returns the I/O error, with the path in its message, if the
-/// directory or the file cannot be written.
-pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<f64>]) -> io::Result<()> {
-    let path = path.as_ref();
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
+/// An experiment's CSV output file. It is created before the
+/// experiment runs, so an unwritable path fails at once instead of
+/// after the whole run.
+pub struct CsvOut {
+    path: PathBuf,
+    file: File,
+}
+
+impl CsvOut {
+    /// Creates (or truncates) the file at `path`, creating its parent
+    /// directory if needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error, with the path in its message, if the
+    /// directory or the file cannot be created.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<CsvOut> {
+        let path = path.as_ref();
+        path.parent()
+            .map_or(Ok(()), fs::create_dir_all)
+            .and_then(|()| File::create(path))
+            .map(|file| CsvOut {
+                path: path.to_path_buf(),
+                file,
+            })
+            .map_err(|e| cannot_write(path, e))
     }
-    path.parent()
-        .map_or(Ok(()), fs::create_dir_all)
-        .and_then(|()| fs::write(path, out))
-        .map_err(|e| io::Error::new(e.kind(), format!("cannot write '{}': {e}", path.display())))?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
+
+    /// Writes rows as CSV (first row = header).
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error, with the path in its message, if the file
+    /// cannot be written.
+    pub fn write(mut self, header: &[&str], rows: &[Vec<f64>]) -> io::Result<()> {
+        let mut out = String::new();
+        out.push_str(&header.join(","));
+        out.push('\n');
+        for row in rows {
+            let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
+            out.push_str(&cells.join(","));
+            out.push('\n');
+        }
+        self.file
+            .write_all(out.as_bytes())
+            .map_err(|e| cannot_write(&self.path, e))?;
+        eprintln!("wrote {}", self.path.display());
+        Ok(())
+    }
+}
+
+fn cannot_write(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("cannot write '{}': {e}", path.display()))
 }
 
 /// The exit code of an experiment binary: success, or one `error:`

@@ -104,12 +104,11 @@ pub fn random_initial(app: &TaskGraph, arch: &Architecture, rng: &mut dyn RngCor
         selected.swap(i, j);
     }
     selected.truncate(n_hw);
-    selected.sort_by_key(|t| {
-        order
-            .iter()
-            .position(|&o| o == *t)
-            .expect("selected tasks come from the order")
-    });
+    let mut rank = vec![0usize; app.n_tasks()];
+    for (i, &t) in order.iter().enumerate() {
+        rank[t.index()] = i;
+    }
+    selected.sort_by_key(|t| rank[t.index()]);
 
     for t in selected {
         let impls = app.task(t).expect("task id in range").hw_impls();

@@ -1,10 +1,16 @@
 //! Blocking client for the raw RPC transport — what `rdse submit`
 //! uses, and the reference implementation of the frame protocol's
 //! client side.
+//!
+//! Each thread keeps its last connection open and reuses it for its
+//! next request to the same address, much as an HTTP client pools
+//! keep-alive connections: a server session carries any number of
+//! exchanges in sequence.
 
-use crate::protocol::{encode_frame, read_frame, write_frame, FrameType, JobSpec, HEADER_LEN};
+use crate::protocol::{encode_frame, read_frame, FrameError, FrameType, JobSpec, HEADER_LEN};
 use serde::{Serialize, Value};
-use std::io::Write;
+use std::cell::RefCell;
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -108,6 +114,16 @@ impl std::fmt::Display for ClientError {
     }
 }
 
+thread_local! {
+    /// This thread's idle connection and the address it leads to.
+    static IDLE: RefCell<Option<(String, TcpStream)>> = const { RefCell::new(None) };
+}
+
+fn configure(stream: &TcpStream, opts: &ClientOptions) {
+    let _ = stream.set_read_timeout(Some(opts.read_timeout));
+    let _ = stream.set_write_timeout(Some(opts.write_timeout));
+}
+
 fn connect(addr: &str, opts: &ClientOptions) -> Result<TcpStream, ClientError> {
     let sock_addr = addr
         .to_socket_addrs()
@@ -116,10 +132,107 @@ fn connect(addr: &str, opts: &ClientOptions) -> Result<TcpStream, ClientError> {
         .ok_or_else(|| ClientError::transport(format!("'{addr}' resolves to no address")))?;
     let stream = TcpStream::connect_timeout(&sock_addr, opts.connect_timeout)
         .map_err(|e| ClientError::transport(format!("cannot connect to {addr}: {e}")))?;
-    let _ = stream.set_read_timeout(Some(opts.read_timeout));
-    let _ = stream.set_write_timeout(Some(opts.write_timeout));
+    configure(&stream, opts);
     let _ = stream.set_nodelay(true);
     Ok(stream)
+}
+
+/// A reader that remembers whether any byte arrived.
+struct Heard<'a> {
+    stream: &'a mut TcpStream,
+    any: bool,
+}
+
+impl Read for Heard<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.any |= n > 0;
+        Ok(n)
+    }
+}
+
+/// An exchange that broke below the protocol. `resend` is set when no
+/// reply byte had arrived and the read did not time out, so the server
+/// cannot have started answering.
+struct Broken {
+    error: ClientError,
+    resend: bool,
+}
+
+/// Sends `frame` and reads reply frames until one of type `expect` or
+/// an `Error` frame; a job's stream (`expect` is `Result`) may send
+/// `Update` frames before it, each passed to `on_update`. The inner
+/// result is the server's answer.
+fn round_trip(
+    stream: &mut TcpStream,
+    frame: &[u8],
+    expect: FrameType,
+    on_update: &mut dyn FnMut(&Value),
+    max_frame_len: u32,
+) -> Result<Result<Value, ClientError>, Broken> {
+    stream
+        .write_all(frame)
+        .and_then(|()| stream.flush())
+        .map_err(|e| Broken {
+            error: ClientError::transport(e),
+            resend: true,
+        })?;
+    let mut reader = Heard { stream, any: false };
+    loop {
+        let (frame_type, body) = read_frame(&mut reader, max_frame_len).map_err(|e| Broken {
+            resend: !reader.any && !matches!(e, FrameError::TimedOut),
+            error: ClientError::transport(e),
+        })?;
+        match frame_type {
+            t if t == expect => return Ok(Ok(body)),
+            FrameType::Error => return Ok(Err(ClientError::from_error_body(&body))),
+            FrameType::Update if expect == FrameType::Result => on_update(&body),
+            other => {
+                return Err(Broken {
+                    error: ClientError::transport(format!(
+                        "expected a {expect:?} frame, got {other:?}"
+                    )),
+                    resend: false,
+                })
+            }
+        }
+    }
+}
+
+/// The one request/reply path. It uses this thread's idle connection
+/// if that leads to `addr` (and drops it otherwise), and keeps the
+/// connection idle afterwards unless the request was a shutdown. A
+/// kept connection the server has since closed (idle timeout, restart)
+/// fails before any reply byte arrives; only then is the frame sent
+/// once more, on a new connection.
+fn exchange(
+    addr: &str,
+    opts: &ClientOptions,
+    frame: &[u8],
+    expect: FrameType,
+    on_update: &mut dyn FnMut(&Value),
+) -> Result<Value, ClientError> {
+    let idle = IDLE
+        .with(|idle| idle.borrow_mut().take())
+        .filter(|(to, _)| to == addr);
+    let reused = idle.is_some();
+    let mut stream = match idle {
+        Some((_, stream)) => {
+            configure(&stream, opts);
+            stream
+        }
+        None => connect(addr, opts)?,
+    };
+    let mut outcome = round_trip(&mut stream, frame, expect, on_update, opts.max_frame_len);
+    if reused && matches!(&outcome, Err(broken) if broken.resend) {
+        stream = connect(addr, opts)?;
+        outcome = round_trip(&mut stream, frame, expect, on_update, opts.max_frame_len);
+    }
+    let answer = outcome.map_err(|broken| broken.error)?;
+    if expect != FrameType::Bye {
+        IDLE.with(|idle| *idle.borrow_mut() = Some((addr.to_string(), stream)));
+    }
+    answer
 }
 
 fn request(
@@ -129,17 +242,13 @@ fn request(
     body: &Value,
     expect: FrameType,
 ) -> Result<Value, ClientError> {
-    let mut stream = connect(addr, opts)?;
-    write_frame(&mut stream, frame_type, body).map_err(ClientError::transport)?;
-    let (reply_type, reply) =
-        read_frame(&mut stream, opts.max_frame_len).map_err(ClientError::transport)?;
-    match reply_type {
-        t if t == expect => Ok(reply),
-        FrameType::Error => Err(ClientError::from_error_body(&reply)),
-        other => Err(ClientError::transport(format!(
-            "expected a {expect:?} frame, got {other:?}"
-        ))),
-    }
+    exchange(
+        addr,
+        opts,
+        &encode_frame(frame_type, body),
+        expect,
+        &mut |_| {},
+    )
 }
 
 /// Submits a job and blocks until the final result, invoking
@@ -166,25 +275,7 @@ pub fn submit(
             ),
         ));
     }
-    let mut stream = connect(addr, opts)?;
-    stream
-        .write_all(&encoded)
-        .and_then(|()| stream.flush())
-        .map_err(ClientError::transport)?;
-    loop {
-        let (frame_type, body) =
-            read_frame(&mut stream, opts.max_frame_len).map_err(ClientError::transport)?;
-        match frame_type {
-            FrameType::Update => on_update(&body),
-            FrameType::Result => return Ok(body),
-            FrameType::Error => return Err(ClientError::from_error_body(&body)),
-            other => {
-                return Err(ClientError::transport(format!(
-                    "unexpected {other:?} frame in a job stream"
-                )))
-            }
-        }
-    }
+    exchange(addr, opts, &encoded, FrameType::Result, &mut on_update)
 }
 
 /// Fetches the server's health/stats report.

@@ -12,10 +12,14 @@
 //!   header (`"RDSE"` magic, version, frame type, body length) and a
 //!   UTF-8 JSON body. [`protocol::JobSpec`] is the job description.
 //! - Two transports share one handler. Raw RPC speaks frames in both
-//!   directions; the HTTP/1.1 adapter maps `POST /jobs`,
+//!   directions, and a connection carries any number of exchanges in
+//!   sequence until the peer closes it or it idles for the read
+//!   timeout; the [`client`] keeps each thread's connection open for
+//!   its next request. The HTTP/1.1 adapter maps `POST /jobs`,
 //!   `GET /jobs/<id>`, `GET /healthz` and `POST /shutdown` onto the
-//!   same code paths, streaming job output as NDJSON. A fresh
-//!   connection is classified by peeking its first four bytes.
+//!   same code paths, one request per connection, streaming job output
+//!   as NDJSON. A fresh connection is classified by peeking its first
+//!   four bytes.
 //! - [`Server`] shards jobs across a fixed set of shard threads by
 //!   hashing the job's `(app, arch)` content key. Each shard thread
 //!   owns its state and drains its own job queue in submission order.

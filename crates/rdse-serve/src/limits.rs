@@ -20,11 +20,14 @@ pub struct Limits {
     pub max_iters: u64,
     /// Maximum portfolio chains per job.
     pub max_chains: usize,
-    /// Maximum concurrent sessions (open connections + queued and
-    /// running jobs).
+    /// Maximum concurrent sessions: open connections, including RPC
+    /// connections idle between requests, and HTTP connections whose
+    /// job is queued or running.
     pub max_sessions: usize,
     /// Socket read timeout — a sender that stalls mid-frame (slow
-    /// loris) is cut off with a `timeout` error frame.
+    /// loris) is cut off with a `timeout` error frame, and an RPC
+    /// connection that starts no request within it is closed without
+    /// one.
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,

@@ -7,9 +7,9 @@ use crate::transport;
 use crate::worker::{self, JobRequest};
 use rdse_store::{ResultStore, SyncPolicy};
 use serde::{Serialize, Value};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex};
@@ -137,12 +137,25 @@ impl Registry {
     }
 }
 
-/// Concurrent-session gauge: a connection holds a permit from accept
-/// until its job (if any) finishes streaming.
+/// Concurrent-session gauge. A connection holds a permit from accept
+/// until it closes: an RPC session through all its exchanges and the
+/// idle waits between them, an HTTP one until its reply (a job's last
+/// frame) is sent. The gauge also holds a handle on the socket of
+/// every live RPC session, so the drain can close the idle ones.
 #[derive(Debug)]
 pub(crate) struct SessionGauge {
     active: AtomicUsize,
     max: usize,
+    open: Mutex<OpenSockets>,
+}
+
+/// Sockets of the live RPC sessions, by tracking id. `closed` is set
+/// by the drain; a socket tracked after it is shut down at once.
+#[derive(Debug, Default)]
+struct OpenSockets {
+    next: u64,
+    sockets: HashMap<u64, TcpStream>,
+    closed: bool,
 }
 
 impl SessionGauge {
@@ -150,7 +163,33 @@ impl SessionGauge {
         Arc::new(SessionGauge {
             active: AtomicUsize::new(0),
             max,
+            open: Mutex::default(),
         })
+    }
+
+    /// Keeps a handle on an RPC session's socket until the returned
+    /// guard drops. `None` if the socket cannot be cloned: such a
+    /// session cannot be closed by the drain, so it must not idle.
+    pub fn track(self: &Arc<Self>, stream: &TcpStream) -> Option<Tracked> {
+        let socket = stream.try_clone().ok()?;
+        let mut open = self.open.lock().expect("open sockets lock");
+        if open.closed {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        let id = open.next;
+        open.next += 1;
+        open.sockets.insert(id, socket);
+        Some(Tracked(Arc::clone(self), id))
+    }
+
+    /// Shuts down every tracked socket, and every one tracked later:
+    /// each session's blocked read returns and the session ends.
+    fn close_all(&self) {
+        let mut open = self.open.lock().expect("open sockets lock");
+        open.closed = true;
+        for socket in open.sockets.values() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
     }
 
     pub fn try_acquire(self: &Arc<Self>) -> Option<SessionPermit> {
@@ -173,6 +212,17 @@ pub(crate) struct SessionPermit(Arc<SessionGauge>);
 impl Drop for SessionPermit {
     fn drop(&mut self) {
         self.0.active.fetch_sub(1, Relaxed);
+    }
+}
+
+/// RAII registration of one RPC session's socket with the gauge.
+#[derive(Debug)]
+pub(crate) struct Tracked(Arc<SessionGauge>, u64);
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        let mut open = self.0.open.lock().expect("open sockets lock");
+        open.sockets.remove(&self.1);
     }
 }
 
@@ -343,7 +393,8 @@ impl Server {
 
     /// Serves until a shutdown frame arrives. Every accepted
     /// connection gets its own thread; every job admitted before the
-    /// shutdown has replied by the time this returns.
+    /// shutdown has replied, and every RPC session is closed, by the
+    /// time this returns.
     ///
     /// # Errors
     ///
@@ -371,14 +422,17 @@ impl Server {
         }
         // Drain: closing every queue lets each shard finish the jobs
         // admitted before shutdown and exit, so joining the shards
-        // means every one of them has sent its reply.
+        // means every one of them has sent its reply. Then the RPC
+        // sessions, idle by now, are closed: a kept-alive client must
+        // not reach a lingering session of a stopped server.
         self.ctx.queues.lock().expect("queues lock").clear();
-        for shard in self.shards {
+        let joined = self.shards.into_iter().try_for_each(|shard| {
             shard
                 .join()
-                .map_err(|_| io::Error::other("shard thread panicked"))?;
-        }
-        Ok(())
+                .map_err(|_| io::Error::other("shard thread panicked"))
+        });
+        self.ctx.sessions.close_all();
+        joined
     }
 
     /// Runs the server on a background thread; mainly for tests and
@@ -476,7 +530,6 @@ mod tests {
             objective,
             key,
             sink,
-            permit: None,
         };
         ctx.dispatch(Box::new(req)).is_ok()
     }

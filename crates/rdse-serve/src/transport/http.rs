@@ -143,11 +143,13 @@ pub(crate) fn respond_error(stream: TcpStream, err: &ServeError) {
 
 /// Streams a job's output as close-delimited NDJSON. The status line
 /// and headers go out with the first update (or the result); an error
-/// before any output becomes a plain HTTP error response instead.
+/// before any output becomes a plain HTTP error response instead. The
+/// sink holds the connection's session permit until the job is done.
 struct HttpSink {
     stream: TcpStream,
     started: bool,
     dead: bool,
+    _permit: SessionPermit,
 }
 
 impl HttpSink {
@@ -241,8 +243,8 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
                             stream,
                             started: false,
                             dead: false,
+                            _permit: permit,
                         }),
-                        permit: Some(permit),
                     });
                     if let Err((mut req, err)) = ctx.dispatch(req) {
                         ctx.core

@@ -25,7 +25,9 @@ pub trait FrameSink: Send {
     fn send_result(&mut self, body: &Value);
     /// Sends a typed error.
     fn send_error(&mut self, err: &ServeError);
-    /// Flushes and closes the response stream.
+    /// Ends the job's response: an HTTP sink closes its connection, an
+    /// RPC sink hands the connection back to its session for the next
+    /// request.
     fn finish(&mut self);
 }
 

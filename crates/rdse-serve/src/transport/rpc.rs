@@ -1,6 +1,14 @@
-//! The raw RPC transport: one request frame per connection, answered
-//! by one reply frame — except jobs, which stream `Update` frames
-//! until the final `Result` (or `Error`).
+//! The raw RPC transport. A connection is a session that carries any
+//! number of request/reply exchanges in sequence: each request frame
+//! is answered by one reply frame, except a job, which streams
+//! `Update` frames until its final `Result` (or `Error`). While a job
+//! runs, its sink owns the socket; finishing hands it back to the
+//! session, which then waits for the next request.
+//!
+//! A session ends when the peer closes, on a frame error, after a
+//! `Shutdown`, when the server drains, or when no request starts
+//! within the read timeout. An idle session closes without writing a
+//! frame, so a client never reads a reply it did not ask for.
 
 use super::{admit_job, FrameSink};
 use crate::protocol::{
@@ -9,19 +17,25 @@ use crate::protocol::{
 use crate::server::{Ctx, JobState, SessionPermit};
 use crate::worker::JobRequest;
 use serde::Value;
-use std::net::{Shutdown, TcpStream};
+use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 
 pub(crate) struct RpcSink {
-    stream: TcpStream,
-    dead: bool,
+    /// `None` once a write failed: the client is gone, and the session
+    /// ends when the sink drops without handing a socket back.
+    stream: Option<TcpStream>,
+    session: SyncSender<TcpStream>,
 }
 
 impl RpcSink {
     fn send(&mut self, frame_type: FrameType, body: &Value) {
-        if !self.dead && write_frame(&mut self.stream, frame_type, body).is_err() {
-            self.dead = true;
+        if let Some(stream) = &mut self.stream {
+            if write_frame(stream, frame_type, body).is_err() {
+                self.stream = None;
+            }
         }
     }
 }
@@ -29,7 +43,7 @@ impl RpcSink {
 impl FrameSink for RpcSink {
     fn send_update(&mut self, body: &Value) -> bool {
         self.send(FrameType::Update, body);
-        !self.dead
+        self.stream.is_some()
     }
 
     fn send_result(&mut self, body: &Value) {
@@ -41,26 +55,58 @@ impl FrameSink for RpcSink {
     }
 
     fn finish(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Write);
+        if let Some(stream) = self.stream.take() {
+            let _ = self.session.send(stream);
+        }
     }
 }
 
-fn reply_error(stream: &mut TcpStream, err: &ServeError) {
-    let _ = write_frame(stream, FrameType::Error, &err.to_value());
+fn reply_error(stream: &mut TcpStream, err: &ServeError) -> io::Result<()> {
+    write_frame(stream, FrameType::Error, &err.to_value())
 }
 
-pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermit) {
+/// Serves one session. The permit is held until the session ends, idle
+/// waits included.
+pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, _permit: SessionPermit) {
+    let tracked = ctx.sessions.track(&stream);
+    loop {
+        match exchange(stream, ctx) {
+            Some(back) => stream = back,
+            None => return,
+        }
+        if tracked.is_none() || !await_request(&mut stream) {
+            return;
+        }
+    }
+}
+
+/// Waits for the first byte of the next request; `false` when the peer
+/// closed, the socket failed or no byte came within the read timeout.
+fn await_request(stream: &mut TcpStream) -> bool {
+    match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n > 0,
+        Err(_) => {
+            #[cfg(rdse_fault = "rpc_idle_close_writes_timeout")]
+            let _ = reply_error(
+                stream,
+                &ServeError::new(ErrorCode::Timeout, "session idle past the read timeout"),
+            );
+            false
+        }
+    }
+}
+
+/// Answers one request. Returns the socket if the session goes on.
+fn exchange(mut stream: TcpStream, ctx: &Arc<Ctx>) -> Option<TcpStream> {
     let (frame_type, body) = match read_frame(&mut stream, ctx.core.limits.max_frame_len) {
         Ok(x) => x,
         Err(e) => {
-            reply_error(&mut stream, &ServeError::from_frame_error(e));
-            return;
+            let _ = reply_error(&mut stream, &ServeError::from_frame_error(e));
+            return None;
         }
     };
-    match frame_type {
-        FrameType::Health => {
-            let _ = write_frame(&mut stream, FrameType::HealthReply, &ctx.health_value());
-        }
+    let sent = match frame_type {
+        FrameType::Health => write_frame(&mut stream, FrameType::HealthReply, &ctx.health_value()),
         FrameType::Shutdown => {
             let bye = obj(vec![
                 ("type", Value::Str("bye".into())),
@@ -68,12 +114,11 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
             ]);
             let _ = write_frame(&mut stream, FrameType::Bye, &bye);
             ctx.request_shutdown();
+            return None;
         }
         FrameType::GetJob => match require_u64(&body, "job") {
             Ok(id) => match ctx.core.registry.record_value(id) {
-                Some(record) => {
-                    let _ = write_frame(&mut stream, FrameType::JobRecord, &record);
-                }
+                Some(record) => write_frame(&mut stream, FrameType::JobRecord, &record),
                 None => reply_error(
                     &mut stream,
                     &ServeError::new(ErrorCode::UnknownJob, format!("no record of job {id}")),
@@ -83,16 +128,16 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
         },
         FrameType::Job => match admit_job(ctx, body) {
             Ok((id, spec, objective, key)) => {
+                let (session, back) = mpsc::sync_channel(1);
                 let req = Box::new(JobRequest {
                     id,
                     spec,
                     objective,
                     key,
                     sink: Box::new(RpcSink {
-                        stream,
-                        dead: false,
+                        stream: Some(stream),
+                        session,
                     }),
-                    permit: Some(permit),
                 });
                 if let Err((mut req, err)) = ctx.dispatch(req) {
                     ctx.core
@@ -102,10 +147,11 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
                     req.sink.send_error(&err);
                     req.sink.finish();
                 }
+                return back.recv().ok();
             }
             Err(err) => {
                 ctx.core.stats.jobs_failed.fetch_add(1, Relaxed);
-                reply_error(&mut stream, &err);
+                reply_error(&mut stream, &err)
             }
         },
         _ => reply_error(
@@ -115,5 +161,6 @@ pub(crate) fn handle(mut stream: TcpStream, ctx: &Arc<Ctx>, permit: SessionPermi
                 format!("{frame_type:?} is a response type, not a request"),
             ),
         ),
-    }
+    };
+    sent.is_ok().then_some(stream)
 }

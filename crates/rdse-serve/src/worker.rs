@@ -14,7 +14,7 @@
 
 use crate::handler;
 use crate::protocol::{ErrorCode, JobSpec, ServeError};
-use crate::server::{Core, JobState, ServeStats, SessionPermit};
+use crate::server::{Core, JobState, ServeStats};
 use crate::transport::FrameSink;
 use rdse_mapping::{CostVector, Mapping, Objective, Scalarizer, WarmStart};
 use rdse_model::{Architecture, TaskGraph};
@@ -35,16 +35,13 @@ const MAX_CACHE_ENTRIES: usize = 8;
 const MAX_MEMO_ENTRIES: usize = 4096;
 
 /// A fully validated job, ready to run. The sink is the live client
-/// connection; the permit keeps the session slot occupied until the
-/// job finishes.
+/// connection.
 pub(crate) struct JobRequest {
     pub id: u64,
     pub spec: JobSpec,
     pub objective: Objective,
     pub key: String,
     pub sink: Box<dyn FrameSink>,
-    #[allow(dead_code)] // held for its Drop
-    pub permit: Option<SessionPermit>,
 }
 
 struct CacheEntry {

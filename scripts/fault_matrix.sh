@@ -127,6 +127,12 @@ declare -A FAULTS=(
     # Serve refuses an app of exactly `max_tasks` tasks.
     [serve_max_tasks_inclusive]="rdse-serve
         handler::tests::an_app_of_exactly_max_tasks_is_accepted"
+    # An RPC session idle past the read timeout writes a `timeout`
+    # frame as it closes, which a client keeping the connection reads as
+    # the reply to its next request.
+    [rpc_idle_close_writes_timeout]="rdse-serve:session_test
+        a_kept_connection_the_server_closed_is_resent_once
+        an_idle_session_closes_without_writing_a_frame"
     # The DES sends a data edge between two tasks on one ASIC over the
     # bus, which the analytic model treats as on-device.
     [sim_asic_edge_on_bus]="rdse-sim
