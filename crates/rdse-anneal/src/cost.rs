@@ -11,8 +11,9 @@
 //!   objectives, all minimized — recorded verbatim in run results and
 //!   [`ParetoFront`](crate::ParetoFront) archives;
 //! * a [`Scalarizer`] projects a cost onto the scalar view the
-//!   acceptance rule walks on ([`WeightedSum`], [`Lexicographic`], or
-//!   the cost's own default via [`DefaultScalar`]).
+//!   acceptance rule walks on: the cost's own default via
+//!   [`DefaultScalar`], or a problem's own objective (the mapping
+//!   layer's `Objective` is its weighted and lexicographic views).
 //!
 //! `f64` implements [`Cost`] as the single-objective case, and
 //! [`DefaultScalar`] is the identity on it — so a scalar problem under
@@ -71,8 +72,8 @@ pub trait Scalarizer<C: Cost> {
     /// The energy difference driving Metropolis acceptance when moving
     /// from `cur` to `new`. `scalar_delta` is
     /// `scalarize(new) - scalarize(cur)` as computed by the engine from
-    /// its stored scalars; the default returns it unchanged.
-    /// [`Lexicographic`] overrides this with a tiered comparison.
+    /// its stored scalars; the default returns it unchanged. A
+    /// lexicographic objective overrides this with a tiered comparison.
     fn delta(&self, new: &C, cur: &C, scalar_delta: f64) -> f64 {
         let _ = (new, cur);
         scalar_delta
@@ -90,136 +91,9 @@ impl<C: Cost> Scalarizer<C> for DefaultScalar {
     }
 }
 
-/// Weighted-sum scalarization: `Σ wᵢ · objectiveᵢ`.
-///
-/// Objectives beyond the weight list contribute nothing (weight 0);
-/// weights beyond the cost's objective count are ignored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedSum {
-    weights: Vec<f64>,
-}
-
-impl WeightedSum {
-    /// Builds a weighted-sum scalarizer.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty weight list, non-finite or negative weights,
-    /// and the all-zero list (which would make every move look free).
-    pub fn new(weights: Vec<f64>) -> Result<Self, String> {
-        if weights.is_empty() {
-            return Err("weighted-sum scalarizer needs at least one weight".into());
-        }
-        if let Some(w) = weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
-            return Err(format!("weight {w} is not a finite non-negative number"));
-        }
-        if weights.iter().all(|&w| w == 0.0) {
-            return Err("weighted-sum scalarizer needs at least one positive weight".into());
-        }
-        Ok(WeightedSum { weights })
-    }
-
-    /// The weight vector, in objective order.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl<C: Cost> Scalarizer<C> for WeightedSum {
-    fn scalarize(&self, cost: &C) -> f64 {
-        let n = cost.n_objectives().min(self.weights.len());
-        let mut sum = 0.0;
-        for (i, &w) in self.weights.iter().take(n).enumerate() {
-            sum += w * cost.objective(i);
-        }
-        sum
-    }
-}
-
-/// Lexicographic scalarization over a priority order of objective
-/// indices.
-///
-/// A single finite scalar cannot encode a true lexicographic order
-/// without catastrophic precision loss in the lower tiers, so this
-/// scalarizer splits the roles instead:
-///
-/// * [`scalarize`](Scalarizer::scalarize) returns the **primary**
-///   objective — scalar run statistics and `target_cost` operate on
-///   the highest-priority axis;
-/// * [`delta`](Scalarizer::delta) performs the tiered comparison: the
-///   acceptance energy is the difference in the *first* objective (in
-///   priority order) on which the two costs disagree, and `0.0` on a
-///   full tie. Ties on the primary objective are therefore broken by
-///   the secondary one, and so on — at each tier's native scale, with
-///   no magic weight constants.
-///
-/// The engine's best-so-far tracking also goes through `delta`, so the
-/// retained best snapshot is the *tiered* best — a solution that ties
-/// the primary axis but improves a lower tier replaces the incumbent,
-/// and the reported winner always has a retrievable solution. The
-/// recorded Pareto archive additionally exposes the whole trade-off
-/// surface (see `lexi_min` in the mapping layer's report path).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lexicographic {
-    order: Vec<usize>,
-}
-
-impl Lexicographic {
-    /// Builds a lexicographic scalarizer minimizing objectives in the
-    /// given priority order (highest first).
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty order and duplicate objective indices.
-    pub fn new(order: Vec<usize>) -> Result<Self, String> {
-        if order.is_empty() {
-            return Err("lexicographic scalarizer needs at least one objective".into());
-        }
-        for (i, a) in order.iter().enumerate() {
-            if order[..i].contains(a) {
-                return Err(format!("objective {a} listed twice in lexicographic order"));
-            }
-        }
-        Ok(Lexicographic { order })
-    }
-
-    /// The priority order (objective indices, highest priority first).
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-}
-
-impl<C: Cost> Scalarizer<C> for Lexicographic {
-    fn scalarize(&self, cost: &C) -> f64 {
-        cost.objective(self.order[0])
-    }
-
-    fn delta(&self, new: &C, cur: &C, _scalar_delta: f64) -> f64 {
-        for &i in &self.order {
-            let (a, b) = (new.objective(i), cur.objective(i));
-            if a != b {
-                return a - b;
-            }
-        }
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Pair(f64, f64);
-
-    impl Cost for Pair {
-        fn n_objectives(&self) -> usize {
-            2
-        }
-        fn objective(&self, i: usize) -> f64 {
-            [self.0, self.1][i]
-        }
-    }
 
     #[test]
     fn f64_is_the_identity_cost() {
@@ -228,43 +102,5 @@ mod tests {
         assert_eq!(c.objective(0), 3.5);
         assert_eq!(DefaultScalar.scalarize(&c).to_bits(), 3.5f64.to_bits());
         assert_eq!(DefaultScalar.delta(&2.0, &3.5, 2.0 - 3.5), -1.5);
-    }
-
-    #[test]
-    fn weighted_sum_combines_objectives() {
-        let z = WeightedSum::new(vec![1.0, 10.0]).unwrap();
-        assert_eq!(z.scalarize(&Pair(2.0, 3.0)), 32.0);
-        // Extra weights beyond the objective count are ignored.
-        let z = WeightedSum::new(vec![2.0, 1.0, 99.0]).unwrap();
-        assert_eq!(z.scalarize(&Pair(1.0, 1.0)), 3.0);
-    }
-
-    #[test]
-    fn weighted_sum_rejects_bad_weights() {
-        assert!(WeightedSum::new(vec![]).is_err());
-        assert!(WeightedSum::new(vec![-1.0]).is_err());
-        assert!(WeightedSum::new(vec![f64::NAN]).is_err());
-        assert!(WeightedSum::new(vec![0.0, 0.0]).is_err());
-        assert!(WeightedSum::new(vec![0.0, 1.0]).is_ok());
-    }
-
-    #[test]
-    fn lexicographic_breaks_ties_on_lower_tiers() {
-        let z = Lexicographic::new(vec![0, 1]).unwrap();
-        // Primary differs: its delta decides.
-        assert_eq!(z.delta(&Pair(1.0, 9.0), &Pair(2.0, 0.0), -1.0), -1.0);
-        // Primary ties: secondary decides, at its own scale.
-        assert_eq!(z.delta(&Pair(2.0, 1.0), &Pair(2.0, 4.0), 0.0), -3.0);
-        // Full tie: zero energy.
-        assert_eq!(z.delta(&Pair(2.0, 4.0), &Pair(2.0, 4.0), 0.0), 0.0);
-        // Scalar view is the primary objective.
-        assert_eq!(z.scalarize(&Pair(7.0, 1.0)), 7.0);
-    }
-
-    #[test]
-    fn lexicographic_rejects_duplicates_and_empty() {
-        assert!(Lexicographic::new(vec![]).is_err());
-        assert!(Lexicographic::new(vec![0, 1, 0]).is_err());
-        assert!(Lexicographic::new(vec![1, 0]).is_ok());
     }
 }

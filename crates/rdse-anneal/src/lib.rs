@@ -21,8 +21,8 @@
 //! A problem's cost is an associated [`Cost`] type — plain `f64` for
 //! single-objective problems, a compact vector of minimized axes for
 //! multi-objective ones. Acceptance always walks on a scalarized view
-//! ([`Scalarizer`]: [`DefaultScalar`], [`WeightedSum`] or
-//! [`Lexicographic`]) while the engine records the full vectors, and
+//! ([`Scalarizer`]: [`DefaultScalar`] or a problem's own projection)
+//! while the engine records the full vectors, and
 //! [`Annealer::track_front`] archives every accepted vector in a
 //! shared [`ParetoFront`] — the trade-off surface survives whatever
 //! the scalarization collapses. The default configuration (`f64` cost,
@@ -55,7 +55,7 @@ pub mod schedule;
 pub mod stats;
 
 pub use controller::MoveClassController;
-pub use cost::{Cost, DefaultScalar, Lexicographic, Scalarizer, WeightedSum};
+pub use cost::{Cost, DefaultScalar, Scalarizer};
 pub use pareto::{crowding_distance, hypervolume, non_dominated_rank, Dominance, ParetoFront};
 pub use problem::Problem;
 pub use runner::{anneal, Annealer, RunOptions, RunResult, StopReason, TracePoint};

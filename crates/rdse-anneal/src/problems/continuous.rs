@@ -93,81 +93,11 @@ impl Problem for Sphere {
     }
 }
 
-/// Rosenbrock function `Σ 100(xᵢ₊₁ − xᵢ²)² + (1 − xᵢ)²` — the classic
-/// curved-valley test for annealing schedules.
-#[derive(Debug, Clone)]
-pub struct Rosenbrock {
-    x: Vec<f64>,
-    base_step: f64,
-}
-
-impl Rosenbrock {
-    /// Creates an instance of dimension `dim ≥ 2` with coordinates in
-    /// `[-2, 2]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim < 2`.
-    pub fn new(dim: usize, seed: u64) -> Self {
-        assert!(dim >= 2, "rosenbrock needs dimension at least 2");
-        let mut rng = StdRng::seed_from_u64(seed);
-        Rosenbrock {
-            x: (0..dim).map(|_| rng.random_range(-2.0..2.0)).collect(),
-            base_step: 1.0,
-        }
-    }
-
-    /// Current coordinate vector.
-    pub fn coordinates(&self) -> &[f64] {
-        &self.x
-    }
-}
-
-impl Problem for Rosenbrock {
-    type Move = CoordinateMove;
-    type Snapshot = Vec<f64>;
-    type Cost = f64;
-
-    fn cost(&self) -> f64 {
-        self.x
-            .windows(2)
-            .map(|w| {
-                let (a, b) = (w[0], w[1]);
-                100.0 * (b - a * a).powi(2) + (1.0 - a).powi(2)
-            })
-            .sum()
-    }
-
-    fn n_move_classes(&self) -> usize {
-        STEP_SCALES.len()
-    }
-
-    fn try_move(&mut self, rng: &mut dyn RngCore, class: usize) -> Option<(Self::Move, f64)> {
-        let index = rng.random_range(0..self.x.len());
-        let previous = self.x[index];
-        let scale = STEP_SCALES[class.min(STEP_SCALES.len() - 1)];
-        self.x[index] += gaussian(rng) * self.base_step * scale;
-        Some((CoordinateMove { index, previous }, self.cost()))
-    }
-
-    fn undo(&mut self, mv: Self::Move) {
-        self.x[mv.index] = mv.previous;
-    }
-
-    fn snapshot(&self) -> Self::Snapshot {
-        self.x.clone()
-    }
-
-    fn restore(&mut self, snapshot: &Self::Snapshot) {
-        self.x.clone_from(snapshot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::{anneal, RunOptions};
-    use crate::schedule::{GeometricSchedule, LamSchedule};
+    use crate::schedule::LamSchedule;
 
     #[test]
     fn sphere_cost_at_origin_is_zero() {
@@ -194,31 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn rosenbrock_improves_substantially() {
-        let mut p = Rosenbrock::new(4, 3);
-        let initial = p.cost();
-        let mut s = GeometricSchedule::new(10.0, 0.999, 10);
-        let r = anneal(
-            &mut p,
-            &mut s,
-            &RunOptions {
-                max_iterations: 80_000,
-                warmup_iterations: 2_000,
-                seed: 17,
-                ..RunOptions::default()
-            },
-        );
-        assert!(
-            r.best_cost < initial * 0.1,
-            "{} -> {}",
-            initial,
-            r.best_cost
-        );
-    }
-
-    #[test]
     fn undo_is_exact() {
-        let mut p = Rosenbrock::new(5, 9);
+        let mut p = Sphere::new(5, 2.0, 9);
         let before = p.coordinates().to_vec();
         let cost_before = p.cost();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);

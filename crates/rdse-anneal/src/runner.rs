@@ -231,9 +231,8 @@ pub fn anneal<P: Problem, S: Schedule>(
 ///
 /// Scalar acceptance walks on a scalarized view of the problem's
 /// [`Cost`](crate::Cost) — [`DefaultScalar`] (the cost's own scalar, the historical
-/// behaviour) unless [`Annealer::with_scalarizer`] installs a
-/// [`WeightedSum`](crate::WeightedSum) or
-/// [`Lexicographic`](crate::Lexicographic) projection — while the full
+/// behaviour) unless [`Annealer::with_scalarizer`] installs another
+/// projection (the mapping layer installs its `Objective`) — while the full
 /// cost vectors of the current and best solutions are recorded
 /// verbatim, optionally into a [`ParetoFront`] archive
 /// ([`Annealer::track_front`]).

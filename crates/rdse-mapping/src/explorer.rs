@@ -96,9 +96,13 @@ impl Objective {
     /// Rejects negative or non-finite weights and the all-zero
     /// combination.
     pub fn weighted(w_makespan: f64, w_area: f64, w_reconfig: f64) -> Result<Self, String> {
-        // One rule set: the anneal layer's WeightedSum owns the weight
-        // validation; this constructor only fixes the axis order.
-        rdse_anneal::WeightedSum::new(vec![w_makespan, w_area, w_reconfig])?;
+        let weights = [w_makespan, w_area, w_reconfig];
+        if let Some(w) = weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
+            return Err(format!("weight {w} is not a finite non-negative number"));
+        }
+        if weights.iter().all(|&w| w == 0.0) {
+            return Err("weighted objective needs at least one positive weight".into());
+        }
         Ok(Objective::Weighted {
             w_makespan,
             w_area,
@@ -119,18 +123,14 @@ impl Objective {
                 keys.len()
             ));
         }
-        // One rule set: the anneal layer's Lexicographic owns the
-        // empty/duplicate validation (on axis indices); this
-        // constructor maps its index-level errors back to axis names.
-        rdse_anneal::Lexicographic::new(keys.iter().map(|k| k.index()).collect()).map_err(|e| {
-            match keys
-                .iter()
-                .find(|k| keys.iter().filter(|o| o == k).count() > 1)
-            {
-                Some(dup) => format!("axis '{}' listed twice", dup.name()),
-                None => e,
+        if keys.is_empty() {
+            return Err("lexicographic objective needs at least one axis".into());
+        }
+        for (i, key) in keys.iter().enumerate() {
+            if keys[..i].contains(key) {
+                return Err(format!("axis '{}' listed twice", key.name()));
             }
-        })?;
+        }
         let mut order = [None; 4];
         for (i, key) in keys.iter().enumerate() {
             order[i] = Some(*key);

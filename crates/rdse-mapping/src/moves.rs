@@ -8,11 +8,18 @@
 //!   no move is performed (their orders are partial, not total).
 //! * **m2** — different resources: reassign `vs` to the resource of
 //!   `vd`. When the destination is a context and the capacity `NCLB`
-//!   would be exceeded, a new context is spawned right after it.
+//!   would be exceeded, a new context is spawned right after it. A
+//!   resource that hosts no task is never a destination (only the
+//!   first DRLC is re-seeded, by [`propose_impl_move`]), and
+//!   [`random_initial`](crate::init::random_initial) seeds only
+//!   processor 0 and the first DRLC, so a search started there never
+//!   uses a second processor, a second DRLC or an ASIC.
 //! * **m3/m4** — resource removal/creation for architecture
 //!   exploration, selected by drawing the sentinel index 0; the paper's
-//!   experiments set the probability of 0 to zero (fixed architecture),
-//!   and those moves live in [`crate::explorer`].
+//!   experiments set the probability of 0 to zero (fixed architecture).
+//!   The explorer never draws them; they live in
+//!   [`crate::arch_explore`], which anneals the architecture jointly
+//!   with the mapping and scores every step from scratch.
 //! * **m5** — implementation selection: §5 notes that "during
 //!   exploration, SA chooses for each node implemented in hardware one
 //!   of its implementations"; this is exposed as a second move class.

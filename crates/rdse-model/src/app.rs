@@ -272,9 +272,10 @@ impl TaskGraph {
     }
 
     /// Checks global invariants: every task's estimates pass
-    /// [`add_task`]'s checks and every edge joins two distinct existing
-    /// tasks (a deserialized graph skips [`add_task`] and
-    /// [`add_data_edge`]), and the precedence graph is acyclic.
+    /// [`add_task`]'s checks, every edge joins two distinct existing
+    /// tasks and no pair is joined twice (a deserialized graph skips
+    /// [`add_task`] and [`add_data_edge`]), and the precedence graph is
+    /// acyclic.
     ///
     /// [`add_task`]: TaskGraph::add_task
     /// [`add_data_edge`]: TaskGraph::add_data_edge
@@ -285,7 +286,8 @@ impl TaskGraph {
     /// [`ModelError::EmptyImplementation`] for a task `add_task` would
     /// refuse, [`ModelError::UnknownTask`] for an edge endpoint that
     /// names no task, [`ModelError::SelfEdge`] for an edge from a task to
-    /// itself, and [`ModelError::CyclicPrecedence`] when a cycle exists.
+    /// itself, [`ModelError::DuplicateEdge`] for a pair joined twice, and
+    /// [`ModelError::CyclicPrecedence`] when a cycle exists.
     pub fn validate(&self) -> Result<(), ModelError> {
         for (id, t) in self.tasks() {
             check_estimates(id, t.sw_time, &t.hw_impls)?;
@@ -300,6 +302,12 @@ impl TaskGraph {
             if e.from == e.to {
                 return Err(ModelError::SelfEdge(e.from));
             }
+        }
+        let mut pairs: Vec<(TaskId, TaskId)> = self.edges.iter().map(|e| (e.from, e.to)).collect();
+        pairs.sort_unstable();
+        #[cfg(not(rdse_fault = "validate_accepts_duplicate_edges"))]
+        if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(ModelError::DuplicateEdge(w[0].0, w[0].1));
         }
         match rdse_graph::topo_sort(&self.precedence_graph()) {
             Ok(_) => Ok(()),
@@ -468,6 +476,20 @@ mod tests {
         assert_eq!(
             TaskGraph::from_json(&self_edge).unwrap_err(),
             ModelError::SelfEdge(a)
+        );
+        // The edge written twice (with another byte count).
+        let start = json.find(r#""edges": ["#).unwrap() + r#""edges": ["#.len();
+        let end = start + json[start..].find(']').unwrap();
+        let edge = json[start..end].trim();
+        let doubled = format!(
+            "{}{edge}, {}{}",
+            &json[..start],
+            edge.replacen(r#""bytes": 1"#, r#""bytes": 2"#, 1),
+            &json[end..]
+        );
+        assert_eq!(
+            TaskGraph::from_json(&doubled).unwrap_err(),
+            ModelError::DuplicateEdge(a, b)
         );
     }
 

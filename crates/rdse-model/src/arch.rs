@@ -5,8 +5,10 @@
 //! programmable and dedicated computing resources"; the experiments fix
 //! one processor plus one partially reconfigurable FPGA communicating
 //! through a shared memory on a bus. [`Architecture`] captures the
-//! general inventory; per-component `cost` fields support the
-//! cost-minimization objective of the general method.
+//! general inventory. The per-component `cost` fields are the system
+//! cost that the mapping layer's architecture co-exploration minimizes
+//! under a deadline; they are part of the model JSON and so of every
+//! store key.
 
 use crate::error::ModelError;
 use crate::units::{Bytes, Clbs, Micros};

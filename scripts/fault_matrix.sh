@@ -133,6 +133,14 @@ declare -A FAULTS=(
     [rpc_idle_close_writes_timeout]="rdse-serve:session_test
         a_kept_connection_the_server_closed_is_resent_once
         an_idle_session_closes_without_writing_a_frame"
+    # A decoded task graph that joins one pair of tasks twice passes
+    # validation, although the builder refuses the second edge.
+    [validate_accepts_duplicate_edges]="rdse-model
+        app::tests::validate_rejects_deserialized_edges_the_builder_would_refuse"
+    # The oracle never compares the incremental evaluator's summary with
+    # the from-scratch evaluation, so that leg can diverge unseen.
+    [oracle_skips_incremental_leg]="rdse-corpus
+        oracle::tests::an_incremental_summary_off_by_one_micro_is_a_divergence"
     # The DES sends a data edge between two tasks on one ASIC over the
     # bus, which the analytic model treats as on-device.
     [sim_asic_edge_on_bus]="rdse-sim
